@@ -25,19 +25,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import GradedPoly
-from .summands import SummandContext, TwistRangeError, oh_summand, twist_uppers
+from .ring import GradedPoly, vandermonde_divide
+from .summands import SummandContext, oh_summand, twist_uppers
 from .targets import (
     CurveClass,
     DivisorData,
     FlagTarget,
     TwistSpec,
     all_weyl_pairs,
-    anticanonical,
     class_enumeration,
     lattice_range,
 )
-from .ring import vandermonde_divide
 
 DEFAULT_WORK_BUDGET = 500_000
 
@@ -115,8 +113,17 @@ def degree_numerator(
 ) -> GradedPoly:
     """Sum of class numerators over every curve class of the given degree."""
     ctx = SummandContext.for_target(target, twist, z)
+    return _degree_numerator(ctx, x_deg, divisor, skip_nonconvex)
+
+
+def _degree_numerator(
+    ctx: SummandContext,
+    x_deg: int,
+    divisor: DivisorData | None,
+    skip_nonconvex: bool,
+) -> GradedPoly:
     total = GradedPoly(ctx.nvars, ctx.cap)
-    for cls in class_enumeration(target, twist, x_deg, divisor):
+    for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor):
         total = total + class_numerator(cls, ctx, skip_nonconvex)
     return total
 
@@ -155,12 +162,13 @@ def correction_C(
     Each n_beta is z-independent (its z-power is 1 - 1 = 0); this is
     verified by evaluating at two different z.
     """
+    contexts = [SummandContext.for_target(target, twist, z) for z in (1, 2)]
     entries = []
     for cls in class_enumeration(target, twist, 1, divisor):
-        values = []
-        for z in (Fraction(1), Fraction(2)):
-            ctx = SummandContext.for_target(target, twist, z)
-            values.append(unit_from_numerator(class_numerator(cls, ctx, skip_nonconvex), target))
+        values = [
+            unit_from_numerator(class_numerator(cls, ctx, skip_nonconvex), target)
+            for ctx in contexts
+        ]
         if values[0] != values[1]:
             raise AssertionError(
                 f"degree-one coefficient for {cls} depends on z: {values}"
@@ -213,8 +221,10 @@ def period_series(
                 f"estimated {estimate} lattice points exceeds budget {budget}"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
+    # one context, so its factor caches are shared by every degree
+    ctx = SummandContext.for_target(target, twist, z)
     raw = [
-        unit_coefficient(target, twist, x_deg, z, divisor, skip_nonconvex)
+        unit_from_numerator(_degree_numerator(ctx, x_deg, divisor, skip_nonconvex), target)
         for x_deg in range(dmax + 1)
     ]
     C = correction.total

@@ -28,7 +28,6 @@ from .targets import (
     DivisorData,
     FlagTarget,
     TwistSpec,
-    anticanonical,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,

@@ -3,7 +3,9 @@
 Everything downstream works in Q[g_0, ..., g_{n-1}] / (total degree > cap).
 A value knows its own cap: mixing values with different caps (or a different
 number of generators) is a usage error, never a silent coercion.  Coefficients
-are `fractions.Fraction` throughout, so all arithmetic is exact.
+are `fractions.Fraction` throughout, so all arithmetic is exact.  `PackedRing`
+multiplies in the same ring with integer numerators over one common
+denominator, for the products that dominate summand construction.
 """
 
 from __future__ import annotations
@@ -324,6 +326,104 @@ def vandermonde_divide(p: GradedPoly, pairs: Iterable[tuple[int, int]]) -> Grade
     for i, j in pairs:
         q = divide_linear(q, i, j)
     return q
+
+
+class PackedRing:
+    """Integer kernel for products in one truncated ring.
+
+    A packed value is a pair (terms, den): terms is a list of
+    (key, numerator) pairs sorted by key, every numerator a nonzero int, and
+    den a positive int shared by all of them.  The monomial g^e packs as
+
+        key = sum_i e_i B^i + (sum_i e_i) B^nvars,    B = cap + 1.
+
+    Adding keys multiplies monomials: no exponent digit carries while the
+    total degree stays within cap, and the top digit is the total degree.  A
+    product monomial therefore survives truncation exactly when its key is
+    below `limit` = (cap + 1) B^nvars, and because keys sort by degree first
+    a row of products can stop at the first key past the limit.
+    """
+
+    __slots__ = ("nvars", "cap", "radix", "limit", "_expos")
+
+    def __init__(self, nvars: int, cap: int):
+        self.nvars = nvars
+        self.cap = cap
+        self.radix = cap + 1
+        self.limit = (cap + 1) * self.radix**nvars
+        self._expos: dict[int, tuple] = {}
+
+    def key(self, expo: Iterable[int]) -> int:
+        expo = tuple(expo)
+        key = sum(expo) * self.radix**self.nvars
+        for i, e in enumerate(expo):
+            key += e * self.radix**i
+        return key
+
+    def pack(self, terms: Mapping[tuple, Fraction | int]) -> tuple[list, int]:
+        """Packed value of {exponent tuple: rational}, dropping degrees > cap."""
+        kept = {
+            self.key(expo): _as_fraction(c)
+            for expo, c in terms.items()
+            if c and sum(expo) <= self.cap
+        }
+        den = math.lcm(*(c.denominator for c in kept.values()))
+        return sorted((k, c.numerator * (den // c.denominator)) for k, c in kept.items()), den
+
+    def product(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+        (ta, da), (tb, db) = a, b
+        limit = self.limit
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in ta:
+            room = limit - ka
+            for kb, cb in tb:
+                if kb >= room:
+                    break
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        return sorted((k, c) for k, c in acc.items() if c), da * db
+
+    def compose(self, series, linear: tuple[list, int]) -> tuple[list, int]:
+        """sum_k series[k] * linear^k for rational coefficients series[0..cap].
+
+        `linear` must have integer coefficients and no constant term, so its
+        powers past cap vanish.
+        """
+        if linear[1] != 1 or (linear[0] and linear[0][0][0] == 0):
+            raise RingUsageError("compose needs an integral linear form without constant term")
+        den = math.lcm(*(c.denominator for c in series))
+        nums = [c.numerator * (den // c.denominator) for c in series]
+        acc = {0: nums[0]}
+        power = [(0, 1)]
+        for c in nums[1:]:
+            power, _ = self.product((power, 1), linear)
+            if not power:
+                break
+            for k, p in power:
+                acc[k] = acc.get(k, 0) + c * p
+        return sorted((k, c) for k, c in acc.items() if c), den
+
+    def to_graded(self, value: tuple[list, int], scale: Fraction) -> GradedPoly:
+        """The GradedPoly of value * scale."""
+        terms, den = value
+        num, den = scale.numerator, den * scale.denominator
+        expos = self._expos
+        out = GradedPoly(self.nvars, self.cap)
+        if num:
+            out.terms = {
+                expos.get(k) or self._unpack(k): Fraction(c * num, den) for k, c in terms
+            }
+        return out
+
+    def _unpack(self, key: int) -> tuple:
+        digits = []
+        rest = key
+        for _ in range(self.nvars):
+            rest, e = divmod(rest, self.radix)
+            digits.append(e)
+        expo = self._expos[key] = tuple(digits)
+        return expo
 
 
 def block_pairs(offsets: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -9,6 +9,15 @@ numerator.  The ratios collapse to finite products: an inverted tail for
 positive upper limits, an extra (nilpotent-bearing) numerator block for
 negative ones.  z enters as an exact rational parameter, not a generator;
 degree homogeneity lets callers recover the z-dependence afterwards.
+
+`oh_summand` builds each product from parts cached on its SummandContext:
+every ratio and twist numerator is a univariate series in its (nilpotent,
+linear) class, depending only on its upper limit, so the series are cached
+by that limit and the per-root products by (root, d_i, D).  The parts are
+multiplied in the integer kernel `ring.PackedRing`.  The GradedPoly helpers
+below (`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
+`twist_factor`) compute the same factors directly and serve as its
+reference.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import GradedPoly, poly_mul, unit_inverse
+from .ring import GradedPoly, PackedRing, poly_mul, unit_inverse
 from .targets import CurveClass, FlagTarget, TwistSpec, block_index_ranges
 
 
@@ -35,12 +44,45 @@ class TwistRangeError(ValueError):
 
 @dataclass(frozen=True)
 class SummandContext:
-    """Shared ring data for one target: variable count, cap, z."""
+    """Shared ring data for one target: variable count, cap, z.
+
+    The context also owns the caches `oh_summand` draws on, so they live
+    exactly as long as the context: callers make one per target and z and
+    share it across the points and degrees of one computation.
+    """
 
     target: FlagTarget
     twist: TwistSpec | None
     z: Fraction
     cap: int
+    kernel: PackedRing = field(init=False, repr=False, compare=False)
+    # twist rows by the one root they involve (weights), and the rest (indices)
+    local_rows: tuple = field(init=False, repr=False, compare=False)
+    general_rows: tuple = field(init=False, repr=False, compare=False)
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
+        width = self.target.ranks[0] if len(self.target.ranks) == 1 else 0
+        local: tuple[list[int], ...] = tuple([] for _ in range(width))
+        general = []
+        rows = self.twist.weight_vectors if self.twist is not None else ()
+        for s, row in enumerate(rows):
+            weights = [(i, f) for i, f in enumerate(row[:width]) if f]
+            if len(weights) == 1:
+                i, f = weights[0]
+                local[i].append(f)
+            else:
+                general.append(s)
+        object.__setattr__(self, "local_rows", tuple(tuple(w) for w in local))
+        object.__setattr__(self, "general_rows", tuple(general))
+        unit = (Fraction(1),) + (Fraction(0),) * self.cap
+        self._slots[0] = unit
+        self._twists[0] = unit
 
     @classmethod
     def for_target(
@@ -73,6 +115,116 @@ class SummandContext:
     def root(self, i: int) -> GradedPoly:
         """i-th Chern root of S^v (1-based within the first block)."""
         return GradedPoly.generator(i, self.nvars, self.cap)
+
+    # -- cached parts of oh_summand -----------------------------------------
+
+    def slot_series(self, upper: int) -> tuple[Fraction, ...]:
+        """Coefficients of l^0..l^cap in the ratio with upper limit `upper`.
+
+        Built from the neighbouring limit: dividing by (l + upper z) going
+        up, multiplying by (l + (upper + 1) z) going down.
+        """
+        cache, z = self._slots, self.z
+        step = 1 if upper > 0 else -1
+        t = upper
+        while t not in cache:
+            t -= step
+        while t != upper:
+            t += step
+            prev = cache[t - step]
+            cache[t] = _over_linear(prev, t * z) if step > 0 else _times_linear(prev, (t + 1) * z)
+        return cache[upper]
+
+    def twist_series(self, upper: int) -> tuple[Fraction, ...]:
+        """Coefficients of prod_{m=1}^{upper} (l + m z), upper >= 0."""
+        if upper < 0:
+            raise TwistRangeError(f"twist range negative: upper limit {upper}")
+        cache = self._twists
+        t = upper
+        while t not in cache:
+            t -= 1
+        while t != upper:
+            t += 1
+            cache[t] = _times_linear(cache[t - 1], t * self.z)
+        return cache[upper]
+
+    def _line(self, h_coeff: int, weights) -> tuple[list, int]:
+        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based)."""
+        terms = {}
+        for g, coeff in ((0, h_coeff), *((i + 1, f) for i, f in weights)):
+            if coeff:
+                expo = [0] * self.nvars
+                expo[g] = 1
+                terms[tuple(expo)] = coeff
+        return self.kernel.pack(terms)
+
+    def base_factor(self, D: int):
+        """Packed base_j_factor(D): N + 1 copies of the slot series in h."""
+        out = self._bases.get(D)
+        if out is None:
+            kernel = self.kernel
+            single = kernel.compose(self.slot_series(D), self._line(1, ()))
+            out = ([(0, 1)], 1)
+            for _ in range(self.target.base_dim + 1):
+                out = kernel.product(out, single)
+            self._bases[D] = out
+        return out
+
+    def root_factor(self, i: int, di: int, D: int):
+        """Packed slot ratios of root i (0-based) times its own twist rows.
+
+        The product depends on the point only through (i, d_i, D), which
+        points of different classes and degrees share when r > 1.
+        """
+        key = (i, di, D)
+        out = self._roots.get(key)
+        if out is None:
+            kernel = self.kernel
+            out = ([(0, 1)], 1)
+            for e in self.target.e_degrees:
+                slot = kernel.compose(self.slot_series(di + e * D), self._line(e, ((i, 1),)))
+                out = kernel.product(out, slot)
+            for f in self.local_rows[i]:
+                rho = self.twist.rho
+                line = kernel.compose(self.twist_series(f * di + rho * D), self._line(rho, ((i, f),)))
+                out = kernel.product(out, line)
+            # With one root each (d_1, D) is a single lattice point, so
+            # nothing could reuse the factor: keep it only for r > 1.
+            if self.target.ranks[0] > 1:
+                self._roots[key] = out
+        return out
+
+    def weyl_factor(self, a: int, b: int, diff: int):
+        """Packed x_a - x_b + diff z (roots 0-based)."""
+        expo_a, expo_b = [0] * self.nvars, [0] * self.nvars
+        expo_a[a + 1] = expo_b[b + 1] = 1
+        zero = (0,) * self.nvars
+        return self.kernel.pack({tuple(expo_a): 1, tuple(expo_b): -1, zero: diff * self.z})
+
+    def row_factor(self, s: int, upper: int):
+        """Packed twist numerator of general row s at its upper limit."""
+        key = (s, upper)
+        out = self._rows.get(key)
+        if out is None:
+            row = self.twist.weight_vectors[s][: self.target.ranks[0]]
+            line = self._line(self.twist.rho, enumerate(row))
+            out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
+        return out
+
+
+def _times_linear(series: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
+    """series * (l + c), truncated to the same length."""
+    return tuple(c * s + (series[k - 1] if k else 0) for k, s in enumerate(series))
+
+
+def _over_linear(series: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
+    """series / (l + c) for c != 0, truncated to the same length."""
+    out = []
+    prev = Fraction(0)
+    for s in series:
+        prev = (s - prev) / c
+        out.append(prev)
+    return tuple(out)
 
 
 def factor_ratio(cls: GradedPoly, upper: int, z: Fraction | int) -> GradedPoly:
@@ -158,6 +310,17 @@ def twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[
     ]
 
 
+def checked_twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[int]:
+    """twist_uppers, raising TwistRangeError at the first negative one."""
+    uppers = twist_uppers(twist, cls, d)
+    for row, upper in zip(twist.weight_vectors, uppers):
+        if upper < 0:
+            raise TwistRangeError(
+                f"twist range negative: upper limit {upper} for weights {row}"
+            )
+    return uppers
+
+
 def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
     """Numerator prod_s prod_{m=1}^{u_s} (c1(L_s) + m z), u_s = f_s . d + rho D."""
     twist = ctx.twist
@@ -166,11 +329,7 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
     (block,) = block_index_ranges(ctx.target)
     out = ctx.one()
     h = ctx.h()
-    for row, upper in zip(twist.weight_vectors, twist_uppers(twist, cls, d)):
-        if upper < 0:
-            raise TwistRangeError(
-                f"twist range negative: upper limit {upper} for weights {row}"
-            )
+    for row, upper in zip(twist.weight_vectors, checked_twist_uppers(twist, cls, d)):
         line_class = h.scale(twist.rho)
         for f, i in zip(row, range(*block)):
             if f:
@@ -186,14 +345,28 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Grad
     This is the summand of the bundle I-function *before* division by the
     Weyl denominator: leading z, base factor, slot ratios, Weyl numerators,
     twist numerator, and the Weyl sign.  The caller divides the aggregate
-    over a curve class by prod (h_i - h_j) afterwards.
+    over a curve class by prod (h_i - h_j) afterwards.  It equals
+    z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
+    is multiplied out in ctx.kernel from the parts ctx caches.
     """
-    out = base_j_factor(cls.D, ctx)
-    out = poly_mul(out, flag_factor(d, cls, ctx))
-    num, sign = weyl_block(d, ctx)
-    out = poly_mul(out, num)
-    out = poly_mul(out, twist_factor(d, cls, ctx))
-    return out.scale(sign * ctx.z)
+    if len(ctx.target.ranks) != 1:
+        raise NotImplementedError("flag factors only cover one-step bundles")
+    uppers = ()
+    if ctx.twist is not None and ctx.twist.weight_vectors:
+        uppers = checked_twist_uppers(ctx.twist, cls, d)
+    kernel, D = ctx.kernel, cls.D
+    out = ctx.base_factor(D)
+    for i, di in enumerate(d):
+        out = kernel.product(out, ctx.root_factor(i, di, D))
+    for s in ctx.general_rows:
+        out = kernel.product(out, ctx.row_factor(s, uppers[s]))
+    exponent = 0
+    for a in range(len(d)):
+        for b in range(a + 1, len(d)):
+            diff = d[a] - d[b]
+            exponent += diff
+            out = kernel.product(out, ctx.weyl_factor(a, b, diff))
+    return kernel.to_graded(out, -ctx.z if exponent % 2 else ctx.z)
 
 
 def brown_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:

@@ -19,3 +19,18 @@ def p6_122():
 def blpt_p2():
     """Blow-up of P^2 in a point (two hyperplanes)."""
     return normalize_blowup(BlowUpSpec(2, (1, 1)))
+
+
+def _reference_summand(d, cls, ctx):
+    """oh_summand multiplied out from the GradedPoly helpers, one factor at a time."""
+    from grperiod.summands import base_j_factor, flag_factor, twist_factor, weyl_block
+
+    out = base_j_factor(cls.D, ctx) * flag_factor(d, cls, ctx)
+    num, sign = weyl_block(d, ctx)
+    return (out * num * twist_factor(d, cls, ctx)).scale(sign * ctx.z)
+
+
+@pytest.fixture(scope="session")
+def reference_summand():
+    """The GradedPoly reference that the packed oh_summand must equal exactly."""
+    return _reference_summand

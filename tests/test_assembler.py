@@ -111,6 +111,21 @@ def test_period_rejects_negative_dmax(p4_112):
         period_series(*p4_112, dmax=-1)
 
 
+def test_factor_caches_do_not_leak_between_calls(p4_112, p6_122):
+    # Caches live on one call's contexts: a later call at another model or
+    # another z must not see an earlier call's factors.  P^4(1,1,2) has no
+    # degree-one correction, so at z = 2 each coefficient scales by 2^(1-d).
+    p4_at_two = tuple(Fraction(v) * Fraction(2) ** (1 - d) for d, v in enumerate(P4_112_REGULARISED))
+    runs = (
+        (p4_112, 1, P4_112_REGULARISED),
+        (p6_122, 1, P6_122_REGULARISED),
+        (p4_112, 2, p4_at_two),
+    )
+    for model, z, expected in runs:
+        ps = period_series(*model, dmax=len(expected) - 1, z=z)
+        assert ps.regularised == tuple(Fraction(v) for v in expected)
+
+
 def test_pinned_reference_series():
     target, twist, divisor = example3_verbatim_model()
     ps = period_series(target, twist, 14, divisor=divisor, skip_nonconvex=True)

@@ -113,6 +113,32 @@ def test_target_mode_with_grading(tmp_path, capsys):
     assert out.splitlines()[3] == "3: 12"
 
 
+def test_target_mode_general_twist_rows_match_reference(
+    tmp_path, capsys, monkeypatch, reference_summand
+):
+    # the row (1,1) involves two roots, so it is a general twist row
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(
+        "mode = target\n"
+        "base_dim = 4\n"
+        "e_degrees = 0,0,-1\n"
+        "ranks = 2\n"
+        "rho = 1\n"
+        "grading_a = 1\n"
+        "grading_b = 2\n"
+        "nonconvex = skip\n"
+        "twist_weights = 1,0; 0,1; 1,1\n"
+    )
+    argv = ["period", "--config", str(cfg), "--dmax", "8", "--format", "records"]
+    rc, fast, err = run(capsys, argv)
+    assert rc == 0, err
+    monkeypatch.setattr("grperiod.assembler.oh_summand", reference_summand)
+    rc, slow, err = run(capsys, argv)
+    assert rc == 0, err
+    assert fast == slow
+    assert dict(parse_records(fast))[8] == 2419200
+
+
 def test_verbatim_mode_reports_mismatch(capsys):
     rc, out, _ = run(capsys, ["period", "--mode", "example3-verbatim", "--dmax", "8"])
     assert rc == 0

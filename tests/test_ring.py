@@ -7,6 +7,7 @@ from grperiod.ring import (
     GradedPoly,
     NotAUnitError,
     NotDivisibleError,
+    PackedRing,
     RingUsageError,
     divide_linear,
     exp_nilpotent,
@@ -148,3 +149,50 @@ def test_unit_part_reads_constant():
 def test_substitute_equal_merges():
     p = h(1) - h(2)
     assert p.substitute_equal(1, 2).is_zero()
+
+
+def _packed_graded(ring, terms):
+    return ring.to_graded(ring.pack(terms), Fraction(1))
+
+
+@given(polys, polys, st.integers(min_value=0, max_value=CAP))
+def test_packed_product_matches_poly_mul(a, b, cap):
+    ring = PackedRing(NVARS, cap)
+    got = ring.to_graded(ring.product(ring.pack(a.terms), ring.pack(b.terms)), Fraction(1))
+    assert got == poly_mul(a.truncate(cap), b.truncate(cap))
+
+
+@given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_packed_round_trip_with_scale(a, scale):
+    ring = PackedRing(NVARS, CAP)
+    assert ring.to_graded(ring.pack(a.terms), scale) == a.scale(scale)
+
+
+def test_packed_keys_sort_by_degree_and_do_not_carry():
+    ring = PackedRing(2, 2)
+    keys = [ring.key(e) for e in ((0, 0), (2, 0), (1, 0), (0, 1), (1, 1), (0, 2))]
+    assert sorted(keys) == [ring.key(e) for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    assert ring.key((1, 0)) + ring.key((1, 1)) == ring.key((2, 1)) >= ring.limit
+    assert ring.key((1, 0)) + ring.key((0, 1)) == ring.key((1, 1)) < ring.limit
+
+
+def test_packed_compose_substitutes_a_linear_form():
+    ring = PackedRing(NVARS, CAP)
+    series = (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 8), Fraction(5))
+    linear = {(1, 0, 0): 1, (0, 0, 1): -2}
+    got = ring.to_graded(ring.compose(series, ring.pack(linear)), Fraction(1))
+    ell = GradedPoly(NVARS, CAP, linear)
+    expected = const(0)
+    power = const(1)
+    for c in series:
+        expected = expected + power.scale(c)
+        power = poly_mul(power, ell)
+    assert got == expected
+
+
+def test_packed_compose_needs_integral_linear_form():
+    ring = PackedRing(NVARS, CAP)
+    with pytest.raises(RingUsageError):
+        ring.compose((Fraction(1),), ring.pack({(1, 0, 0): Fraction(1, 2)}))
+    with pytest.raises(RingUsageError):
+        ring.compose((Fraction(1),), ring.pack({(0, 0, 0): 1, (1, 0, 0): 1}))

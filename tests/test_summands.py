@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grperiod.ring import GradedPoly, poly_mul, unit_inverse
 from grperiod.summands import (
@@ -19,7 +19,7 @@ from grperiod.summands import (
     twist_uppers,
     weyl_block,
 )
-from grperiod.targets import CurveClass, FlagTarget
+from grperiod.targets import CurveClass, FlagTarget, TwistSpec
 
 
 def gen(i, nvars, cap):
@@ -179,6 +179,97 @@ def test_oh_summand_has_leading_z(p4_112):
     assert oh_summand((0, 0), cls, ctx) == (
         gen(1, 3, 1) - gen(2, 3, 1)
     ).scale(3)
+
+
+def _standard_rows(r):
+    return tuple(tuple(1 if i == s else 0 for i in range(r)) for s in range(r))
+
+
+@st.composite
+def one_step_points(draw):
+    """A one-step target, a lattice point on it, z, cap and a twist case."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    e = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r + 2))
+    target = FlagTarget(
+        base_dim=draw(st.integers(min_value=1, max_value=4)), e_degrees=tuple(e), ranks=(r,)
+    )
+    d = tuple(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=r, max_size=r)))
+    cls = CurveClass(D=draw(st.integers(min_value=0, max_value=3)), k=(sum(d),))
+    rho = draw(st.integers(min_value=-1, max_value=2))
+    rows = st.lists(
+        st.lists(st.integers(min_value=-1, max_value=2), min_size=1, max_size=r + 1).map(tuple),
+        min_size=1,
+        max_size=r + 1,
+    )
+    twist = draw(
+        st.one_of(
+            st.none(),
+            st.just(TwistSpec((), rho)),
+            st.just(TwistSpec(_standard_rows(r), rho)),
+            rows.map(lambda w: TwistSpec(tuple(w), rho)),
+        )
+    )
+    z = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-1, 2)]))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+    return SummandContext.for_target(target, twist, z=z, cap=cap), d, cls
+
+
+def _outcome(fn, d, cls, ctx):
+    try:
+        return fn(d, cls, ctx)
+    except TwistRangeError:
+        return TwistRangeError
+
+
+@settings(deadline=None, max_examples=150)
+@given(one_step_points())
+def test_oh_summand_equals_reference_product(reference_summand, case):
+    ctx, d, cls = case
+    assert _outcome(oh_summand, d, cls, ctx) == _outcome(reference_summand, d, cls, ctx)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 1), (0, 2)),  # one general row, one row on the second root only
+        ((1, 0), (0, 1), (1, 1)),  # more rows than roots
+        ((2,),),  # a short row
+        ((0, 1, 5),),  # a long row: entries past the rank are ignored
+        ((0, 0),),  # a row on no root
+    ],
+)
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(-1, 2)])
+def test_oh_summand_nonstandard_rows(reference_summand, rows, z):
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), ranks=(2,))
+    ctx = SummandContext.for_target(target, TwistSpec(rows, 1), z=z, cap=2)
+    for d in ((0, 0), (2, 1), (1, 3), (-1, 2)):
+        for D in (0, 1, 2):
+            cls = CurveClass(D=D, k=(sum(d),))
+            got = _outcome(oh_summand, d, cls, ctx)
+            assert got == _outcome(reference_summand, d, cls, ctx), (d, D)
+
+
+def test_oh_summand_rejects_multi_step():
+    target = FlagTarget(base_dim=3, e_degrees=(0, 0, 0), ranks=(1, 1))
+    ctx = SummandContext.for_target(target, cap=1)
+    with pytest.raises(NotImplementedError):
+        oh_summand((0, 0), CurveClass(D=0, k=(0, 0)), ctx)
+
+
+def test_context_caches_repeat_parts(p4_112):
+    ctx = p4_ctx(p4_112, z=2)
+    cls = CurveClass(D=2, k=(1,))
+    first = oh_summand((1, 0), cls, ctx)
+    assert ctx.root_factor(0, 1, 2) is ctx.root_factor(0, 1, 2)
+    assert oh_summand((1, 0), cls, ctx) == first == oh_summand((1, 0), cls, p4_ctx(p4_112, z=2))
+
+
+def test_slot_series_matches_factor_ratio(p4_112):
+    ctx = p4_ctx(p4_112, cap=3, z=Fraction(3, 2))
+    h = GradedPoly.generator(0, 1, 3)
+    for upper in (3, -2, 1, 0, -4, 5):
+        series = GradedPoly(1, 3, {(k,): c for k, c in enumerate(ctx.slot_series(upper))})
+        assert series == factor_ratio(h, upper, ctx.z)
 
 
 @given(
