@@ -1,9 +1,11 @@
 """Assembly of quantum period series from lattice-point summands.
 
 For each x-degree the contributions of all curve classes are aggregated,
-divided by the Weyl denominator prod_{i<j} (h_i - h_j), and the unit-class
-coefficient is read off.  Two structural facts keep this cheap and are
-relied on throughout:
+divided by the Weyl denominator Delta = prod_{i<j} (h_i - h_j), and the
+unit-class coefficient is read off.  Summands, class aggregates and degree
+aggregates are packed values of the summand context's `ring.PackedRing`:
+integer numerators over one denominator, with one Fraction made per degree.
+Three structural facts keep this cheap and are relied on throughout:
 
 * Unit extraction is representative-independent.  The aggregate over a
   curve class is a polynomial representative of a cohomology class of the
@@ -11,6 +13,12 @@ relied on throughout:
   positive degree, so they never move the degree-zero part.  The constant
   term of the Weyl quotient therefore *is* the unit-class coefficient, no
   Schubert-basis expansion needed.
+
+* The working cap is deg Delta, so the aggregate divides exactly when it is
+  c * Delta for a rational c, and c is the quotient.  `unit_from_numerator`
+  reads c off the staircase monomial and checks the whole equation, which
+  is the same check as the sequential linear division `ring.vandermonde_divide`
+  (still used by `grperiod validate` to cross-check it).
 
 * Points below the lattice floor are excluded up front (their slot factors
   carry the full Chern relation of E and vanish in cohomology, but not in
@@ -21,11 +29,12 @@ relied on throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import GradedPoly, vandermonde_divide
+from .ring import PackedRing
 from .summands import SummandContext, oh_summand, twist_uppers
 from .targets import (
     CurveClass,
@@ -88,19 +97,22 @@ def class_numerator(
     cls: CurveClass,
     ctx: SummandContext,
     skip_nonconvex: bool = False,
-) -> GradedPoly:
-    """Aggregate summand of one curve class (numerator, before Weyl division)."""
+) -> tuple[list, int]:
+    """Aggregate summand of one curve class (numerator, before Weyl division).
+
+    The result is a packed value of ctx.kernel.
+    """
     target = ctx.target
-    total = GradedPoly(ctx.nvars, ctx.cap)
     cap = ctx.cap
+    summands = []
     for d in lattice_range(target, cls):
         if _forced_nilpotent_degree(target, d, cls.D) > cap:
             continue
         if skip_nonconvex and ctx.twist is not None:
             if any(u < 0 for u in twist_uppers(ctx.twist, cls, d)):
                 continue
-        total = total + oh_summand(d, cls, ctx)
-    return total
+        summands.append(oh_summand(d, cls, ctx))
+    return ctx.kernel.add_all(summands)
 
 
 def degree_numerator(
@@ -110,8 +122,12 @@ def degree_numerator(
     z: Fraction | int = 1,
     divisor: DivisorData | None = None,
     skip_nonconvex: bool = False,
-) -> GradedPoly:
-    """Sum of class numerators over every curve class of the given degree."""
+) -> tuple[list, int]:
+    """Sum of class numerators over every curve class of the given degree.
+
+    The result is a packed value of PackedRing(target.nvars,
+    target.omega_degree), the ring `unit_from_numerator` reads.
+    """
     ctx = SummandContext.for_target(target, twist, z)
     return _degree_numerator(ctx, x_deg, divisor, skip_nonconvex)
 
@@ -121,16 +137,29 @@ def _degree_numerator(
     x_deg: int,
     divisor: DivisorData | None,
     skip_nonconvex: bool,
-) -> GradedPoly:
-    total = GradedPoly(ctx.nvars, ctx.cap)
-    for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor):
-        total = total + class_numerator(cls, ctx, skip_nonconvex)
-    return total
+) -> tuple[list, int]:
+    return ctx.kernel.add_all(
+        class_numerator(cls, ctx, skip_nonconvex)
+        for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
+    )
 
 
-def unit_from_numerator(numerator: GradedPoly, target: FlagTarget) -> Fraction:
-    quotient = vandermonde_divide(numerator, all_weyl_pairs(target))
-    return quotient.unit_part()
+@functools.lru_cache(maxsize=32)
+def _weyl_kernel(nvars: int, cap: int) -> PackedRing:
+    """One kernel per ring shape, so its Weyl denominator is packed once."""
+    return PackedRing(nvars, cap)
+
+
+def unit_from_numerator(numerator: tuple[list, int], target: FlagTarget) -> Fraction:
+    """Unit coefficient c of a packed aggregate numerator = c * Delta.
+
+    The numerator lives in PackedRing(target.nvars, target.omega_degree),
+    the ring of a default SummandContext.  Raises NotDivisibleError, with
+    numerator - c * Delta as its remainder, when the aggregate is not a
+    multiple of the Weyl denominator.
+    """
+    kernel = _weyl_kernel(target.nvars, target.omega_degree)
+    return kernel.weyl_unit(numerator, all_weyl_pairs(target))
 
 
 def unit_coefficient(
@@ -227,13 +256,15 @@ def period_series(
         unit_from_numerator(_degree_numerator(ctx, x_deg, divisor, skip_nonconvex), target)
         for x_deg in range(dmax + 1)
     ]
+    # coefficients of e^(-C x), each from the one before
     C = correction.total
-    coeffs = []
-    for d in range(dmax + 1):
-        acc = Fraction(0)
-        for t in range(d + 1):
-            acc += (-C) ** t / math.factorial(t) * raw[d - t]
-        coeffs.append(acc)
+    exp_terms = [Fraction(1)]
+    for t in range(1, dmax + 1):
+        exp_terms.append(exp_terms[-1] * -C / t)
+    coeffs = [
+        sum((exp_terms[t] * raw[d - t] for t in range(d + 1)), Fraction(0))
+        for d in range(dmax + 1)
+    ]
     regularised = tuple(math.factorial(d) * c for d, c in enumerate(coeffs))
     return PeriodSeries(
         coefficients=tuple(coeffs),

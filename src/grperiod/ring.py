@@ -4,8 +4,9 @@ Everything downstream works in Q[g_0, ..., g_{n-1}] / (total degree > cap).
 A value knows its own cap: mixing values with different caps (or a different
 number of generators) is a usage error, never a silent coercion.  Coefficients
 are `fractions.Fraction` throughout, so all arithmetic is exact.  `PackedRing`
-multiplies in the same ring with integer numerators over one common
-denominator, for the products that dominate summand construction.
+works in the same ring with integer numerators over one common denominator:
+it builds the lattice-point summands, adds them up, and reads the unit
+coefficient off their sum with an exact Weyl-divisibility check.
 """
 
 from __future__ import annotations
@@ -329,11 +330,12 @@ def vandermonde_divide(p: GradedPoly, pairs: Iterable[tuple[int, int]]) -> Grade
 
 
 class PackedRing:
-    """Integer kernel for products in one truncated ring.
+    """Integer kernel for exact arithmetic in one truncated ring.
 
     A packed value is a pair (terms, den): terms is a list of
-    (key, numerator) pairs sorted by key, every numerator a nonzero int, and
-    den a positive int shared by all of them.  The monomial g^e packs as
+    (key, numerator) pairs with distinct keys, every numerator a nonzero
+    int, and den a positive int shared by all of them.  The monomial g^e
+    packs as
 
         key = sum_i e_i B^i + (sum_i e_i) B^nvars,    B = cap + 1.
 
@@ -341,10 +343,13 @@ class PackedRing:
     total degree stays within cap, and the top digit is the total degree.  A
     product monomial therefore survives truncation exactly when its key is
     below `limit` = (cap + 1) B^nvars, and because keys sort by degree first
-    a row of products can stop at the first key past the limit.
+    a row of products can stop at the first key past the limit.  That early
+    stop needs the inner (second) operand of `product` sorted by key: `pack`
+    and `compose` return sorted terms, `product` and `add_all` do not, so a
+    product that is used as an inner operand is sorted once by its caller.
     """
 
-    __slots__ = ("nvars", "cap", "radix", "limit", "_expos")
+    __slots__ = ("nvars", "cap", "radix", "limit", "_expos", "_weyl")
 
     def __init__(self, nvars: int, cap: int):
         self.nvars = nvars
@@ -352,6 +357,7 @@ class PackedRing:
         self.radix = cap + 1
         self.limit = (cap + 1) * self.radix**nvars
         self._expos: dict[int, tuple] = {}
+        self._weyl: dict[tuple, tuple[int, list]] = {}
 
     def key(self, expo: Iterable[int]) -> int:
         expo = tuple(expo)
@@ -371,6 +377,7 @@ class PackedRing:
         return sorted((k, c.numerator * (den // c.denominator)) for k, c in kept.items()), den
 
     def product(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
+        """a * b, with b's terms sorted by key; the result's terms are unsorted."""
         (ta, da), (tb, db) = a, b
         limit = self.limit
         acc: dict[int, int] = {}
@@ -382,7 +389,19 @@ class PackedRing:
                     break
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-        return sorted((k, c) for k, c in acc.items() if c), da * db
+        return [(k, c) for k, c in acc.items() if c], da * db
+
+    def add_all(self, values: Iterable[tuple[list, int]]) -> tuple[list, int]:
+        """Sum of packed values, over the lcm of their denominators."""
+        values = list(values)
+        den = math.lcm(*(d for _, d in values))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for terms, d in values:
+            f = den // d
+            for k, c in terms:
+                acc[k] = get(k, 0) + c * f
+        return [(k, c) for k, c in acc.items() if c], den
 
     def compose(self, series, linear: tuple[list, int]) -> tuple[list, int]:
         """sum_k series[k] * linear^k for rational coefficients series[0..cap].
@@ -404,7 +423,52 @@ class PackedRing:
                 acc[k] = acc.get(k, 0) + c * p
         return sorted((k, c) for k, c in acc.items() if c), den
 
-    def to_graded(self, value: tuple[list, int], scale: Fraction) -> GradedPoly:
+    def weyl_unit(self, value: tuple[list, int], pairs: Iterable[tuple[int, int]]) -> Fraction:
+        """The c with value = c * Delta, Delta = prod over pairs of (g_i - g_j).
+
+        The pairs must satisfy i < j, and the cap must equal their number.
+        Then `vandermonde_divide(self.to_graded(value), pairs)` succeeds
+        exactly when value is such a multiple, and its unit part is c; this
+        checks the same equation on the integer numerators.  c is read off
+        the staircase monomial prod_i g_i^(number of pairs (i, _)), which
+        only the all-first choice reaches, so its coefficient in Delta is 1.
+        Raises NotDivisibleError carrying value - c * Delta otherwise.
+        """
+        pairs = tuple(pairs)
+        weyl = self._weyl.get(pairs)
+        if weyl is None:
+            weyl = self._weyl[pairs] = self._weyl_denominator(pairs)
+        staircase, delta = weyl
+        terms, den = value
+        numerators = dict(terms)
+        c = numerators.get(staircase, 0)
+        expected = {k: c * s for k, s in delta} if c else {}
+        if numerators != expected:
+            for k, s in expected.items():
+                numerators[k] = numerators.get(k, 0) - s
+            remainder = [(k, n) for k, n in numerators.items() if n]
+            raise NotDivisibleError(
+                f"not a multiple of the Weyl denominator over {len(pairs)} pairs",
+                self.to_graded((remainder, den)),
+            )
+        return Fraction(c, den)
+
+    def _weyl_denominator(self, pairs: tuple) -> tuple[int, list]:
+        """Staircase key and packed terms of Delta (denominator 1)."""
+        if any(i >= j for i, j in pairs):
+            raise RingUsageError(f"Weyl pairs must be (i, j) with i < j, got {pairs}")
+        if self.cap != len(pairs):
+            raise RingUsageError(f"cap {self.cap} is not the Weyl degree {len(pairs)}")
+        delta = ([(0, 1)], 1)
+        staircase = [0] * self.nvars
+        for i, j in pairs:
+            staircase[i] += 1
+            gi, gj = [0] * self.nvars, [0] * self.nvars
+            gi[i] = gj[j] = 1
+            delta = self.product(delta, self.pack({tuple(gi): 1, tuple(gj): -1}))
+        return self.key(staircase), delta[0]
+
+    def to_graded(self, value: tuple[list, int], scale: Fraction = Fraction(1)) -> GradedPoly:
         """The GradedPoly of value * scale."""
         terms, den = value
         num, den = scale.numerator, den * scale.denominator

@@ -14,10 +14,11 @@ degree homogeneity lets callers recover the z-dependence afterwards.
 every ratio and twist numerator is a univariate series in its (nilpotent,
 linear) class, depending only on its upper limit, so the series are cached
 by that limit and the per-root products by (root, d_i, D).  The parts are
-multiplied in the integer kernel `ring.PackedRing`.  The GradedPoly helpers
-below (`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
-`twist_factor`) compute the same factors directly and serve as its
-reference.
+multiplied in the integer kernel `ring.PackedRing`, and the summand stays a
+packed value of that kernel, ready to be added up by the assembler.  The
+GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
+`weyl_block`, `twist_factor`) compute the same factors directly and serve
+as its reference.
 """
 
 from __future__ import annotations
@@ -159,7 +160,11 @@ class SummandContext:
         return self.kernel.pack(terms)
 
     def base_factor(self, D: int):
-        """Packed base_j_factor(D): N + 1 copies of the slot series in h."""
+        """Packed base_j_factor(D): N + 1 copies of the slot series in h.
+
+        Its terms are sorted, as are those of every cached part, because
+        oh_summand multiplies them in as inner operands.
+        """
         out = self._bases.get(D)
         if out is None:
             kernel = self.kernel
@@ -167,7 +172,7 @@ class SummandContext:
             out = ([(0, 1)], 1)
             for _ in range(self.target.base_dim + 1):
                 out = kernel.product(out, single)
-            self._bases[D] = out
+            out = self._bases[D] = sorted(out[0]), out[1]
         return out
 
     def root_factor(self, i: int, di: int, D: int):
@@ -188,6 +193,7 @@ class SummandContext:
                 rho = self.twist.rho
                 line = kernel.compose(self.twist_series(f * di + rho * D), self._line(rho, ((i, f),)))
                 out = kernel.product(out, line)
+            out = sorted(out[0]), out[1]
             # With one root each (d_1, D) is a single lattice point, so
             # nothing could reuse the factor: keep it only for r > 1.
             if self.target.ranks[0] > 1:
@@ -339,7 +345,7 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
     return out
 
 
-def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
+def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tuple[list, int]:
     """Full numerator contribution of one lattice point, sign folded in.
 
     This is the summand of the bundle I-function *before* division by the
@@ -347,7 +353,9 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Grad
     twist numerator, and the Weyl sign.  The caller divides the aggregate
     over a curve class by prod (h_i - h_j) afterwards.  It equals
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
-    is multiplied out in ctx.kernel from the parts ctx caches.
+    is multiplied out in ctx.kernel from the parts ctx caches and returned
+    as a packed value of ctx.kernel, with sign and z in its numerators and
+    denominator (`ctx.kernel.to_graded` gives the GradedPoly).
     """
     if len(ctx.target.ranks) != 1:
         raise NotImplementedError("flag factors only cover one-step bundles")
@@ -366,7 +374,10 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Grad
             diff = d[a] - d[b]
             exponent += diff
             out = kernel.product(out, ctx.weyl_factor(a, b, diff))
-    return kernel.to_graded(out, -ctx.z if exponent % 2 else ctx.z)
+    terms, den = out
+    z = -ctx.z if exponent % 2 else ctx.z
+    num = z.numerator
+    return [(k, c * num) for k, c in terms], den * z.denominator
 
 
 def brown_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:

@@ -99,9 +99,13 @@ class DivisorData:
 def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[FlagTarget, TwistSpec]:
     """Grassmann-bundle model of the blow-up, for a chosen twist level k.
 
-    Returns Gr(r, sum_j O(k - c_j)) with twist F = S^v(k).  Any k gives the
-    same periods; the default k = min(c_j) keeps all e_degrees <= 0 so that
-    lattice floors stay at zero.
+    Returns Gr(r, sum_j O(k - c_j)) with twist F = S^v(k).  In theory any k
+    gives the same period, but the engine does not honour that for every
+    model: P^4 blown up in (1,2,2) gives a wrong series at k = 3, and some
+    models, that one among them, raise GradingError at the default
+    k = min(c_j), which keeps all e_degrees <= 0 so that lattice floors stay
+    at zero.  The tests sweep k only for P^4 in (1,1,2) and P^6 in (1,2,2);
+    see ROADMAP item 1.
     """
     c = spec.center_degrees
     if not c:

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -132,7 +133,10 @@ def test_target_mode_general_twist_rows_match_reference(
     argv = ["period", "--config", str(cfg), "--dmax", "8", "--format", "records"]
     rc, fast, err = run(capsys, argv)
     assert rc == 0, err
-    monkeypatch.setattr("grperiod.assembler.oh_summand", reference_summand)
+    monkeypatch.setattr(
+        "grperiod.assembler.oh_summand",
+        lambda d, cls, ctx: ctx.kernel.pack(reference_summand(d, cls, ctx).terms),
+    )
     rc, slow, err = run(capsys, argv)
     assert rc == 0, err
     assert fast == slow
@@ -225,6 +229,22 @@ def test_work_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "0")  # 0 disables the guard
     rc, out, _ = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
     assert rc == 0
+
+
+def test_repeated_period_calls_leave_no_reference_cycles(tmp_path):
+    # each call used to build a parser, whose reference cycles piled up
+    # until the cyclic collector ran
+    argv = ["period", *P4_ARGS, "--dmax", "6", "--format", "records", "--out", str(tmp_path / "p")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_build_config_rejects_negative_dmax():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grperiod.ring import (
     GradedPoly,
@@ -160,6 +160,73 @@ def test_packed_product_matches_poly_mul(a, b, cap):
     ring = PackedRing(NVARS, cap)
     got = ring.to_graded(ring.product(ring.pack(a.terms), ring.pack(b.terms)), Fraction(1))
     assert got == poly_mul(a.truncate(cap), b.truncate(cap))
+
+
+@given(polys, polys, st.integers(min_value=0, max_value=CAP), st.randoms(use_true_random=False))
+def test_packed_product_takes_an_unsorted_outer_operand(a, b, cap, rnd):
+    ring = PackedRing(NVARS, cap)
+    terms, den = ring.pack(a.terms)
+    rnd.shuffle(terms)
+    got = ring.to_graded(ring.product((terms, den), ring.pack(b.terms)))
+    assert got == poly_mul(a.truncate(cap), b.truncate(cap))
+
+
+@given(st.lists(polys, max_size=4))
+def test_packed_add_all_matches_sum(values):
+    ring = PackedRing(NVARS, CAP)
+    expected = const(0)
+    for v in values:
+        expected = expected + v
+    assert ring.to_graded(ring.add_all(ring.pack(v.terms) for v in values)) == expected
+
+
+@st.composite
+def weyl_numerators(draw):
+    """(p, pairs, Delta, c): p = c * Delta plus up to three monomials of degree <= omega.
+
+    Generator 0 is h and generators 1..r the roots; the ring's cap is
+    omega = deg Delta, as in the engine.
+    """
+    r = draw(st.integers(min_value=1, max_value=4))
+    nvars, omega = r + 1, r * (r - 1) // 2
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    delta = const(1, nvars, omega)
+    for i, j in pairs:
+        delta = delta * (h(i, nvars, omega) - h(j, nvars, omega))
+    monomials = st.lists(st.integers(min_value=0, max_value=nvars - 1), max_size=omega).map(
+        lambda gens: tuple(gens.count(g) for g in range(nvars))
+    )
+    noise = draw(st.dictionaries(monomials, fractions, max_size=3))
+    c = draw(fractions)
+    return delta.scale(c) + GradedPoly(nvars, omega, noise), pairs, delta, c
+
+
+@settings(deadline=None, max_examples=300)
+@given(weyl_numerators())
+def test_weyl_unit_agrees_with_vandermonde_divide(case):
+    p, pairs, delta, c = case
+    ring = PackedRing(p.nvars, p.cap)
+    staircase = [0] * p.nvars
+    for i, _ in pairs:
+        staircase[i] += 1
+    try:
+        quotient = vandermonde_divide(p, pairs)
+    except NotDivisibleError:
+        with pytest.raises(NotDivisibleError) as err:
+            ring.weyl_unit(ring.pack(p.terms), pairs)
+        assert err.value.remainder == p - delta.scale(p.coefficient(staircase))
+    else:
+        got = ring.weyl_unit(ring.pack(p.terms), pairs)
+        assert got == quotient.unit_part() == p.coefficient(staircase)
+        if p == delta.scale(c):
+            assert got == c
+
+
+def test_weyl_unit_needs_the_weyl_cap_and_ordered_pairs():
+    with pytest.raises(RingUsageError):
+        PackedRing(3, 2).weyl_unit(([], 1), [(1, 2)])
+    with pytest.raises(RingUsageError):
+        PackedRing(3, 1).weyl_unit(([], 1), [(2, 1)])
 
 
 @given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=5))

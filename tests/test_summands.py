@@ -176,9 +176,14 @@ def test_oh_summand_has_leading_z(p4_112):
     # h1 - h2 with sign +1, so the summand is exactly z * (h1 - h2).
     ctx = p4_ctx(p4_112, z=3)
     cls = CurveClass(D=0, k=(0,))
-    assert oh_summand((0, 0), cls, ctx) == (
+    assert graded_oh_summand((0, 0), cls, ctx) == (
         gen(1, 3, 1) - gen(2, 3, 1)
     ).scale(3)
+
+
+def graded_oh_summand(d, cls, ctx):
+    """oh_summand as a GradedPoly, for comparison with the GradedPoly helpers."""
+    return ctx.kernel.to_graded(oh_summand(d, cls, ctx))
 
 
 def _standard_rows(r):
@@ -225,7 +230,7 @@ def _outcome(fn, d, cls, ctx):
 @given(one_step_points())
 def test_oh_summand_equals_reference_product(reference_summand, case):
     ctx, d, cls = case
-    assert _outcome(oh_summand, d, cls, ctx) == _outcome(reference_summand, d, cls, ctx)
+    assert _outcome(graded_oh_summand, d, cls, ctx) == _outcome(reference_summand, d, cls, ctx)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +250,7 @@ def test_oh_summand_nonstandard_rows(reference_summand, rows, z):
     for d in ((0, 0), (2, 1), (1, 3), (-1, 2)):
         for D in (0, 1, 2):
             cls = CurveClass(D=D, k=(sum(d),))
-            got = _outcome(oh_summand, d, cls, ctx)
+            got = _outcome(graded_oh_summand, d, cls, ctx)
             assert got == _outcome(reference_summand, d, cls, ctx), (d, D)
 
 
@@ -280,7 +285,7 @@ def test_rank_one_summand_agrees_with_projective_form(blpt_p2, D, k):
     target, twist = blpt_p2
     ctx = SummandContext.for_target(target, twist)
     cls = CurveClass(D=D, k=(k,))
-    assert oh_summand((k,), cls, ctx) == brown_summand((k,), cls, ctx)
+    assert graded_oh_summand((k,), cls, ctx) == brown_summand((k,), cls, ctx)
 
 
 def test_brown_summand_rejects_higher_rank(p4_112):
