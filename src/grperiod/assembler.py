@@ -256,21 +256,46 @@ def period_series(
         unit_from_numerator(_degree_numerator(ctx, x_deg, divisor, skip_nonconvex), target)
         for x_deg in range(dmax + 1)
     ]
-    # coefficients of e^(-C x), each from the one before
-    C = correction.total
-    exp_terms = [Fraction(1)]
-    for t in range(1, dmax + 1):
-        exp_terms.append(exp_terms[-1] * -C / t)
-    coeffs = [
-        sum((exp_terms[t] * raw[d - t] for t in range(d + 1)), Fraction(0))
-        for d in range(dmax + 1)
-    ]
-    regularised = tuple(math.factorial(d) * c for d, c in enumerate(coeffs))
+    coeffs, regularised = corrected_series(raw, correction.total)
     return PeriodSeries(
-        coefficients=tuple(coeffs),
+        coefficients=coeffs,
         regularised=regularised,
         correction=correction,
     )
+
+
+def corrected_series(
+    raw: list[Fraction], C: Fraction
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """G = e^(-C x) * sum_d u_d x^d and its regularised d! G_d, for raw u_d.
+
+    Computes d! G_d = sum_t C(d, t) (-C)^t (d - t)! u_(d-t) in integers:
+    with C = p/q and (d - t)! u_(d-t) = a/b, every term is an integer over
+    L q^d, L the lcm of the b up to degree d, so one Fraction is made per
+    degree and per series.
+    """
+    p, q = C.numerator, C.denominator
+    nums, dens = [], []  # m! u_m = nums[m] / dens[m]
+    coeffs, regularised = [], []
+    lcm = fact = 1
+    for d, u in enumerate(raw):
+        if d:
+            fact *= d
+        v = u * fact
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+        lcm = math.lcm(lcm, v.denominator)
+        total, binom, p_power, q_power = 0, 1, 1, q**d
+        for t in range(d + 1):
+            m = d - t
+            total += binom * p_power * q_power * nums[m] * (lcm // dens[m])
+            binom = binom * m // (t + 1)
+            p_power *= -p
+            q_power //= q
+        den = lcm * q**d
+        regularised.append(Fraction(total, den))
+        coeffs.append(Fraction(total, den * fact))
+    return tuple(coeffs), tuple(regularised)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ coefficient off their sum with an exact Weyl-divisibility check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -489,10 +488,3 @@ class PackedRing:
         expo = self._expos[key] = tuple(digits)
         return expo
 
-
-def block_pairs(offsets: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """All (i, j) with i < j inside each half-open index range [lo, hi)."""
-    pairs = []
-    for lo, hi in offsets:
-        pairs.extend(itertools.combinations(range(lo, hi), 2))
-    return pairs

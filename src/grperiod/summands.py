@@ -10,15 +10,27 @@ positive upper limits, an extra (nilpotent-bearing) numerator block for
 negative ones.  z enters as an exact rational parameter, not a generator;
 degree homogeneity lets callers recover the z-dependence afterwards.
 
-`oh_summand` builds each product from parts cached on its SummandContext:
-every ratio and twist numerator is a univariate series in its (nilpotent,
-linear) class, depending only on its upper limit, so the series are cached
-by that limit and the per-root products by (root, d_i, D).  The parts are
-multiplied in the integer kernel `ring.PackedRing`, and the summand stays a
-packed value of that kernel, ready to be added up by the assembler.  The
-GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
-`weyl_block`, `twist_factor`) compute the same factors directly and serve
-as its reference.
+`oh_summand` builds each product from parts cached on its SummandContext,
+shared by the points, classes and degrees of one computation:
+
+* every ratio and twist numerator is a univariate series in its (nilpotent,
+  linear) class, depending only on its upper limit: cached by that limit;
+* the packed linear forms those series are composed with: cached by
+  (h coefficient, root weights);
+* the base factor of P^N: cached by D;
+* the factor of one root, its slot ratios times its own twist rows: built
+  for root 0 and cached by (that root's twist rows, d_i, D), then renamed
+  to any root with the same rows (`root_factor`);
+* the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b);
+* the product through the first j roots, in the order base x R_1 x R_2 x
+  W(1,2) x R_3 x W(1,3) x W(2,3) x ..., which depends only on
+  (D, d_1, ..., d_j): cached for j < r - 1 (`prefix`).
+
+The parts are multiplied in the integer kernel `ring.PackedRing`, and the
+summand stays a packed value of that kernel, ready to be added up by the
+assembler.  The GradedPoly helpers below (`factor_ratio`, `base_j_factor`,
+`flag_factor`, `weyl_block`, `twist_factor`) compute the same factors
+directly and serve as its reference.
 """
 
 from __future__ import annotations
@@ -64,6 +76,9 @@ class SummandContext:
     _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,21 +164,25 @@ class SummandContext:
             cache[t] = _times_linear(cache[t - 1], t * self.z)
         return cache[upper]
 
-    def _line(self, h_coeff: int, weights) -> tuple[list, int]:
+    def _line(self, h_coeff: int, weights: tuple) -> tuple[list, int]:
         """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based)."""
-        terms = {}
-        for g, coeff in ((0, h_coeff), *((i + 1, f) for i, f in weights)):
-            if coeff:
-                expo = [0] * self.nvars
-                expo[g] = 1
-                terms[tuple(expo)] = coeff
-        return self.kernel.pack(terms)
+        key = (h_coeff, weights)
+        out = self._lines.get(key)
+        if out is None:
+            terms = {}
+            for g, coeff in ((0, h_coeff), *((i + 1, f) for i, f in weights)):
+                if coeff:
+                    expo = [0] * self.nvars
+                    expo[g] = 1
+                    terms[tuple(expo)] = coeff
+            out = self._lines[key] = self.kernel.pack(terms)
+        return out
 
     def base_factor(self, D: int):
         """Packed base_j_factor(D): N + 1 copies of the slot series in h.
 
-        Its terms are sorted, as are those of every cached part, because
-        oh_summand multiplies them in as inner operands.
+        Its terms are sorted, as are those of every cached part that
+        oh_summand multiplies in as an inner operand.
         """
         out = self._bases.get(D)
         if out is None:
@@ -175,37 +194,87 @@ class SummandContext:
             out = self._bases[D] = sorted(out[0]), out[1]
         return out
 
+    def _root_build(self, rows: tuple, di: int, D: int):
+        """Packed slot ratios of root 0 at (d_i, D) times twist rows `rows` on it."""
+        kernel = self.kernel
+        out = ([(0, 1)], 1)
+        for e in self.target.e_degrees:
+            slot = kernel.compose(self.slot_series(di + e * D), self._line(e, ((0, 1),)))
+            out = kernel.product(out, slot)
+        for f in rows:
+            rho = self.twist.rho
+            line = kernel.compose(self.twist_series(f * di + rho * D), self._line(rho, ((0, f),)))
+            out = kernel.product(out, line)
+        return sorted(out[0]), out[1]
+
     def root_factor(self, i: int, di: int, D: int):
         """Packed slot ratios of root i (0-based) times its own twist rows.
 
-        The product depends on the point only through (i, d_i, D), which
-        points of different classes and degrees share when r > 1.
+        The factor of root i is that of root 0 with x_1 renamed x_(i+1), so
+        one build, cached by (local rows of root i, d_i, D), serves every
+        root with those rows.  The rows are part of the key because they
+        may differ from root to root.  The build lives in h and x_1 only,
+        so the renaming moves the exponent e of x_1, the digit
+        (key // B) % B, up by i places: key + e (B^(i+1) - B).  Packed keys
+        have no carries and sort by degree first, so the renamed terms
+        stay sorted.
         """
-        key = (i, di, D)
+        rows = self.local_rows[i]
+        key = (rows, di, D)
         out = self._roots.get(key)
         if out is None:
-            kernel = self.kernel
-            out = ([(0, 1)], 1)
-            for e in self.target.e_degrees:
-                slot = kernel.compose(self.slot_series(di + e * D), self._line(e, ((i, 1),)))
-                out = kernel.product(out, slot)
-            for f in self.local_rows[i]:
-                rho = self.twist.rho
-                line = kernel.compose(self.twist_series(f * di + rho * D), self._line(rho, ((i, f),)))
-                out = kernel.product(out, line)
-            out = sorted(out[0]), out[1]
-            # With one root each (d_1, D) is a single lattice point, so
-            # nothing could reuse the factor: keep it only for r > 1.
-            if self.target.ranks[0] > 1:
-                self._roots[key] = out
-        return out
+            out = self._roots[key] = self._root_build(rows, di, D)
+        if not i:
+            return out
+        radix = self.kernel.radix
+        shift = radix ** (i + 1) - radix
+        terms, den = out
+        return [(k + (k // radix % radix) * shift, c) for k, c in terms], den
 
     def weyl_factor(self, a: int, b: int, diff: int):
-        """Packed x_a - x_b + diff z (roots 0-based)."""
-        expo_a, expo_b = [0] * self.nvars, [0] * self.nvars
-        expo_a[a + 1] = expo_b[b + 1] = 1
-        zero = (0,) * self.nvars
-        return self.kernel.pack({tuple(expo_a): 1, tuple(expo_b): -1, zero: diff * self.z})
+        """Packed x_a - x_b + diff z (roots 0-based), cached by (a, b, diff)."""
+        key = (a, b, diff)
+        out = self._weyls.get(key)
+        if out is None:
+            expo_a, expo_b = [0] * self.nvars, [0] * self.nvars
+            expo_a[a + 1] = expo_b[b + 1] = 1
+            zero = (0,) * self.nvars
+            out = self._weyls[key] = self.kernel.pack(
+                {tuple(expo_a): 1, tuple(expo_b): -1, zero: diff * self.z}
+            )
+        return out
+
+    def prefix(self, D: int, head: tuple[int, ...]):
+        """Packed base x R_1 x R_2 x W(1,2) x ... x R_j x W(1,j) x ... x W(j-1,j).
+
+        R_i is root_factor of root i at (d_i, D) and W(a,b) the Weyl factor
+        of roots a, b, for the head (d_1, ..., d_j) of a lattice point.  In
+        this order the product through root j depends on the point only
+        through (D, d_1, ..., d_j), so it is cached by that key and shared
+        by every point, class and degree with the same head.  Only heads
+        shorter than r - 1 are cached: a head of length r - 1 together with
+        the class degree k fixes the point, so such a cache is rarely hit
+        and holds about one full-size product per point.  The last two
+        roots, the general twist rows, the sign and z are multiplied in per
+        point by oh_summand.
+        """
+        if not head:
+            return self.base_factor(D)
+        key = (D, head)
+        out = self._prefixes.get(key)
+        if out is None:
+            out = self._prefixes[key] = self.extend(self.prefix(D, head[:-1]), head, D)
+        return out
+
+    def extend(self, out, head: tuple[int, ...], D: int):
+        """out x R_j x W(1,j) x ... x W(j-1,j) for the last root j of head."""
+        kernel = self.kernel
+        j = len(head) - 1
+        dj = head[j]
+        out = kernel.product(out, self.root_factor(j, dj, D))
+        for a in range(j):
+            out = kernel.product(out, self.weyl_factor(a, j, head[a] - dj))
+        return out
 
     def row_factor(self, s: int, upper: int):
         """Packed twist numerator of general row s at its upper limit."""
@@ -213,7 +282,7 @@ class SummandContext:
         out = self._rows.get(key)
         if out is None:
             row = self.twist.weight_vectors[s][: self.target.ranks[0]]
-            line = self._line(self.twist.rho, enumerate(row))
+            line = self._line(self.twist.rho, tuple(enumerate(row)))
             out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
         return out
 
@@ -362,18 +431,19 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     uppers = ()
     if ctx.twist is not None and ctx.twist.weight_vectors:
         uppers = checked_twist_uppers(ctx.twist, cls, d)
-    kernel, D = ctx.kernel, cls.D
-    out = ctx.base_factor(D)
-    for i, di in enumerate(d):
-        out = kernel.product(out, ctx.root_factor(i, di, D))
+    kernel, D, r = ctx.kernel, cls.D, len(d)
+    if r == 1:
+        # each (d_1, D) is a single lattice point: nothing to share
+        out = kernel.product(ctx.base_factor(D), ctx._root_build(ctx.local_rows[0], d[0], D))
+    else:
+        out = ctx.prefix(D, d[: r - 2])
+        out = ctx.extend(out, d[: r - 1], D)
+        out = ctx.extend(out, d, D)
     for s in ctx.general_rows:
         out = kernel.product(out, ctx.row_factor(s, uppers[s]))
-    exponent = 0
-    for a in range(len(d)):
-        for b in range(a + 1, len(d)):
-            diff = d[a] - d[b]
-            exponent += diff
-            out = kernel.product(out, ctx.weyl_factor(a, b, diff))
+    # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
+    # the first of a pair and a times as the second
+    exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))
     terms, den = out
     z = -ctx.z if exponent % 2 else ctx.z
     num = z.numerator

@@ -265,10 +265,6 @@ def fano_index_classes(
     return class_enumeration(target, twist, 1, divisor)
 
 
-def degree_one_points(target: FlagTarget, cls: CurveClass) -> list[tuple[int, ...]]:
-    return list(lattice_range(target, cls))
-
-
 def block_index_ranges(target: FlagTarget) -> list[tuple[int, int]]:
     """Half-open generator index ranges of the flag blocks (skipping h)."""
     ranges = []

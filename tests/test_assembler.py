@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from grperiod.assembler import (
     WorkBudgetError,
     class_numerator,
     correction_C,
+    corrected_series,
     degree_numerator,
     estimate_points,
     period_series,
@@ -206,3 +208,27 @@ def test_correction_is_a_fraction_sum():
         )
     )
     assert corr.total == 3
+
+
+def _fraction_correction(raw, C):
+    """e^(-C x) * sum u_d x^d term by term in Fractions, and d! times it."""
+    exp_terms = [Fraction(1)]
+    for t in range(1, len(raw)):
+        exp_terms.append(exp_terms[-1] * -C / t)
+    coeffs = [
+        sum((exp_terms[t] * raw[d - t] for t in range(d + 1)), Fraction(0))
+        for d in range(len(raw))
+    ]
+    return tuple(coeffs), tuple(math.factorial(d) * c for d, c in enumerate(coeffs))
+
+
+rationals = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(rationals, min_size=1, max_size=14),
+    st.one_of(st.just(Fraction(0)), st.integers(-5, -1).map(Fraction), rationals),
+)
+def test_corrected_series_matches_fraction_convolution(raw, C):
+    assert corrected_series(raw, C) == _fraction_correction(raw, C)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -266,7 +268,32 @@ def test_context_caches_repeat_parts(p4_112):
     cls = CurveClass(D=2, k=(1,))
     first = oh_summand((1, 0), cls, ctx)
     assert ctx.root_factor(0, 1, 2) is ctx.root_factor(0, 1, 2)
+    assert ctx.weyl_factor(0, 1, 1) is ctx.weyl_factor(0, 1, 1)
     assert oh_summand((1, 0), cls, ctx) == first == oh_summand((1, 0), cls, p4_ctx(p4_112, z=2))
+    # both roots carry one standard twist row, so (0, 1) needs no new build:
+    # root 0 at d_1 = 0 and root 1 at d_2 = 1 reuse the builds of (1, 0)
+    builds = dict(ctx._roots)
+    assert len(builds) == 2
+    oh_summand((0, 1), cls, ctx)
+    assert ctx._roots == builds
+
+
+def test_shared_parts_across_points_classes_and_degrees(reference_summand):
+    # twist rows that differ per root, plus one general row over two roots
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), ranks=(3,))
+    twist = TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 1)
+    z = Fraction(3, 2)
+    ctx = SummandContext.for_target(target, twist, z=z)
+    points = [
+        (d, CurveClass(D=D, k=(sum(d),)))
+        for d in itertools.product(range(-1, 3), repeat=3)
+        for D in (0, 1, 2)
+    ]
+    random.Random(5).shuffle(points)
+    for d, cls in points[:90]:
+        fresh = SummandContext.for_target(target, twist, z=z)
+        got = _outcome(graded_oh_summand, d, cls, ctx)
+        assert got == _outcome(reference_summand, d, cls, fresh), (d, cls.D)
 
 
 def test_slot_series_matches_factor_ratio(p4_112):
