@@ -43,6 +43,7 @@ from .targets import (
     TwistSpec,
     all_weyl_pairs,
     class_enumeration,
+    lattice_floor,
     lattice_range,
 )
 
@@ -129,19 +130,14 @@ def degree_numerator(
     target.omega_degree), the ring `unit_from_numerator` reads.
     """
     ctx = SummandContext.for_target(target, twist, z)
-    return _degree_numerator(ctx, x_deg, divisor, skip_nonconvex)
+    classes = class_enumeration(target, twist, x_deg, divisor)
+    return _degree_numerator(ctx, classes, skip_nonconvex)
 
 
 def _degree_numerator(
-    ctx: SummandContext,
-    x_deg: int,
-    divisor: DivisorData | None,
-    skip_nonconvex: bool,
+    ctx: SummandContext, classes: list[CurveClass], skip_nonconvex: bool
 ) -> tuple[list, int]:
-    return ctx.kernel.add_all(
-        class_numerator(cls, ctx, skip_nonconvex)
-        for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
-    )
+    return ctx.kernel.add_all(class_numerator(cls, ctx, skip_nonconvex) for cls in classes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -213,14 +209,23 @@ def estimate_points(
     divisor: DivisorData | None = None,
 ) -> int:
     """Upper bound on lattice points visited for degrees 0..dmax."""
-    from .targets import lattice_floor
+    return _point_count(target, _degree_classes(target, twist, dmax, divisor))
 
-    r = target.ranks[0]
+
+def _degree_classes(
+    target: FlagTarget, twist: TwistSpec | None, dmax: int, divisor: DivisorData | None
+) -> list[list[CurveClass]]:
+    """The curve classes of each degree 0..dmax."""
+    return [class_enumeration(target, twist, x_deg, divisor) for x_deg in range(dmax + 1)]
+
+
+def _point_count(target: FlagTarget, degree_classes: list[list[CurveClass]]) -> int:
+    """Lattice points at or above the floor in the given classes."""
+    r = target.rank
     count = 0
-    for x_deg in range(dmax + 1):
-        for cls in class_enumeration(target, twist, x_deg, divisor):
-            (k,) = cls.k
-            span = k - r * lattice_floor(target, cls.D)
+    for classes in degree_classes:
+        for cls in classes:
+            span = cls.k - r * lattice_floor(target, cls.D)
             count += math.comb(span + r - 1, r - 1)
     return count
 
@@ -243,8 +248,9 @@ def period_series(
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
+    degree_classes = _degree_classes(target, twist, dmax, divisor)
     if budget is not None:
-        estimate = estimate_points(target, twist, dmax, divisor)
+        estimate = _point_count(target, degree_classes)
         if estimate > budget:
             raise WorkBudgetError(
                 f"estimated {estimate} lattice points exceeds budget {budget}"
@@ -253,8 +259,8 @@ def period_series(
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext.for_target(target, twist, z)
     raw = [
-        unit_from_numerator(_degree_numerator(ctx, x_deg, divisor, skip_nonconvex), target)
-        for x_deg in range(dmax + 1)
+        unit_from_numerator(_degree_numerator(ctx, classes, skip_nonconvex), target)
+        for classes in degree_classes
     ]
     coeffs, regularised = corrected_series(raw, correction.total)
     return PeriodSeries(

@@ -36,6 +36,7 @@ from .targets import (
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
+    standard_basis,
 )
 from . import validation
 
@@ -52,7 +53,7 @@ class RunConfig:
     center_degrees: tuple[int, ...] | None = None
     twist_k: int | None = None
     e_degrees: tuple[int, ...] | None = None
-    ranks: tuple[int, ...] | None = None
+    rank: int | None = None  # config key "ranks", the name existing files use
     twist_weights: tuple[tuple[int, ...], ...] | None = None  # None = standard basis
     rho: int | None = None
     grading_a: int | None = None
@@ -70,6 +71,13 @@ class ConfigError(ValueError):
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
     return tuple(int(p) for p in value.replace(" ", "").split(",") if p != "")
+
+
+def _parse_rank(value: str) -> int:
+    ranks = _parse_int_list(value)
+    if len(ranks) != 1:
+        raise ValueError("only one-step Grassmann bundles are modelled: give a single rank")
+    return ranks[0]
 
 
 def _parse_weight_rows(value: str) -> tuple[tuple[int, ...], ...] | None:
@@ -100,7 +108,7 @@ def build_config(file_values: dict, args: argparse.Namespace) -> RunConfig:
         "center_degrees": _parse_int_list,
         "twist_k": int,
         "e_degrees": _parse_int_list,
-        "ranks": _parse_int_list,
+        "ranks": _parse_rank,
         "twist_weights": _parse_weight_rows,
         "rho": int,
         "grading_a": int,
@@ -115,7 +123,8 @@ def build_config(file_values: dict, args: argparse.Namespace) -> RunConfig:
         if key not in converters:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            cfg = replace(cfg, **{key: converters[key](raw)})
+            field = "rank" if key == "ranks" else key
+            cfg = replace(cfg, **{field: converters[key](raw)})
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     for key in ("dmax", "twist_k", "z", "out", "format"):
@@ -150,22 +159,16 @@ def build_model(cfg: RunConfig) -> Model:
         )
         divisor = None
     elif cfg.mode == "target":
-        if cfg.base_dim is None or cfg.e_degrees is None or cfg.ranks is None or cfg.rho is None:
+        if cfg.base_dim is None or cfg.e_degrees is None or cfg.rank is None or cfg.rho is None:
             raise ConfigError("target mode needs base_dim, e_degrees, ranks, rho")
-        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.ranks)
-        if cfg.twist_weights is None:
-            r = cfg.ranks[0]
-            weights = tuple(
-                tuple(1 if i == s else 0 for i in range(r)) for s in range(r)
-            )
-        else:
-            weights = cfg.twist_weights
+        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.rank)
+        weights = standard_basis(cfg.rank) if cfg.twist_weights is None else cfg.twist_weights
         twist = TwistSpec(weight_vectors=weights, rho=cfg.rho)
         divisor = None
         if (cfg.grading_a is None) != (cfg.grading_b is None):
             raise ConfigError("grading_a and grading_b must be given together")
         if cfg.grading_a is not None:
-            divisor = DivisorData(cfg.grading_a, (cfg.grading_b,))
+            divisor = DivisorData(cfg.grading_a, cfg.grading_b)
     else:  # example3-verbatim
         target, twist, divisor = example3_verbatim_model()
         return Model(target, twist, divisor, skip_nonconvex=True)

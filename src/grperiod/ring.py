@@ -166,9 +166,6 @@ class GradedPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, self.cap, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return f"GradedPoly<{self.nvars}v cap{self.cap}: 0>"
@@ -256,20 +253,6 @@ def unit_inverse(p: GradedPoly) -> GradedPoly:
             break
         acc = acc + power
     return acc.scale(Fraction(1, 1) / c)
-
-
-def exp_nilpotent(p: GradedPoly) -> GradedPoly:
-    """exp of a nilpotent element, as the finite sum of p^m / m!."""
-    if p.constant_term():
-        raise RingUsageError("exp_nilpotent requires a zero constant term")
-    acc = GradedPoly.constant(1, p.nvars, p.cap)
-    power = GradedPoly.constant(1, p.nvars, p.cap)
-    for m in range(1, p.cap + 1):
-        power = poly_mul(power, p)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, math.factorial(m)))
-    return acc
 
 
 def divide_linear(p: GradedPoly, i: int, j: int) -> GradedPoly:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, poly_mul, unit_inverse
-from .targets import CurveClass, FlagTarget, TwistSpec, block_index_ranges
+from .targets import CurveClass, FlagTarget, TwistSpec
 
 
 class SingularFactorError(ZeroDivisionError):
@@ -83,12 +83,12 @@ class SummandContext:
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
-        width = self.target.ranks[0] if len(self.target.ranks) == 1 else 0
-        local: tuple[list[int], ...] = tuple([] for _ in range(width))
+        r = self.target.rank
+        local: tuple[list[int], ...] = tuple([] for _ in range(r))
         general = []
         rows = self.twist.weight_vectors if self.twist is not None else ()
         for s, row in enumerate(rows):
-            weights = [(i, f) for i, f in enumerate(row[:width]) if f]
+            weights = [(i, f) for i, f in enumerate(row[:r]) if f]
             if len(weights) == 1:
                 i, f = weights[0]
                 local[i].append(f)
@@ -129,7 +129,7 @@ class SummandContext:
         return GradedPoly.generator(0, self.nvars, self.cap)
 
     def root(self, i: int) -> GradedPoly:
-        """i-th Chern root of S^v (1-based within the first block)."""
+        """i-th Chern root of S^v (1-based)."""
         return GradedPoly.generator(i, self.nvars, self.cap)
 
     # -- cached parts of oh_summand -----------------------------------------
@@ -281,7 +281,7 @@ class SummandContext:
         key = (s, upper)
         out = self._rows.get(key)
         if out is None:
-            row = self.twist.weight_vectors[s][: self.target.ranks[0]]
+            row = self.twist.weight_vectors[s][: self.target.rank]
             line = self._line(self.twist.rho, tuple(enumerate(row)))
             out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
         return out
@@ -345,40 +345,33 @@ def flag_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gra
     A summand O(e_j) contributes the slot (h_i + e_j h, d_i + e_j D) for
     every root h_i of S^v.
     """
-    target = ctx.target
-    if len(target.ranks) != 1:
-        raise NotImplementedError("flag factors only cover one-step bundles")
-    (block,) = block_index_ranges(target)
     out = ctx.one()
     h = ctx.h()
-    for idx, i in enumerate(range(*block)):
+    for i, di in enumerate(d, 1):
         root = ctx.root(i)
-        for e in target.e_degrees:
+        for e in ctx.target.e_degrees:
             slot_class = root + h.scale(e) if e else root
-            out = poly_mul(out, factor_ratio(slot_class, d[idx] + e * cls.D, ctx.z))
+            out = poly_mul(out, factor_ratio(slot_class, di + e * cls.D, ctx.z))
     return out
 
 
-def weyl_block(d_block: tuple[int, ...], ctx: SummandContext, block: int = 0) -> tuple[GradedPoly, int]:
+def weyl_block(d: tuple[int, ...], ctx: SummandContext) -> tuple[GradedPoly, int]:
     """Weyl numerator prod_{i<j} (h_i - h_j + (d_i - d_j) z) and its sign.
 
     The sign (-1)^(sum_{i<j} (d_i - d_j)) is returned separately so callers
     can fold it into whatever aggregate they build.
     """
-    lo, hi = block_index_ranges(ctx.target)[block]
     out = ctx.one()
     exponent = 0
-    for a in range(lo, hi):
-        for b in range(a + 1, hi):
-            ia, ib = a - lo, b - lo
-            diff = d_block[ia] - d_block[ib]
+    for a in range(len(d)):
+        for b in range(a + 1, len(d)):
+            diff = d[a] - d[b]
             exponent += diff
-            out = poly_mul(out, ctx.root(a) - ctx.root(b) + diff * ctx.z)
+            out = poly_mul(out, ctx.root(a + 1) - ctx.root(b + 1) + diff * ctx.z)
     return out, (-1 if exponent % 2 else 1)
 
 
 def twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[int]:
-    (k_unused,) = cls.k  # one-step only
     return [
         sum(f * di for f, di in zip(row, d)) + twist.rho * cls.D
         for row in twist.weight_vectors
@@ -401,12 +394,11 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
     twist = ctx.twist
     if twist is None or not twist.weight_vectors:
         return ctx.one()
-    (block,) = block_index_ranges(ctx.target)
     out = ctx.one()
     h = ctx.h()
     for row, upper in zip(twist.weight_vectors, checked_twist_uppers(twist, cls, d)):
         line_class = h.scale(twist.rho)
-        for f, i in zip(row, range(*block)):
+        for i, f in enumerate(row[: ctx.target.rank], 1):
             if f:
                 line_class = line_class + ctx.root(i).scale(f)
         for m in range(1, upper + 1):
@@ -426,8 +418,6 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     as a packed value of ctx.kernel, with sign and z in its numerators and
     denominator (`ctx.kernel.to_graded` gives the GradedPoly).
     """
-    if len(ctx.target.ranks) != 1:
-        raise NotImplementedError("flag factors only cover one-step bundles")
     uppers = ()
     if ctx.twist is not None and ctx.twist.weight_vectors:
         uppers = checked_twist_uppers(ctx.twist, cls, d)
@@ -448,111 +438,3 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     z = -ctx.z if exponent % 2 else ctx.z
     num = z.numerator
     return [(k, c * num) for k, c in terms], den * z.denominator
-
-
-def brown_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
-    """Projective-bundle (rank-one) specialization: no Weyl data at all.
-
-    For one-dimensional fibers the Weyl numerator is empty and the sign is
-    +1, so this must agree with oh_summand; kept separate as a cross-check.
-    """
-    if ctx.target.ranks != (1,):
-        raise ValueError("brown_summand only applies to rank-one (projective) bundles")
-    out = base_j_factor(cls.D, ctx)
-    out = poly_mul(out, flag_factor(d, cls, ctx))
-    out = poly_mul(out, twist_factor(d, cls, ctx))
-    return out.scale(ctx.z)
-
-
-# -- formal modification factors (lambda-Laurent) ---------------------------
-
-
-@dataclass
-class LambdaSeries:
-    """Laurent series in a formal parameter lambda with GradedPoly coefficients.
-
-    The support is bounded above; coefficients are exact for every power
-    >= `lo` and anything below is dropped.  Multiplication tracks where the
-    product remains exact: a power p of A*B only misses contributions when
-    one factor was truncated, which cannot happen once
-    p >= max(A.lo + max_power(B), B.lo + max_power(A)).
-    """
-
-    nvars: int
-    cap: int
-    lo: int
-    coeffs: dict[int, GradedPoly] = field(default_factory=dict)
-
-    def coefficient(self, power: int) -> GradedPoly:
-        return self.coeffs.get(power, GradedPoly(self.nvars, self.cap))
-
-    def _store(self, power: int, value: GradedPoly) -> None:
-        if value.is_zero():
-            self.coeffs.pop(power, None)
-        else:
-            self.coeffs[power] = value
-
-    def max_power(self) -> int:
-        return max(self.coeffs, default=self.lo)
-
-    def mul(self, other: "LambdaSeries") -> "LambdaSeries":
-        lo = max(self.lo + other.max_power(), other.lo + self.max_power())
-        out = LambdaSeries(self.nvars, self.cap, lo)
-        for pa, ca in self.coeffs.items():
-            for pb, cb in other.coeffs.items():
-                p = pa + pb
-                if p < lo:
-                    continue
-                out._store(p, out.coefficient(p) + poly_mul(ca, cb))
-        return out
-
-    def scale(self, value) -> "LambdaSeries":
-        out = LambdaSeries(self.nvars, self.cap, self.lo)
-        for p, c in self.coeffs.items():
-            out._store(p, c.scale(value))
-        return out
-
-
-def modification_factor(
-    cls: GradedPoly,
-    upper: int,
-    z: Fraction | int,
-    lam_min: int = -8,
-) -> LambdaSeries:
-    """Equivariant factor prod over the moved range of (cls + lambda + m z).
-
-    For upper >= 0 this is a polynomial in lambda (exact everywhere); for
-    upper < 0 the factors sit in the denominator and are expanded as a
-    Laurent series in descending powers of lambda, exact down to lam_min.
-    """
-    zq = Fraction(z)
-    nvars, cap = cls.nvars, cls.cap
-    one = GradedPoly.constant(1, nvars, cap)
-    if upper >= 0:
-        out = LambdaSeries(nvars, cap, lam_min, {0: one})
-        for m in range(1, upper + 1):
-            shifted = cls + m * zq
-            nxt = LambdaSeries(nvars, cap, lam_min)
-            for p, c in out.coeffs.items():
-                nxt._store(p + 1, nxt.coefficient(p + 1) + c)
-                nxt._store(p, nxt.coefficient(p) + poly_mul(c, shifted))
-            out = nxt
-        return out
-    # expand each inverse factor deep enough that the |upper|-fold product
-    # is still exact at lam_min: the partners' powers total at most -(count-1)
-    count = -upper
-    factor_lo = lam_min + (count - 1)
-    out = LambdaSeries(nvars, cap, factor_lo - count, {0: one})
-    for m in range(upper + 1, 1):
-        shifted = cls + m * zq
-        # 1/(lambda + shifted) = sum_{t>=0} (-1)^t shifted^t lambda^(-1-t)
-        inv = LambdaSeries(nvars, cap, factor_lo)
-        power = one
-        for t in range(0, -factor_lo):
-            if -1 - t < factor_lo:
-                break
-            inv._store(-1 - t, power.scale((-1) ** t))
-            power = poly_mul(power, shifted)
-        out = out.mul(inv)
-    out.coeffs = {p: c for p, c in out.coeffs.items() if p >= out.lo}
-    return out

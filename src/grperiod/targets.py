@@ -5,7 +5,8 @@ c_0, ..., c_r is cut out of a Grassmann bundle Gr(r, E) over P^N, where
 E = sum_j O(k - c_j) for any integer k, by a section of F = S^v(k) (the dual
 tautological bundle twisted by O(k)).  This module builds that model, the
 divisor gradings attached to it, and the curve-class / lattice bookkeeping
-that the series assembly iterates over.
+that the series assembly iterates over.  The model is always this one-step
+bundle, of a single rank r: the blow-up needs no partial flag bundle.
 
 Generator layout used everywhere downstream: generator 0 is the hyperplane
 class h pulled back from P^N; generators 1..r are the Chern roots of S^v.
@@ -32,31 +33,30 @@ class BlowUpSpec:
 
 @dataclass(frozen=True)
 class FlagTarget:
-    """A Grassmann (or flag) bundle over P^base_dim.
+    """The Grassmann bundle Gr(rank, E) over P^base_dim.
 
-    e_degrees are the twists of the split bundle E = sum_j O(e_j); ranks
-    lists the tautological subbundle ranks of the flag steps.  Blow-up
-    models always have a single step.
+    e_degrees are the twists of the split bundle E = sum_j O(e_j), and rank
+    is the rank of the tautological subbundle S.
     """
 
     base_dim: int
     e_degrees: tuple[int, ...]
-    ranks: tuple[int, ...]
+    rank: int
 
     def __post_init__(self):
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be positive")
-        if sum(self.ranks[:1]) > len(self.e_degrees):
-            raise ValueError("first step rank exceeds rank of E")
+        if self.rank < 1:
+            raise ValueError("rank must be positive")
+        if self.rank > len(self.e_degrees):
+            raise ValueError("rank exceeds the rank of E")
 
     @property
     def nvars(self) -> int:
-        return 1 + sum(self.ranks)
+        return 1 + self.rank
 
     @property
     def omega_degree(self) -> int:
         """Degree of the Weyl denominator prod (h_i - h_j), the working cap."""
-        return sum(r * (r - 1) // 2 for r in self.ranks)
+        return self.rank * (self.rank - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,36 @@ class TwistSpec:
 
 @dataclass(frozen=True)
 class CurveClass:
-    """Curve class (D; k_1, ..., k_l): base degree and one fiber degree per step."""
+    """Curve class (D; k): base degree D and fiber degree k."""
 
     D: int
-    k: tuple[int, ...]
+    k: int
 
 
 @dataclass(frozen=True)
 class DivisorData:
-    """Divisor a*h + sum_i b_i * det(S_i^v) recorded by its coefficients."""
+    """Divisor a*h + b*det(S^v) recorded by its coefficients."""
 
     a: int
-    b: tuple[int, ...]
+    b: int
 
     def pairing(self, cls: CurveClass) -> int:
-        if len(self.b) != len(cls.k):
-            raise ValueError("divisor and curve class have different step counts")
-        return self.a * cls.D + sum(bi * ki for bi, ki in zip(self.b, cls.k))
+        return self.a * cls.D + self.b * cls.k
+
+
+def standard_basis(r: int) -> tuple[tuple[int, ...], ...]:
+    """Twist rows of F = S^v(rho): one row per Chern root."""
+    return tuple(tuple(1 if i == s else 0 for i in range(r)) for s in range(r))
 
 
 def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[FlagTarget, TwistSpec]:
     """Grassmann-bundle model of the blow-up, for a chosen twist level k.
 
-    Returns Gr(r, sum_j O(k - c_j)) with twist F = S^v(k).  In theory any k
-    gives the same period, but the engine does not honour that for every
-    model: P^4 blown up in (1,2,2) gives a wrong series at k = 3, and some
-    models, that one among them, raise GradingError at the default
-    k = min(c_j), which keeps all e_degrees <= 0 so that lattice floors stay
-    at zero.  The tests sweep k only for P^4 in (1,1,2) and P^6 in (1,2,2);
-    see ROADMAP item 1.
+    Returns Gr(r, sum_j O(k - c_j)) with twist F = S^v(k).  Every k presents
+    the same blow-up, but not every k has a finite class enumeration under
+    the anticanonical grading (class_enumeration raises GradingError).
+    Without twist_k, k is the smallest value in [min c_j, max c_j] whose
+    enumeration is finite, and GradingError is raised if there is none.
     """
     c = spec.center_degrees
     if not c:
@@ -114,32 +115,31 @@ def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[Flag
         raise ValueError("center degrees must be positive")
     if len(c) > spec.base_dim:
         raise ValueError("center codimension exceeds ambient dimension")
-    k = min(c) if twist_k is None else twist_k
     r = len(c) - 1
-    target = FlagTarget(
-        base_dim=spec.base_dim,
-        e_degrees=tuple(k - cj for cj in c),
-        ranks=(r,),
-    )
-    basis = tuple(tuple(1 if i == s else 0 for i in range(r)) for s in range(r))
-    return target, TwistSpec(weight_vectors=basis, rho=k)
+    levels = range(min(c), max(c) + 1) if twist_k is None else (twist_k,)
+    for k in levels:
+        target = FlagTarget(spec.base_dim, tuple(k - cj for cj in c), r)
+        twist = TwistSpec(weight_vectors=standard_basis(r), rho=k)
+        if twist_k is not None:
+            return target, twist
+        try:
+            _fiber_rate(target, anticanonical(target, twist)[1])
+        except GradingError:
+            continue
+        return target, twist
+    raise GradingError(f"no twist level in [{min(c)}, {max(c)}] bounds the curve classes")
 
 
 def anticanonical(target: FlagTarget, twist: TwistSpec) -> tuple[DivisorData, DivisorData]:
-    """(ambient -K, zero-locus -K) for a one-step bundle with a split twist.
+    """(ambient -K, zero-locus -K) for a split twist.
 
     The ambient anticanonical class of Gr(r, E) over P^N is
     (N + 1 + r * sum_j e_j) h + n det(S^v) with n = rank E; the zero locus
     of a regular section of F subtracts c1(F).
     """
-    if len(target.ranks) != 1:
-        raise NotImplementedError("anticanonical formula only covers one-step bundles")
-    r = target.ranks[0]
+    r = target.rank
     n = len(target.e_degrees)
-    ambient = DivisorData(
-        a=target.base_dim + 1 + r * sum(target.e_degrees),
-        b=(n,),
-    )
+    ambient = DivisorData(a=target.base_dim + 1 + r * sum(target.e_degrees), b=n)
     if not twist.weight_vectors:
         return ambient, ambient
     column_sums = [0] * r
@@ -150,11 +150,7 @@ def anticanonical(target: FlagTarget, twist: TwistSpec) -> tuple[DivisorData, Di
             column_sums[i] += f
     if len(set(column_sums)) != 1:
         raise ValueError("twist is not balanced: c1(F) is not a multiple of det(S^v)")
-    det_coeff = column_sums[0]
-    zero_locus = DivisorData(
-        a=ambient.a - twist.rank * twist.rho,
-        b=(n - det_coeff,),
-    )
+    zero_locus = DivisorData(a=ambient.a - twist.rank * twist.rho, b=n - column_sums[0])
     return ambient, zero_locus
 
 
@@ -171,12 +167,7 @@ def lattice_floor(target: FlagTarget, D: int) -> int:
 
 def lattice_range(target: FlagTarget, cls: CurveClass) -> Iterator[tuple[int, ...]]:
     """All fiber degree vectors d with sum(d) = k and d_i >= the floor."""
-    if len(target.ranks) != 1:
-        raise NotImplementedError("lattice enumeration only covers one-step bundles")
-    r = target.ranks[0]
-    (k,) = cls.k
-    lo = lattice_floor(target, cls.D)
-    yield from _compositions(k, r, lo)
+    yield from _compositions(cls.k, target.rank, lattice_floor(target, cls.D))
 
 
 def _compositions(total: int, parts: int, lo: int) -> Iterator[tuple[int, ...]]:
@@ -194,13 +185,39 @@ def _vanishing_floor_count(target: FlagTarget) -> int:
 
     Each d_i < 0 forces at least one nilpotent (m = 0) slot factor per
     summand O(e_j) with e_j <= 0; once the forced degree exceeds the Weyl
-    cap the whole summand is annihilated by truncation.  Used only to bound
-    enumeration when some e_j > 0; it never excludes a contributing point.
+    cap the whole summand is annihilated by truncation.  When every e_j > 0
+    nothing is forced, so no such count exists, and points with negative
+    fiber degrees may contribute: this raises GradingError.
     """
     forced_per_negative = sum(1 for e in target.e_degrees if e <= 0)
     if forced_per_negative == 0:
-        return 0
+        raise GradingError("every e_j > 0: nothing bounds the classes with negative fiber degrees")
     return target.omega_degree // forced_per_negative
+
+
+def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
+    """The rate q such that every class that can contribute has k >= q * D.
+
+    Raises GradingError when the grading does not bound the classes of a
+    degree.
+    """
+    a, b, r = divisor.a, divisor.b, target.rank
+    if not (a > 0 or b > 0):
+        raise GradingError(f"non-Fano grading: a = {a}, b = {b}")
+    if b <= 0:
+        raise GradingError(f"fiber grading b = {b} not positive; classes unbounded")
+    # lattice_floor(D) = floor_rate * D for D >= 0, so a class at base
+    # degree D has degree at least (a + b * r * floor_rate) * D.
+    floor_rate = min(-e for e in target.e_degrees)
+    if a + b * r * floor_rate > 0:
+        return r * floor_rate
+    # Literal floors do not bound the degree from below.  Tighten with
+    # the vanishing count: points with too many negative fiber degrees
+    # contribute exactly zero, so skipping their classes is harmless.
+    n_neg = min(_vanishing_floor_count(target), r)
+    if a + b * n_neg * floor_rate <= 0:
+        raise GradingError("grading admits infinitely many classes per degree")
+    return n_neg * floor_rate
 
 
 def class_enumeration(
@@ -212,78 +229,27 @@ def class_enumeration(
     """All curve classes of the given degree under the divisor grading.
 
     The divisor defaults to the anticanonical class of the zero locus.
-    Requires a Fano-type grading (a > 0 or every b_i > 0); raises
-    GradingError when enumeration cannot terminate.
+    Requires a Fano-type grading (a > 0 or b > 0).  Raises GradingError
+    when enumeration cannot terminate, and when the literal lattice floors
+    do not bound the degree and every e_j > 0: there nothing forces a point
+    with negative fiber degrees to vanish, so no finite set of classes is
+    known to hold every contributing point.
     """
-    if len(target.ranks) != 1:
-        raise NotImplementedError("class enumeration only covers one-step bundles")
     if divisor is None:
         _, divisor = anticanonical(target, twist)
-    a, (b,) = divisor.a, divisor.b
-    if not (a > 0 or b > 0):
-        raise GradingError(f"non-Fano grading: a = {a}, b = {b}")
-    r = target.ranks[0]
-    if b <= 0:
-        raise GradingError(f"fiber grading b = {b} not positive; classes unbounded")
-
-    # lattice_floor(D) = floor_rate * D for D >= 0, so a class at base
-    # degree D has degree at least (a + b * r * floor_rate) * D.
-    floor_rate = min(-e for e in target.e_degrees)
-    slope = a + b * r * floor_rate
-    if slope <= 0:
-        # Literal floors do not bound the degree from below.  Tighten with
-        # the vanishing count: points with too many negative fiber degrees
-        # contribute exactly zero, so skipping their classes is harmless.
-        n_neg = min(_vanishing_floor_count(target), r)
-        slope = a + b * n_neg * floor_rate
-        if slope <= 0:
-            raise GradingError("grading admits infinitely many classes per degree")
-        kmin_rate = n_neg * floor_rate
-    else:
-        kmin_rate = r * floor_rate
-
+    a, b = divisor.a, divisor.b
+    slope = a + b * _fiber_rate(target, divisor)
     out = []
-    D = 0
-    while a * D + b * kmin_rate * D <= x_deg:
-        remainder = x_deg - a * D
-        if remainder % b == 0:
-            k = remainder // b
-            if k >= r * lattice_floor(target, D):
-                out.append(CurveClass(D=D, k=(k,)))
-        D += 1
-        if D > 10 * (abs(x_deg) + 1):
-            raise GradingError("class enumeration failed to terminate")
-    return sorted(out, key=lambda c: (c.D, c.k))
-
-
-def fano_index_classes(
-    target: FlagTarget,
-    twist: TwistSpec,
-    divisor: DivisorData | None = None,
-) -> list[CurveClass]:
-    """Degree-one curve classes: the sources of the exponential correction."""
-    return class_enumeration(target, twist, 1, divisor)
-
-
-def block_index_ranges(target: FlagTarget) -> list[tuple[int, int]]:
-    """Half-open generator index ranges of the flag blocks (skipping h)."""
-    ranges = []
-    start = 1
-    for r in target.ranks:
-        ranges.append((start, start + r))
-        start += r
-    return ranges
+    for D in range(x_deg // slope + 1):
+        k, rest = divmod(x_deg - a * D, b)
+        if not rest and k >= target.rank * lattice_floor(target, D):
+            out.append(CurveClass(D=D, k=k))
+    return out
 
 
 def all_weyl_pairs(target: FlagTarget) -> list[tuple[int, int]]:
-    pairs = []
-    for lo, hi in block_index_ranges(target):
-        pairs.extend(itertools.combinations(range(lo, hi), 2))
-    return pairs
-
-
-def _standard_basis(r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == s else 0 for i in range(r)) for s in range(r))
+    """Generator index pairs (i, j), i < j, of the Weyl denominator."""
+    return list(itertools.combinations(range(1, target.rank + 1), 2))
 
 
 def example3_verbatim_model() -> tuple[FlagTarget, TwistSpec, DivisorData]:
@@ -297,9 +263,9 @@ def example3_verbatim_model() -> tuple[FlagTarget, TwistSpec, DivisorData]:
     the grading admits lattice points with negative twist ranges, series
     assembly for this model must skip the nonconvex points.
     """
-    target = FlagTarget(base_dim=6, e_degrees=(0, 0, 0, 2), ranks=(3,))
-    twist = TwistSpec(weight_vectors=_standard_basis(3), rho=1)
-    return target, twist, DivisorData(a=8, b=(3,))
+    target = FlagTarget(base_dim=6, e_degrees=(0, 0, 0, 2), rank=3)
+    twist = TwistSpec(weight_vectors=standard_basis(3), rho=1)
+    return target, twist, DivisorData(a=8, b=3)
 
 
 def example3_normalized_model() -> tuple[FlagTarget, TwistSpec, DivisorData]:

@@ -1,7 +1,8 @@
 """Independent oracles and formal identity checks.
 
 Two kinds of safeguards live here.  The period oracles evaluate printed
-scalar sums (factorials and harmonic numbers) or, for the rank-3 pinned
+scalar sums (factorials and harmonic numbers; `oracle_blowup` covers every
+Fano blow-up model) or, for the rank-3 pinned
 configuration, read the unit coefficient off one staircase monomial of a
 product of univariate series; none uses the engine's polynomial ring or
 Weyl division, so engine results can be compared against genuinely
@@ -457,6 +458,43 @@ def r1_direct_period(
                 * math.factorial(d + e * D),
             )
             d += 1
+    return _regularise(raw)
+
+
+def oracle_blowup(
+    base_dim: int,
+    center_degrees: tuple[int, ...],
+    dmax: int,
+) -> tuple[Fraction, ...]:
+    """Regularised period of P^N, N = base_dim, blown up in degrees c_0..c_r.
+
+    The Euler-sequence sum, with C the degree-one coefficient:
+
+        e^(-C x) sum_{l >= 0} sum_{e=0}^{l min c} x^((N+1) l - r e)
+            prod_j (c_j l)! / (l!^(N+1) e! prod_j (c_j l - e)!).
+
+    The blow-up is the zero locus, in the toric bundle P = P(sum_j O(c_j))
+    over P^N, of a section of Q = pi^*F / O(-P) with F = sum_j O(c_j).  The
+    sum twists the toric I-function by pi^*F, divides out the factor of
+    O(-P) and sets H = P = 0.  That twist by O(-P) is formal: O(-P) is not
+    convex, so quantum Lefschetz does not cover it, and agreement with the
+    engine is evidence, not proof.  Needs N + 1 > r max c (a Fano blow-up).
+    """
+    c, N = tuple(center_degrees), base_dim
+    r = len(c) - 1
+    if N + 1 <= r * max(c):
+        raise ValueError("oracle_blowup needs N + 1 > r * max(c)")
+    raw = [Fraction(0)] * (dmax + 1)
+    l = 0
+    while (N + 1 - r * min(c)) * l <= dmax:  # the lowest degree at this l
+        for e in range(l * min(c) + 1):
+            deg = (N + 1) * l - r * e
+            if deg <= dmax:
+                num = math.prod(math.factorial(cj * l) for cj in c)
+                den = math.factorial(l) ** (N + 1) * math.factorial(e)
+                den *= math.prod(math.factorial(cj * l - e) for cj in c)
+                raw[deg] += Fraction(num, den)
+        l += 1
     return _regularise(raw)
 
 

@@ -21,16 +21,17 @@ from grperiod.summands import SummandContext, TwistRangeError
 from grperiod.targets import (
     BlowUpSpec,
     CurveClass,
+    class_enumeration,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
 )
-from grperiod.validation import oracle_pinned_verbatim
+from grperiod.validation import oracle_blowup, oracle_pinned_verbatim
 
 # Regularised series of the worked models.  The first three are frozen from
 # the independent closed-form sums in grperiod.validation; VERBATIM_REGULARISED
-# is checked against oracle_pinned_verbatim below; NORMALIZED_P6_1112_REGULARISED
-# has no independent source yet.
+# is checked against oracle_pinned_verbatim and NORMALIZED_P6_1112_REGULARISED
+# against oracle_blowup below.
 P4_112_REGULARISED = (1, 0, 0, 12, 0, 120, 540, 0, 20160, 33600, 113400, 2772000, 2425500)
 P6_122_REGULARISED = (1, 0, 0, 0, 0, 480, 0, 5040, 0, 0, 4082400, 0, 119750400, 0, 681080400)
 BLPT_P2_REGULARISED = (1, 0, 2, 6, 6, 60, 110, 420, 1750)
@@ -62,18 +63,18 @@ def test_unit_coefficients_p6(p6_122):
 
 def test_correction_vanishes_for_p4(p4_112):
     corr = correction_C(*p4_112)
-    assert corr.entries == ((CurveClass(D=1, k=(0,)), Fraction(0)),)
+    assert corr.entries == ((CurveClass(D=1, k=0), Fraction(0)),)
     assert corr.total == 0
 
 
 def test_correction_vanishes_for_p6(p6_122):
     corr = correction_C(*p6_122)
-    assert corr.entries == ((CurveClass(D=1, k=(-2,)), Fraction(0)),)
+    assert corr.entries == ((CurveClass(D=1, k=-2), Fraction(0)),)
 
 
 def test_correction_counts_exceptional_lines(blpt_p2):
     corr = correction_C(*blpt_p2)
-    assert corr.entries == ((CurveClass(D=0, k=(1,)), Fraction(1)),)
+    assert corr.entries == ((CurveClass(D=0, k=1), Fraction(1)),)
     assert corr.total == 1
 
 
@@ -149,10 +150,14 @@ def test_normalized_p6_1112_series():
     )
 
 
+def test_normalized_p6_1112_series_equals_oracle():
+    assert oracle_blowup(6, (1, 1, 1, 2), 15) == NORMALIZED_P6_1112_REGULARISED
+
+
 def test_nonconvex_points_error_unless_skipped():
     target, twist, divisor = example3_verbatim_model()
     ctx = SummandContext.for_target(target, twist)
-    cls = CurveClass(D=1, k=(-1,))
+    cls = CurveClass(D=1, k=-1)
     with pytest.raises(TwistRangeError):
         class_numerator(cls, ctx)
     class_numerator(cls, ctx, skip_nonconvex=True)  # does not raise
@@ -172,6 +177,19 @@ def test_budget_guard(p4_112):
     with pytest.raises(WorkBudgetError):
         period_series(target, twist, 8, budget=1)
     period_series(target, twist, 8, budget=None)  # opt out
+
+
+def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
+    degrees = []
+
+    def counted(target, twist, x_deg, divisor=None):
+        degrees.append(x_deg)
+        return class_enumeration(target, twist, x_deg, divisor)
+
+    monkeypatch.setattr("grperiod.assembler.class_enumeration", counted)
+    period_series(*p4_112, 8)
+    # degrees 0..8 once for the budget estimate and the sum, and 1 for correction_C
+    assert sorted(degrees) == [0, 1, 1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_numerator_is_weyl_alternating(p4_112):
@@ -203,8 +221,8 @@ def test_twist_level_never_changes_the_period_p6(k):
 def test_correction_is_a_fraction_sum():
     corr = Correction(
         entries=(
-            (CurveClass(D=0, k=(1,)), Fraction(1)),
-            (CurveClass(D=1, k=(0,)), Fraction(2)),
+            (CurveClass(D=0, k=1), Fraction(1)),
+            (CurveClass(D=1, k=0), Fraction(2)),
         )
     )
     assert corr.total == 3

@@ -12,6 +12,7 @@ from grperiod.cli import (
     parse_records,
     run_validation_suite,
 )
+from grperiod.validation import oracle_blowup
 
 P4_ARGS = ["--base-dim", "4", "--center-degrees", "1,1,2"]
 
@@ -143,6 +144,24 @@ def test_target_mode_general_twist_rows_match_reference(
     assert dict(parse_records(fast))[8] == 2419200
 
 
+def test_target_mode_takes_a_single_rank(tmp_path, capsys):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("mode = target\nbase_dim = 3\ne_degrees = 0,0,0\nranks = 1,1\nrho = 1\n")
+    rc, _, err = run(capsys, ["period", "--config", str(cfg), "--dmax", "2"])
+    assert rc == 1
+    assert "bad value for ranks" in err
+
+
+def test_default_twist_level_and_unbounded_twist_level(capsys):
+    argv = ["period", "--base-dim", "4", "--center-degrees", "1,2,2", "--dmax", "9"]
+    rc, out, err = run(capsys, [*argv, "--format", "records"])
+    assert rc == 0, err
+    assert tuple(v for _, v in parse_records(out)) == oracle_blowup(4, (1, 2, 2), 9)
+    rc, _, err = run(capsys, [*argv, "--twist-k", "3"])
+    assert rc == 1
+    assert "GradingError" in err
+
+
 def test_verbatim_mode_reports_mismatch(capsys):
     rc, out, _ = run(capsys, ["period", "--mode", "example3-verbatim", "--dmax", "8"])
     assert rc == 0
@@ -218,7 +237,7 @@ def test_jreport_units_and_corrections(capsys):
     rc, out, _ = run(capsys, ["jreport", *P4_ARGS, "--dmax", "3"])
     assert rc == 0
     assert "  3: unit 2 z-power -2" in out
-    assert "  class D=1 k=(0,): n=0" in out
+    assert "  class D=1 k=0: n=0" in out
 
 
 def test_work_budget_env(monkeypatch, capsys):

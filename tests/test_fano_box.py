@@ -1,0 +1,53 @@
+"""Twist levels on a box of Fano blow-ups, against the Euler-sequence oracle.
+
+The box holds every blow-up of P^N, N <= 8, in degrees c_0 <= ... <= c_r
+from {1, 2, 3} with 1 <= r <= 3, r + 1 <= N and N + 1 > r * max(c): 95
+specs.  Every twist level k presents the same blow-up, so each k must give
+the oracle's series or raise GradingError; none may give a wrong series.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+from grperiod.assembler import period_series
+from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
+from grperiod.validation import oracle_blowup
+
+DMAX = 10
+FANO_BOX = [
+    (N, c)
+    for N in range(2, 9)
+    for r in range(1, 4)
+    for c in combinations_with_replacement((1, 2, 3), r + 1)
+    if r + 1 <= N and N + 1 > r * max(c)
+]
+
+
+def _period(base_dim, degrees, twist_k=None):
+    return period_series(*normalize_blowup(BlowUpSpec(base_dim, degrees), twist_k), DMAX).regularised
+
+
+def test_every_twist_level_equals_the_oracle_or_raises():
+    assert len(FANO_BOX) == 95
+    for base_dim, degrees in FANO_BOX:
+        expected = oracle_blowup(base_dim, degrees, DMAX)
+        for k in range(-1, max(degrees) + 3):
+            try:
+                got = _period(base_dim, degrees, k)
+            except GradingError:
+                continue
+            assert got == expected, (base_dim, degrees, k)
+
+
+def test_default_twist_level_in_either_centre_order_equals_the_oracle():
+    for base_dim, degrees in FANO_BOX:
+        expected = oracle_blowup(base_dim, degrees, DMAX)
+        assert _period(base_dim, degrees) == expected, (base_dim, degrees)
+        assert _period(base_dim, degrees[::-1]) == expected, (base_dim, degrees)
+
+
+def test_p4_122_at_twist_level_3_raises():
+    # every e_j = 3 - c_j > 0 there, and that level used to give all zeros
+    with pytest.raises(GradingError):
+        _period(4, (1, 2, 2), 3)

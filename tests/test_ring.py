@@ -10,7 +10,6 @@ from grperiod.ring import (
     PackedRing,
     RingUsageError,
     divide_linear,
-    exp_nilpotent,
     poly_mul,
     unit_inverse,
     vandermonde_divide,
@@ -79,24 +78,6 @@ def test_unit_inverse_rejects_nonunit():
 @given(units)
 def test_unit_inverse_round_trip(p):
     assert poly_mul(p, unit_inverse(p)) == const(1)
-
-
-def test_exp_nilpotent_small():
-    e = exp_nilpotent(h(0, 1, 2))
-    assert e == GradedPoly(
-        1, 2, {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(1, 2)}
-    )
-
-
-def test_exp_nilpotent_rejects_constant():
-    with pytest.raises(RingUsageError):
-        exp_nilpotent(const(1))
-
-
-@given(polys)
-def test_exp_of_opposites_cancels(p):
-    nil = p - const(p.constant_term())
-    assert poly_mul(exp_nilpotent(nil), exp_nilpotent(-nil)) == const(1)
 
 
 def test_divide_linear_difference_of_squares():

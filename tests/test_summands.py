@@ -7,15 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from grperiod.ring import GradedPoly, poly_mul, unit_inverse
 from grperiod.summands import (
-    LambdaSeries,
     SingularFactorError,
     SummandContext,
     TwistRangeError,
     base_j_factor,
-    brown_summand,
     factor_ratio,
     flag_factor,
-    modification_factor,
     oh_summand,
     twist_factor,
     twist_uppers,
@@ -89,13 +86,13 @@ def test_context_default_cap_is_weyl_degree(p4_112):
 
 
 def test_base_factor_p4_degree1():
-    target = FlagTarget(base_dim=4, e_degrees=(0, 0, -1), ranks=(2,))
+    target = FlagTarget(base_dim=4, e_degrees=(0, 0, -1), rank=2)
     ctx = SummandContext.for_target(target, cap=1)
     assert base_j_factor(1, ctx) == const(1, 3, 1) - gen(0, 3, 1).scale(5)
 
 
 def test_base_factor_constant_term_only():
-    target = FlagTarget(base_dim=1, e_degrees=(0,), ranks=(1,))
+    target = FlagTarget(base_dim=1, e_degrees=(0,), rank=1)
     ctx = SummandContext.for_target(target, cap=0)
     assert base_j_factor(2, ctx) == const(Fraction(1, 4), 2, 0)
 
@@ -104,13 +101,13 @@ def test_flag_factor_by_hand(p4_112):
     # e = (0, 0, -1), d = (1, 0), D = 1: the only surviving slots at cap 1
     # are 1/(h1 + 1)^2 and the nilpotent (h2 - h) from the negative range.
     ctx = p4_ctx(p4_112)
-    got = flag_factor((1, 0), CurveClass(D=1, k=(1,)), ctx)
+    got = flag_factor((1, 0), CurveClass(D=1, k=1), ctx)
     assert got == gen(2, 3, 1) - gen(0, 3, 1)
 
 
 def test_flag_factor_against_slotwise_product(p4_112):
     ctx = p4_ctx(p4_112, cap=1, z=2)
-    d, cls = (0, 1), CurveClass(D=2, k=(1,))
+    d, cls = (0, 1), CurveClass(D=2, k=1)
     expected = ctx.one()
     h = ctx.h()
     for idx, i in enumerate((1, 2)):
@@ -139,14 +136,14 @@ def test_weyl_sign_is_exact_int(p4_112):
 
 def test_twist_uppers(p4_112, p6_122):
     _, twist = p4_112
-    assert twist_uppers(twist, CurveClass(D=1, k=(1,)), (1, 0)) == [2, 1]
+    assert twist_uppers(twist, CurveClass(D=1, k=1), (1, 0)) == [2, 1]
     _, twist2 = p6_122
-    assert twist_uppers(twist2, CurveClass(D=1, k=(-2,)), (-1, -1)) == [1, 1]
+    assert twist_uppers(twist2, CurveClass(D=1, k=-2), (-1, -1)) == [1, 1]
 
 
 def test_twist_factor_p4(p4_112):
     ctx = p4_ctx(p4_112)
-    got = twist_factor((1, 0), CurveClass(D=1, k=(1,)), ctx)
+    got = twist_factor((1, 0), CurveClass(D=1, k=1), ctx)
     h, h1, h2 = (gen(i, 3, 1) for i in range(3))
     expected = poly_mul(poly_mul(h1 + h + 1, h1 + h + 2), h2 + h + 1)
     assert got == expected
@@ -155,7 +152,7 @@ def test_twist_factor_p4(p4_112):
 def test_twist_factor_p6(p6_122):
     target, twist = p6_122
     ctx = SummandContext.for_target(target, twist)
-    got = twist_factor((-1, -1), CurveClass(D=1, k=(-2,)), ctx)
+    got = twist_factor((-1, -1), CurveClass(D=1, k=-2), ctx)
     h, h1, h2 = (gen(i, 3, 1) for i in range(3))
     expected = poly_mul(h1 + h.scale(2) + 1, h2 + h.scale(2) + 1)
     assert got == expected
@@ -164,20 +161,20 @@ def test_twist_factor_p6(p6_122):
 def test_twist_factor_refuses_negative_range(p4_112):
     ctx = p4_ctx(p4_112)
     with pytest.raises(TwistRangeError):
-        twist_factor((-1, 0), CurveClass(D=0, k=(-1,)), ctx)
+        twist_factor((-1, 0), CurveClass(D=0, k=-1), ctx)
 
 
 def test_empty_twist_contributes_one(p4_112):
     target, _ = p4_112
     ctx = SummandContext.for_target(target)
-    assert twist_factor((1, 0), CurveClass(D=1, k=(1,)), ctx) == ctx.one()
+    assert twist_factor((1, 0), CurveClass(D=1, k=1), ctx) == ctx.one()
 
 
 def test_oh_summand_has_leading_z(p4_112):
     # d = (0, 0) at D = 0: base and twist are 1, the Weyl numerator is
     # h1 - h2 with sign +1, so the summand is exactly z * (h1 - h2).
     ctx = p4_ctx(p4_112, z=3)
-    cls = CurveClass(D=0, k=(0,))
+    cls = CurveClass(D=0, k=0)
     assert graded_oh_summand((0, 0), cls, ctx) == (
         gen(1, 3, 1) - gen(2, 3, 1)
     ).scale(3)
@@ -198,10 +195,10 @@ def one_step_points(draw):
     r = draw(st.integers(min_value=1, max_value=3))
     e = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r + 2))
     target = FlagTarget(
-        base_dim=draw(st.integers(min_value=1, max_value=4)), e_degrees=tuple(e), ranks=(r,)
+        base_dim=draw(st.integers(min_value=1, max_value=4)), e_degrees=tuple(e), rank=r
     )
     d = tuple(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=r, max_size=r)))
-    cls = CurveClass(D=draw(st.integers(min_value=0, max_value=3)), k=(sum(d),))
+    cls = CurveClass(D=draw(st.integers(min_value=0, max_value=3)), k=sum(d))
     rho = draw(st.integers(min_value=-1, max_value=2))
     rows = st.lists(
         st.lists(st.integers(min_value=-1, max_value=2), min_size=1, max_size=r + 1).map(tuple),
@@ -247,25 +244,18 @@ def test_oh_summand_equals_reference_product(reference_summand, case):
 )
 @pytest.mark.parametrize("z", [Fraction(1), Fraction(-1, 2)])
 def test_oh_summand_nonstandard_rows(reference_summand, rows, z):
-    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), ranks=(2,))
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=2)
     ctx = SummandContext.for_target(target, TwistSpec(rows, 1), z=z, cap=2)
     for d in ((0, 0), (2, 1), (1, 3), (-1, 2)):
         for D in (0, 1, 2):
-            cls = CurveClass(D=D, k=(sum(d),))
+            cls = CurveClass(D=D, k=sum(d))
             got = _outcome(graded_oh_summand, d, cls, ctx)
             assert got == _outcome(reference_summand, d, cls, ctx), (d, D)
 
 
-def test_oh_summand_rejects_multi_step():
-    target = FlagTarget(base_dim=3, e_degrees=(0, 0, 0), ranks=(1, 1))
-    ctx = SummandContext.for_target(target, cap=1)
-    with pytest.raises(NotImplementedError):
-        oh_summand((0, 0), CurveClass(D=0, k=(0, 0)), ctx)
-
-
 def test_context_caches_repeat_parts(p4_112):
     ctx = p4_ctx(p4_112, z=2)
-    cls = CurveClass(D=2, k=(1,))
+    cls = CurveClass(D=2, k=1)
     first = oh_summand((1, 0), cls, ctx)
     assert ctx.root_factor(0, 1, 2) is ctx.root_factor(0, 1, 2)
     assert ctx.weyl_factor(0, 1, 1) is ctx.weyl_factor(0, 1, 1)
@@ -280,12 +270,12 @@ def test_context_caches_repeat_parts(p4_112):
 
 def test_shared_parts_across_points_classes_and_degrees(reference_summand):
     # twist rows that differ per root, plus one general row over two roots
-    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), ranks=(3,))
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
     twist = TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 1)
     z = Fraction(3, 2)
     ctx = SummandContext.for_target(target, twist, z=z)
     points = [
-        (d, CurveClass(D=D, k=(sum(d),)))
+        (d, CurveClass(D=D, k=sum(d)))
         for d in itertools.product(range(-1, 3), repeat=3)
         for D in (0, 1, 2)
     ]
@@ -302,71 +292,3 @@ def test_slot_series_matches_factor_ratio(p4_112):
     for upper in (3, -2, 1, 0, -4, 5):
         series = GradedPoly(1, 3, {(k,): c for k, c in enumerate(ctx.slot_series(upper))})
         assert series == factor_ratio(h, upper, ctx.z)
-
-
-@given(
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=3),
-)
-def test_rank_one_summand_agrees_with_projective_form(blpt_p2, D, k):
-    target, twist = blpt_p2
-    ctx = SummandContext.for_target(target, twist)
-    cls = CurveClass(D=D, k=(k,))
-    assert graded_oh_summand((k,), cls, ctx) == brown_summand((k,), cls, ctx)
-
-
-def test_brown_summand_rejects_higher_rank(p4_112):
-    ctx = p4_ctx(p4_112)
-    with pytest.raises(ValueError):
-        brown_summand((0, 0), CurveClass(D=0, k=(0,)), ctx)
-
-
-def test_modification_factor_linear():
-    f = gen(0, 1, 1)
-    series = modification_factor(f, 1, 1)
-    assert series.coefficient(1) == const(1, 1, 1)
-    assert series.coefficient(0) == f + 1
-    assert series.coefficient(-1).is_zero()
-
-
-def test_modification_factor_trivial_range():
-    f = gen(0, 1, 1)
-    series = modification_factor(f, 0, 1)
-    assert series.coefficient(0) == const(1, 1, 1)
-    assert series.max_power() == 0
-
-
-def test_modification_factor_inverse_expansion():
-    f = gen(0, 1, 2)
-    series = modification_factor(f, -1, 1, lam_min=-4)
-    # 1/(lambda + f): alternating geometric tail in 1/lambda.
-    assert series.coefficient(-1) == const(1, 1, 2)
-    assert series.coefficient(-2) == -f
-    assert series.coefficient(-3) == poly_mul(f, f)
-    assert series.lo <= -4
-
-
-def test_modification_factor_negative_product_is_exact_to_lo():
-    f = gen(0, 1, 1) + 1
-    direct = modification_factor(f, -2, 1, lam_min=-5)
-    # multiply back by the two moved factors and check we recover 1 on the
-    # exact window.
-    back = direct.mul(modification_factor(f - 1, 1, 1, lam_min=-5).scale(1))
-    # (f - 1) + lambda + z reproduces the m = 0 factor lambda + f; the m = -1
-    # factor is lambda + f - 1.
-    back = back.mul(
-        LambdaSeries(1, 1, -5, {1: const(1, 1, 1), 0: f - 1})
-    )
-    for p in range(back.lo, 0):
-        assert back.coefficient(p).is_zero(), p
-    assert back.coefficient(0) == const(1, 1, 1)
-
-
-def test_lambda_series_mul_tracks_exactness():
-    one = const(1, 1, 1)
-    a = LambdaSeries(1, 1, -3, {0: one, -1: one})
-    b = LambdaSeries(1, 1, -2, {1: one})
-    prod = a.mul(b)
-    assert prod.lo == max(-3 + 1, -2 + 0)
-    assert prod.coefficient(1) == one
-    assert prod.coefficient(0) == one

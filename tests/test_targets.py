@@ -10,11 +10,9 @@ from grperiod.targets import (
     TwistSpec,
     all_weyl_pairs,
     anticanonical,
-    block_index_ranges,
     class_enumeration,
     example3_normalized_model,
     example3_verbatim_model,
-    fano_index_classes,
     lattice_floor,
     lattice_range,
     normalize_blowup,
@@ -23,7 +21,7 @@ from grperiod.targets import (
 
 def test_normalize_p4_112(p4_112):
     target, twist = p4_112
-    assert target == FlagTarget(base_dim=4, e_degrees=(0, 0, -1), ranks=(2,))
+    assert target == FlagTarget(base_dim=4, e_degrees=(0, 0, -1), rank=2)
     assert twist == TwistSpec(weight_vectors=((1, 0), (0, 1)), rho=1)
 
 
@@ -35,7 +33,7 @@ def test_normalize_p6_122_at_k2(p6_122):
 
 def test_normalize_single_hypersurface_center(blpt_p2):
     target, twist = blpt_p2
-    assert target.ranks == (1,)
+    assert target.rank == 1
     assert target.e_degrees == (0, 0)
     assert target.omega_degree == 0
 
@@ -60,27 +58,27 @@ def test_normalize_rejects_nonpositive_degrees():
 
 def test_flag_target_validation():
     with pytest.raises(ValueError):
-        FlagTarget(base_dim=4, e_degrees=(0,), ranks=(2,))
+        FlagTarget(base_dim=4, e_degrees=(0,), rank=2)
     with pytest.raises(ValueError):
-        FlagTarget(base_dim=4, e_degrees=(0, 0), ranks=(0,))
+        FlagTarget(base_dim=4, e_degrees=(0, 0), rank=0)
 
 
 def test_nvars_and_cap():
-    target = FlagTarget(base_dim=6, e_degrees=(0, 0, 0, 2), ranks=(3,))
+    target = FlagTarget(base_dim=6, e_degrees=(0, 0, 0, 2), rank=3)
     assert target.nvars == 4
     assert target.omega_degree == 3
 
 
 def test_anticanonical_p4_112(p4_112):
     ambient, zero = anticanonical(*p4_112)
-    assert ambient == DivisorData(a=3, b=(3,))
-    assert zero == DivisorData(a=1, b=(2,))
+    assert ambient == DivisorData(a=3, b=3)
+    assert zero == DivisorData(a=1, b=2)
 
 
 def test_anticanonical_p6_122(p6_122):
     ambient, zero = anticanonical(*p6_122)
-    assert ambient == DivisorData(a=9, b=(3,))
-    assert zero == DivisorData(a=5, b=(2,))
+    assert ambient == DivisorData(a=9, b=3)
+    assert zero == DivisorData(a=5, b=2)
 
 
 def test_anticanonical_empty_twist_is_ambient(p4_112):
@@ -97,39 +95,37 @@ def test_anticanonical_rejects_unbalanced_twist(p4_112):
 
 
 def test_divisor_pairing():
-    div = DivisorData(a=1, b=(2,))
-    assert div.pairing(CurveClass(D=1, k=(1,))) == 3
-    with pytest.raises(ValueError):
-        div.pairing(CurveClass(D=1, k=(1, 1)))
+    div = DivisorData(a=1, b=2)
+    assert div.pairing(CurveClass(D=1, k=1)) == 3
 
 
 def test_class_enumeration_p4_112_degree3(p4_112):
     classes = class_enumeration(*p4_112, x_deg=3)
-    assert classes == [CurveClass(D=1, k=(1,)), CurveClass(D=3, k=(0,))]
+    assert classes == [CurveClass(D=1, k=1), CurveClass(D=3, k=0)]
 
 
 def test_class_enumeration_p6_122_degree1(p6_122):
     classes = class_enumeration(*p6_122, x_deg=1)
-    assert classes == [CurveClass(D=1, k=(-2,))]
+    assert classes == [CurveClass(D=1, k=-2)]
 
 
 def test_class_enumeration_respects_explicit_divisor(p4_112):
     target, twist = p4_112
-    assert class_enumeration(target, twist, 3, DivisorData(a=2, b=(2,))) == []
+    assert class_enumeration(target, twist, 3, DivisorData(a=2, b=2)) == []
 
 
 def test_class_enumeration_rejects_bad_grading(p4_112):
     target, twist = p4_112
     with pytest.raises(GradingError):
-        class_enumeration(target, twist, 2, DivisorData(a=1, b=(0,)))
+        class_enumeration(target, twist, 2, DivisorData(a=1, b=0))
     with pytest.raises(GradingError):
-        class_enumeration(target, twist, 2, DivisorData(a=0, b=(-1,)))
+        class_enumeration(target, twist, 2, DivisorData(a=0, b=-1))
 
 
 def test_class_enumeration_verbatim_grading_terminates():
     target, twist, divisor = example3_verbatim_model()
     classes = class_enumeration(target, twist, 8, divisor)
-    assert CurveClass(D=1, k=(0,)) in classes
+    assert CurveClass(D=1, k=0) in classes
     assert all(divisor.pairing(cls) == 8 for cls in classes)
 
 
@@ -142,19 +138,18 @@ def test_lattice_floor_examples(p4_112, p6_122):
 
 def test_lattice_range_negative_fiber_degree(p6_122):
     target, _ = p6_122
-    points = list(lattice_range(target, CurveClass(D=1, k=(-2,))))
+    points = list(lattice_range(target, CurveClass(D=1, k=-2)))
     assert points == [(-1, -1)]
 
 
 def test_fano_index_classes(p4_112, p6_122, blpt_p2):
-    assert fano_index_classes(*p4_112) == [CurveClass(D=1, k=(0,))]
-    assert fano_index_classes(*p6_122) == [CurveClass(D=1, k=(-2,))]
-    assert fano_index_classes(*blpt_p2) == [CurveClass(D=0, k=(1,))]
+    assert class_enumeration(*p4_112, 1) == [CurveClass(D=1, k=0)]
+    assert class_enumeration(*p6_122, 1) == [CurveClass(D=1, k=-2)]
+    assert class_enumeration(*blpt_p2, 1) == [CurveClass(D=0, k=1)]
 
 
 def test_block_structure_r3():
     target, _, _ = example3_verbatim_model()
-    assert block_index_ranges(target) == [(1, 4)]
     assert all_weyl_pairs(target) == [(1, 2), (1, 3), (2, 3)]
 
 
@@ -165,7 +160,7 @@ def test_normalized_model_matches_blowup_constructor():
     )
     assert target == expected_target
     assert twist == expected_twist
-    assert divisor == DivisorData(a=1, b=(3,))
+    assert divisor == DivisorData(a=1, b=3)
 
 
 @given(
@@ -175,7 +170,7 @@ def test_normalized_model_matches_blowup_constructor():
 def test_lattice_points_sum_to_fiber_degree(k, D):
     target, _ = normalize_blowup(BlowUpSpec(6, (1, 2, 2)), twist_k=2)
     lo = lattice_floor(target, D)
-    for point in lattice_range(target, CurveClass(D=D, k=(k,))):
+    for point in lattice_range(target, CurveClass(D=D, k=k)):
         assert sum(point) == k
         assert all(di >= lo for di in point)
 

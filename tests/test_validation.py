@@ -14,6 +14,7 @@ from grperiod.validation import (
     g_series,
     harmonic,
     modification_log_formal,
+    oracle_blowup,
     oracle_example1,
     oracle_example2,
     oracle_pinned_verbatim,
@@ -148,6 +149,7 @@ def test_oracles_trivial_degree_zero():
     assert oracle_example1(0) == (1,)
     assert oracle_example2(0) == (1,)
     assert oracle_pinned_verbatim(0) == (1,)
+    assert oracle_blowup(4, (1, 2, 2), 0) == (1,)
 
 
 def test_oracle_pinned_verbatim_matches_engine_through_x20():
@@ -170,6 +172,28 @@ def test_oracle_pinned_verbatim_needs_no_engine_module(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, standalone)
     spec.loader.exec_module(standalone)
     assert standalone.oracle_pinned_verbatim(15) == oracle_pinned_verbatim(15)
+
+
+def test_oracle_blowup_needs_no_engine_module(monkeypatch):
+    for name in ("ring", "summands", "targets", "assembler"):
+        monkeypatch.setitem(sys.modules, f"grperiod.{name}", None)
+    path = oracle_blowup.__code__.co_filename
+    spec = importlib.util.spec_from_file_location("standalone_validation", path)
+    standalone = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, standalone)
+    spec.loader.exec_module(standalone)
+    assert standalone.oracle_blowup(4, (1, 2, 2), 9) == oracle_blowup(4, (1, 2, 2), 9)
+
+
+def test_oracle_blowup_matches_the_other_oracles():
+    assert oracle_blowup(4, (1, 2, 2), 9) == (1, 0, 0, 24, 0, 120, 3240, 0, 40320, 672000)
+    assert oracle_blowup(4, (1, 1, 2), 12) == oracle_example1(12)
+    assert oracle_blowup(6, (1, 2, 2), 14) == oracle_example2(14)
+    for base_dim, degrees in ((2, (1, 1)), (3, (1, 1)), (3, (1, 2)), (5, (2, 2))):
+        assert oracle_blowup(base_dim, degrees, 14) == r1_direct_period(base_dim, degrees, 14)
+    assert oracle_blowup(3, (1, 2), 60) == r1_direct_period(3, (1, 2), 60)
+    with pytest.raises(ValueError):
+        oracle_blowup(6, (1, 1, 1, 3), 5)  # not Fano: N + 1 <= r * max(c)
 
 
 def test_r1_direct_blpt_p2():
