@@ -20,11 +20,13 @@ Three structural facts keep this cheap and are relied on throughout:
   is the same check as the sequential linear division `ring.vandermonde_divide`
   (still used by `grperiod validate` to cross-check it).
 
-* Points below the lattice floor are excluded up front (their slot factors
+* Points below the lattice floor are never generated (their slot factors
   carry the full Chern relation of E and vanish in cohomology, but not in
-  the free truncated ring), and points whose forced nilpotent degree
-  already exceeds the cap are skipped purely for speed: truncation would
-  kill them anyway.
+  the free truncated ring).  Nor, purely for speed, are points whose forced
+  nilpotent degree exceeds the cap, which truncation would kill anyway:
+  `targets.lattice_range` prunes them while it builds each point, together
+  with the nonconvex points of local twist rows when those are skipped.
+  The per-point filters in `class_numerator` remain as guards.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .targets import (
     class_enumeration,
     lattice_floor,
     lattice_range,
+    slot_count,
 )
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -83,9 +86,7 @@ def _forced_nilpotent_degree(
     """Lower bound on the nilpotent degree forced into a point's summand."""
     forced = 0
     for di in d:
-        for e in target.e_degrees:
-            if di + e * D < 0:
-                forced += 1
+        forced += slot_count(target, di, D)
     r = len(d)
     for i in range(r):
         for j in range(i + 1, r):
@@ -101,12 +102,17 @@ def class_numerator(
 ) -> tuple[list, int]:
     """Aggregate summand of one curve class (numerator, before Weyl division).
 
-    The result is a packed value of ctx.kernel.
+    Walks only the points `lattice_range` generates under the context's cap
+    and, when skip_nonconvex is set, under the bounds of the local twist
+    rows.  The per-point forced-nilpotent and twist-range tests stay as
+    guards: they skip only points of general twist rows (several nonzero
+    weights, or none) with a negative upper limit.  The result is a packed
+    value of ctx.kernel.
     """
     target = ctx.target
     cap = ctx.cap
     summands = []
-    for d in lattice_range(target, cls):
+    for d in lattice_range(target, cls, cap, ctx.twist if skip_nonconvex else None):
         if _forced_nilpotent_degree(target, d, cls.D) > cap:
             continue
         if skip_nonconvex and ctx.twist is not None:
@@ -209,7 +215,7 @@ def estimate_points(
     divisor: DivisorData | None = None,
 ) -> int:
     """Upper bound on lattice points visited for degrees 0..dmax."""
-    return _point_count(target, _degree_classes(target, twist, dmax, divisor))
+    return sum(_point_counts(target, _degree_classes(target, twist, dmax, divisor)))
 
 
 def _degree_classes(
@@ -219,15 +225,19 @@ def _degree_classes(
     return [class_enumeration(target, twist, x_deg, divisor) for x_deg in range(dmax + 1)]
 
 
-def _point_count(target: FlagTarget, degree_classes: list[list[CurveClass]]) -> int:
-    """Lattice points at or above the floor in the given classes."""
+def _point_counts(target: FlagTarget, degree_classes: list[list[CurveClass]]) -> list[int]:
+    """Lattice points at or above the floor in the classes of each degree.
+
+    An upper bound on the points `lattice_range` generates under a cap.
+    """
     r = target.rank
-    count = 0
-    for classes in degree_classes:
-        for cls in classes:
-            span = cls.k - r * lattice_floor(target, cls.D)
-            count += math.comb(span + r - 1, r - 1)
-    return count
+    return [
+        sum(
+            math.comb(cls.k - r * lattice_floor(target, cls.D) + r - 1, r - 1)
+            for cls in classes
+        )
+        for classes in degree_classes
+    ]
 
 
 def period_series(
@@ -250,10 +260,13 @@ def period_series(
         raise ValueError("dmax must be nonnegative")
     degree_classes = _degree_classes(target, twist, dmax, divisor)
     if budget is not None:
-        estimate = _point_count(target, degree_classes)
+        counts = _point_counts(target, degree_classes)
+        estimate = sum(counts)
         if estimate > budget:
+            per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
             raise WorkBudgetError(
-                f"estimated {estimate} lattice points exceeds budget {budget}"
+                f"estimated {estimate} lattice points exceeds budget {budget} "
+                f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     # one context, so its factor caches are shared by every degree

@@ -346,21 +346,19 @@ def run_validation_suite(flip_b1: bool = False) -> list[tuple[str, validation.Ch
         validation.CheckResult(not bad, f"failing degrees {bad}" if bad else ""),
     )
 
-    engine1 = period_series(t1, w1, 10).regularised
-    oracle1 = validation.oracle_example1(10)
-    diff1 = [d for d in range(11) if engine1[d] != oracle1[d]]
-    record(
-        "oracle-blowup-p4-112",
-        validation.CheckResult(not diff1, f"differs at {diff1}" if diff1 else ""),
-    )
-
-    engine2 = period_series(t2, w2, 10).regularised
-    oracle2 = validation.oracle_example2(10)
-    diff2 = [d for d in range(11) if engine2[d] != oracle2[d]]
-    record(
-        "oracle-blowup-p6-122",
-        validation.CheckResult(not diff2, f"differs at {diff2}" if diff2 else ""),
-    )
+    # the Euler-sequence check runs the engine at its default twist level
+    for name, model, oracle in (
+        ("oracle-blowup-p4-112", (t1, w1), validation.oracle_example1(10)),
+        ("oracle-blowup-p6-122", (t2, w2), validation.oracle_example2(10)),
+        (
+            "oracle-blowup-euler",
+            normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2))),
+            validation.oracle_blowup(6, (1, 1, 1, 2), 10),
+        ),
+    ):
+        engine = period_series(*model, 10).regularised
+        diff = [d for d in range(11) if engine[d] != oracle[d]]
+        record(name, validation.CheckResult(not diff, f"differs at {diff}" if diff else ""))
 
     for name, spec, kmin, kmax in (
         ("k-invariance-112", BlowUpSpec(4, (1, 1, 2)), 1, 2),

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, poly_mul, unit_inverse
-from .targets import CurveClass, FlagTarget, TwistSpec
+from .targets import CurveClass, FlagTarget, TwistSpec, split_twist_rows
 
 
 class SingularFactorError(ZeroDivisionError):
@@ -83,19 +83,9 @@ class SummandContext:
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
-        r = self.target.rank
-        local: tuple[list[int], ...] = tuple([] for _ in range(r))
-        general = []
-        rows = self.twist.weight_vectors if self.twist is not None else ()
-        for s, row in enumerate(rows):
-            weights = [(i, f) for i, f in enumerate(row[:r]) if f]
-            if len(weights) == 1:
-                i, f = weights[0]
-                local[i].append(f)
-            else:
-                general.append(s)
-        object.__setattr__(self, "local_rows", tuple(tuple(w) for w in local))
-        object.__setattr__(self, "general_rows", tuple(general))
+        local, general = split_twist_rows(self.twist, self.target.rank)
+        object.__setattr__(self, "local_rows", local)
+        object.__setattr__(self, "general_rows", general)
         unit = (Fraction(1),) + (Fraction(0),) * self.cap
         self._slots[0] = unit
         self._twists[0] = unit

@@ -14,6 +14,7 @@ class h pulled back from P^N; generators 1..r are the Chern roots of S^v.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -99,6 +100,26 @@ def standard_basis(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == s else 0 for i in range(r)) for s in range(r))
 
 
+def split_twist_rows(
+    twist: TwistSpec | None, r: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(weights of the rows local to each root, indices of the general rows).
+
+    A row is local to root i when f_i is the only nonzero weight among its
+    first r; every other row, all-zero rows included, is general.
+    """
+    local: tuple[list[int], ...] = tuple([] for _ in range(r))
+    general = []
+    for s, row in enumerate(twist.weight_vectors if twist is not None else ()):
+        weights = [(i, f) for i, f in enumerate(row[:r]) if f]
+        if len(weights) == 1:
+            i, f = weights[0]
+            local[i].append(f)
+        else:
+            general.append(s)
+    return tuple(tuple(w) for w in local), tuple(general)
+
+
 def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[FlagTarget, TwistSpec]:
     """Grassmann-bundle model of the blow-up, for a chosen twist level k.
 
@@ -165,19 +186,86 @@ def lattice_floor(target: FlagTarget, D: int) -> int:
     return min(-e * D for e in target.e_degrees)
 
 
-def lattice_range(target: FlagTarget, cls: CurveClass) -> Iterator[tuple[int, ...]]:
-    """All fiber degree vectors d with sum(d) = k and d_i >= the floor."""
-    yield from _compositions(cls.k, target.rank, lattice_floor(target, cls.D))
+def slot_count(target: FlagTarget, di: int, D: int) -> int:
+    """Slots O(e_j) forced nilpotent on a root of fiber degree di at base degree D.
+
+    A slot with di + e_j * D < 0 puts its m = 0 factor, of positive degree
+    and no constant term, into the summand.
+    """
+    count = 0
+    for e in target.e_degrees:
+        if di + e * D < 0:
+            count += 1
+    return count
 
 
-def _compositions(total: int, parts: int, lo: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= lo:
-            yield (total,)
+def lattice_range(
+    target: FlagTarget,
+    cls: CurveClass,
+    cap: int | None = None,
+    twist: TwistSpec | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
+
+    Points come in lexicographic order.  With a cap, only the points whose
+    forced nilpotent degree -- slot_count summed over the roots, plus one
+    for each pair of equal fiber degrees -- is at most cap; truncation at
+    the cap kills the rest.  With a twist, only the points at which every
+    row local to a root i (split_twist_rows), of weight f, has
+    f * d_i + rho * D >= 0.
+
+    Both cuts are made while the point is built, and they are exact: a root
+    value spends budget (cap at the start) on its forced slots and on each
+    earlier root of the same value, and that spending only grows, so a
+    branch ends as soon as its budget is below zero.  A branch also ends
+    when the roots still to be placed cannot all reach a free value (one
+    that forces no slot) and the budget left is below what the cheapest
+    forced value costs.  A value outside a twist row's bound is never tried.
+    """
+    r, D, k = target.rank, cls.D, cls.k
+    lo = lattice_floor(target, D)
+    if r == 1 and twist is None:  # the class is the single point (k,)
+        if k >= lo and (cap is None or slot_count(target, k, D) <= cap):
+            yield (k,)
         return
-    for first in range(lo, total - lo * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, lo):
-            yield (first,) + rest
+    low, high = [lo] * r, [k - lo * (r - 1)] * r
+    if twist is not None:
+        rho_D = twist.rho * D
+        for i, weights in enumerate(split_twist_rows(twist, r)[0]):
+            for f in weights:
+                if f > 0:
+                    low[i] = max(low[i], -(rho_D // f))
+                else:
+                    high[i] = min(high[i], rho_D // -f)
+    if cap is None:
+        cap = r * len(target.e_degrees) + target.omega_degree  # what any point forces at most
+    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
+    free = thresholds[-1]
+    cheapest = len(thresholds) - bisect.bisect_right(thresholds, free - 1)
+    rest_low, rest_high, rest_free = [0] * r, [0] * r, [0] * r
+    for i in range(r - 1, 0, -1):
+        rest_low[i - 1] = rest_low[i] + low[i]
+        rest_high[i - 1] = rest_high[i] + high[i]
+        rest_free[i - 1] = rest_free[i] + max(free, low[i])
+    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest)
+    yield from _completions((), k, cap, plan)
+
+
+def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterator[tuple[int, ...]]:
+    """Points of lattice_range that start with head; the rest sums to total."""
+    low, high, rest_low, rest_high, rest_free, thresholds, cheapest = plan
+    i, n = len(head), len(thresholds)
+    start = max(low[i], total - rest_high[i])
+    if budget < n:  # below thresholds[n - 1 - budget], a value forces more than budget slots
+        start = max(start, thresholds[n - 1 - budget])
+    for v in range(start, min(high[i], total - rest_low[i]) + 1):
+        left = budget - (n - bisect.bisect_right(thresholds, v)) - head.count(v)
+        if left < 0 or (left < cheapest and total - v < rest_free[i]):
+            continue
+        if i + 1 == len(low):
+            yield head + (v,)
+        else:
+            yield from _completions(head + (v,), total - v, left, plan)
 
 
 def _vanishing_floor_count(target: FlagTarget) -> int:

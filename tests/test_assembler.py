@@ -179,6 +179,19 @@ def test_budget_guard(p4_112):
     period_series(target, twist, 8, budget=None)  # opt out
 
 
+def test_budget_error_names_the_estimate_per_degree(p4_112):
+    target, twist = p4_112
+    per_degree = [estimate_points(target, twist, 0)] + [
+        estimate_points(target, twist, d) - estimate_points(target, twist, d - 1)
+        for d in range(1, 9)
+    ]
+    with pytest.raises(WorkBudgetError) as exc:
+        period_series(target, twist, 8, budget=1)
+    listed = ", ".join(f"{d}: {n}" for d, n in enumerate(per_degree))
+    assert f"estimated {sum(per_degree)} lattice points" in str(exc.value)
+    assert f"(per degree {listed})" in str(exc.value)
+
+
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     degrees = []
 

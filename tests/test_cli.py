@@ -215,7 +215,7 @@ def test_validate_all_pass(capsys):
     rc, out, _ = run(capsys, ["validate"])
     assert rc == 0
     lines = out.splitlines()
-    assert lines[-1] == "14/14 checks passed"
+    assert lines[-1] == "15/15 checks passed"
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
@@ -229,8 +229,9 @@ def test_validation_suite_names_are_stable():
     names = [name for name, _ in run_validation_suite()]
     assert names[0] == "gamma-identity"
     assert "oracle-blowup-p4-112" in names
+    assert "oracle-blowup-euler" in names
     assert "r1-cross-check" in names
-    assert len(names) == len(set(names)) == 14
+    assert len(names) == len(set(names)) == 15
 
 
 def test_jreport_units_and_corrections(capsys):

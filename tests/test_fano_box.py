@@ -4,13 +4,14 @@ The box holds every blow-up of P^N, N <= 8, in degrees c_0 <= ... <= c_r
 from {1, 2, 3} with 1 <= r <= 3, r + 1 <= N and N + 1 > r * max(c): 95
 specs.  Every twist level k presents the same blow-up, so each k must give
 the oracle's series or raise GradingError; none may give a wrong series.
+At the default k every unit coefficient must also be z-homogeneous.
 """
 
 from itertools import combinations_with_replacement
 
 import pytest
 
-from grperiod.assembler import period_series
+from grperiod.assembler import period_series, z_scaling_report
 from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
 from grperiod.validation import oracle_blowup
 
@@ -45,6 +46,12 @@ def test_default_twist_level_in_either_centre_order_equals_the_oracle():
         expected = oracle_blowup(base_dim, degrees, DMAX)
         assert _period(base_dim, degrees) == expected, (base_dim, degrees)
         assert _period(base_dim, degrees[::-1]) == expected, (base_dim, degrees)
+
+
+def test_default_twist_level_is_z_homogeneous():
+    for base_dim, degrees in FANO_BOX:
+        rows = z_scaling_report(*normalize_blowup(BlowUpSpec(base_dim, degrees)), range(9), 2)
+        assert all(row.ok for row in rows), (base_dim, degrees, [r.degree for r in rows if not r.ok])
 
 
 def test_p4_122_at_twist_level_3_raises():

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from grperiod.assembler import _forced_nilpotent_degree, class_numerator
+from grperiod.summands import SummandContext, oh_summand, twist_uppers
 from grperiod.targets import (
     BlowUpSpec,
     CurveClass,
@@ -16,6 +20,8 @@ from grperiod.targets import (
     lattice_floor,
     lattice_range,
     normalize_blowup,
+    split_twist_rows,
+    standard_basis,
 )
 
 
@@ -181,3 +187,68 @@ def test_enumerated_classes_have_the_right_degree(x_deg):
     _, divisor = anticanonical(target, twist)
     for cls in class_enumeration(target, twist, x_deg):
         assert divisor.pairing(cls) == x_deg
+
+
+def test_lattice_range_without_cap_is_every_point_above_the_floor():
+    for e_degrees in itertools.product(range(-2, 3), repeat=3):
+        for r in (1, 2, 3):
+            target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
+            for D in range(3):
+                lo = lattice_floor(target, D)
+                for k in range(-4, 5):
+                    box = itertools.product(range(lo, k - lo * (r - 1) + 1), repeat=r)
+                    expected = [d for d in box if sum(d) == k]
+                    assert list(lattice_range(target, CurveClass(D=D, k=k))) == expected
+
+
+def test_pruned_lattice_range_equals_the_filtered_range():
+    # 125 e-vectors x 3 ranks x 4 base degrees x 16 fiber degrees x 5 caps
+    cases = 0
+    for e_degrees in itertools.product(range(-2, 3), repeat=3):
+        for r in (1, 2, 3):
+            target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
+            for D in range(4):
+                for k in range(-8, 8):
+                    cls = CurveClass(D=D, k=k)
+                    full = list(lattice_range(target, cls))
+                    forced = [_forced_nilpotent_degree(target, d, D) for d in full]
+                    for cap in range(5):
+                        expected = [d for d, f in zip(full, forced) if f <= cap]
+                        assert list(lattice_range(target, cls, cap)) == expected, (
+                            e_degrees, r, D, k, cap,
+                        )
+                        cases += 1
+    assert cases == 120_000
+
+
+NONCONVEX_MODELS = {
+    "standard basis": (FlagTarget(6, (0, 0, 0, 2), 3), TwistSpec(standard_basis(3), rho=1)),
+    "local row with f < 0": (FlagTarget(5, (0, -1, 1), 2), TwistSpec(((2, 0), (0, -1)), rho=1)),
+    "general row": (FlagTarget(5, (0, -1, 1), 2), TwistSpec(((1, 0), (1, -1)), rho=-1)),
+    "rank one": (FlagTarget(3, (0, -1), 1), TwistSpec(((-1,), (2,)), rho=1)),
+}
+
+
+@pytest.mark.parametrize("name", NONCONVEX_MODELS)
+def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
+    target, twist = NONCONVEX_MODELS[name]
+    ctx = SummandContext.for_target(target, twist)
+    all_local = not split_twist_rows(twist, target.rank)[1]
+    skipped = 0
+    for D in range(4):
+        for k in range(-6, 7):
+            cls = CurveClass(D=D, k=k)
+            kept = []
+            for d in lattice_range(target, cls):
+                if _forced_nilpotent_degree(target, d, D) > ctx.cap:
+                    continue
+                if any(u < 0 for u in twist_uppers(twist, cls, d)):
+                    skipped += 1
+                    continue
+                kept.append(d)
+            terms, den = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d in kept)
+            got_terms, got_den = class_numerator(cls, ctx, skip_nonconvex=True)
+            assert (dict(got_terms), got_den) == (dict(terms), den), (cls, kept)
+            if all_local:
+                assert list(lattice_range(target, cls, ctx.cap, twist)) == kept, cls
+    assert skipped > 0
