@@ -23,10 +23,12 @@ Three structural facts keep this cheap and are relied on throughout:
 * Points below the lattice floor are never generated (their slot factors
   carry the full Chern relation of E and vanish in cohomology, but not in
   the free truncated ring).  Nor, purely for speed, are points whose forced
-  nilpotent degree exceeds the cap, which truncation would kill anyway:
-  `targets.lattice_range` prunes them while it builds each point, together
-  with the nonconvex points of local twist rows when those are skipped.
-  The per-point filters in `class_numerator` remain as guards.
+  nilpotent degree exceeds the cap, which truncation would kill anyway, or,
+  when nonconvex points are skipped, points outside the bounds of the local
+  twist rows: `targets.lattice_range` prunes them while it builds each
+  point.  `class_points` adds the one check the generator cannot make, on
+  the general twist rows, and its list is what is summed and what the work
+  budget counts.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .targets import (
     TwistSpec,
     all_weyl_pairs,
     class_enumeration,
-    lattice_floor,
     lattice_range,
     slot_count,
 )
@@ -70,8 +71,12 @@ class Correction:
 
 @dataclass(frozen=True)
 class PeriodSeries:
-    """Quantum period G and its regularised companion sum d! G_d x^d."""
+    """Quantum period G and its regularised companion sum d! G_d x^d.
 
+    raw holds the unit coefficients u_d before the degree-one correction.
+    """
+
+    raw: tuple[Fraction, ...]
     coefficients: tuple[Fraction, ...]
     regularised: tuple[Fraction, ...]
     correction: Correction
@@ -83,7 +88,11 @@ class PeriodSeries:
 def _forced_nilpotent_degree(
     target: FlagTarget, d: tuple[int, ...], D: int
 ) -> int:
-    """Lower bound on the nilpotent degree forced into a point's summand."""
+    """Lower bound on the nilpotent degree forced into a point's summand.
+
+    The reference that `lattice_range` under a cap is tested against: the
+    generator yields exactly the points where this is at most the cap.
+    """
     forced = 0
     for di in d:
         forced += slot_count(target, di, D)
@@ -95,6 +104,24 @@ def _forced_nilpotent_degree(
     return forced
 
 
+def class_points(
+    cls: CurveClass,
+    ctx: SummandContext,
+    skip_nonconvex: bool = False,
+) -> list[tuple[int, ...]]:
+    """The lattice points of one curve class that are summed.
+
+    The points `lattice_range` yields under ctx.cap, and with skip_nonconvex
+    under the local twist rows too; with skip_nonconvex, a point at which a
+    general twist row has a negative upper limit is then dropped.
+    """
+    twist = ctx.twist if skip_nonconvex else None
+    points = lattice_range(ctx.target, cls, ctx.cap, twist)
+    if twist is None or not ctx.general_rows:
+        return list(points)
+    return [d for d in points if all(u >= 0 for u in twist_uppers(twist, cls, d))]
+
+
 def class_numerator(
     cls: CurveClass,
     ctx: SummandContext,
@@ -102,24 +129,13 @@ def class_numerator(
 ) -> tuple[list, int]:
     """Aggregate summand of one curve class (numerator, before Weyl division).
 
-    Walks only the points `lattice_range` generates under the context's cap
-    and, when skip_nonconvex is set, under the bounds of the local twist
-    rows.  The per-point forced-nilpotent and twist-range tests stay as
-    guards: they skip only points of general twist rows (several nonzero
-    weights, or none) with a negative upper limit.  The result is a packed
-    value of ctx.kernel.
+    The sum of oh_summand over class_points, a packed value of ctx.kernel.
+    Without skip_nonconvex a point with a negative twist upper limit raises
+    TwistRangeError.
     """
-    target = ctx.target
-    cap = ctx.cap
-    summands = []
-    for d in lattice_range(target, cls, cap, ctx.twist if skip_nonconvex else None):
-        if _forced_nilpotent_degree(target, d, cls.D) > cap:
-            continue
-        if skip_nonconvex and ctx.twist is not None:
-            if any(u < 0 for u in twist_uppers(ctx.twist, cls, d)):
-                continue
-        summands.append(oh_summand(d, cls, ctx))
-    return ctx.kernel.add_all(summands)
+    return ctx.kernel.add_all(
+        oh_summand(d, cls, ctx) for d in class_points(cls, ctx, skip_nonconvex)
+    )
 
 
 def degree_numerator(
@@ -137,12 +153,6 @@ def degree_numerator(
     """
     ctx = SummandContext.for_target(target, twist, z)
     classes = class_enumeration(target, twist, x_deg, divisor)
-    return _degree_numerator(ctx, classes, skip_nonconvex)
-
-
-def _degree_numerator(
-    ctx: SummandContext, classes: list[CurveClass], skip_nonconvex: bool
-) -> tuple[list, int]:
     return ctx.kernel.add_all(class_numerator(cls, ctx, skip_nonconvex) for cls in classes)
 
 
@@ -214,29 +224,26 @@ def estimate_points(
     dmax: int,
     divisor: DivisorData | None = None,
 ) -> int:
-    """Upper bound on lattice points visited for degrees 0..dmax."""
-    return sum(_point_counts(target, _degree_classes(target, twist, dmax, divisor)))
+    """Lattice points period_series sums for degrees 0..dmax.
 
-
-def _degree_classes(
-    target: FlagTarget, twist: TwistSpec | None, dmax: int, divisor: DivisorData | None
-) -> list[list[CurveClass]]:
-    """The curve classes of each degree 0..dmax."""
-    return [class_enumeration(target, twist, x_deg, divisor) for x_deg in range(dmax + 1)]
-
-
-def _point_counts(target: FlagTarget, degree_classes: list[list[CurveClass]]) -> list[int]:
-    """Lattice points at or above the floor in the classes of each degree.
-
-    An upper bound on the points `lattice_range` generates under a cap.
+    Exact when nonconvex points are kept, and an upper bound when they are
+    skipped.
     """
-    r = target.rank
+    ctx = SummandContext.for_target(target, twist)
+    return sum(map(len, _listed(ctx, dmax, divisor, False)))
+
+
+def _listed(
+    ctx: SummandContext, dmax: int, divisor: DivisorData | None, skip_nonconvex: bool
+) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
+    """The (point, class) pairs summed in each degree 0..dmax."""
     return [
-        sum(
-            math.comb(cls.k - r * lattice_floor(target, cls.D) + r - 1, r - 1)
-            for cls in classes
-        )
-        for classes in degree_classes
+        [
+            (d, cls)
+            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
+            for d in class_points(cls, ctx, skip_nonconvex)
+        ]
+        for x_deg in range(dmax + 1)
     ]
 
 
@@ -251,16 +258,19 @@ def period_series(
 ) -> PeriodSeries:
     """Quantum period of the twist zero locus through x^dmax.
 
-    Computes the raw unit-coefficient series, then removes the degree-one
-    layer with the exponential correction G(x) = e^(-C x) * sum_d u_d x^d.
-    All arithmetic is exact; the regularised series multiplies degree d by
-    d!.
+    Lists the points of every degree, refuses with WorkBudgetError when
+    there are more than budget of them, then computes the raw
+    unit-coefficient series and removes the degree-one layer with the
+    exponential correction G(x) = e^(-C x) * sum_d u_d x^d.  All
+    arithmetic is exact; the regularised series multiplies degree d by d!.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    degree_classes = _degree_classes(target, twist, dmax, divisor)
+    # one context, so its factor caches are shared by every degree
+    ctx = SummandContext.for_target(target, twist, z)
+    listed = _listed(ctx, dmax, divisor, skip_nonconvex)
     if budget is not None:
-        counts = _point_counts(target, degree_classes)
+        counts = [len(pairs) for pairs in listed]
         estimate = sum(counts)
         if estimate > budget:
             per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
@@ -269,14 +279,13 @@ def period_series(
                 f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
-    # one context, so its factor caches are shared by every degree
-    ctx = SummandContext.for_target(target, twist, z)
-    raw = [
-        unit_from_numerator(_degree_numerator(ctx, classes, skip_nonconvex), target)
-        for classes in degree_classes
-    ]
+    raw = []
+    for pairs in listed:
+        numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
+        raw.append(unit_from_numerator(numerator, target))
     coeffs, regularised = corrected_series(raw, correction.total)
     return PeriodSeries(
+        raw=tuple(raw),
         coefficients=coeffs,
         regularised=regularised,
         correction=correction,

@@ -19,10 +19,8 @@ from fractions import Fraction
 from .assembler import (
     DEFAULT_WORK_BUDGET,
     PeriodSeries,
-    correction_C,
     degree_numerator,
     period_series,
-    unit_coefficient,
     unit_from_numerator,
     z_scaling_report,
 )
@@ -278,21 +276,20 @@ def cmd_period(cfg: RunConfig) -> int:
 
 def cmd_jreport(cfg: RunConfig) -> int:
     model = build_model(cfg)
+    series = period_series(
+        model.target,
+        model.twist,
+        cfg.dmax,
+        z=cfg.z,
+        divisor=model.divisor,
+        skip_nonconvex=model.skip_nonconvex,
+        budget=work_budget(),
+    )
     lines = ["unit coefficients:"]
-    for d in range(cfg.dmax + 1):
-        value = unit_coefficient(
-            model.target,
-            model.twist,
-            d,
-            z=cfg.z,
-            divisor=model.divisor,
-            skip_nonconvex=model.skip_nonconvex,
-        )
+    for d, value in enumerate(series.raw):
         lines.append(f"  {d}: unit {fraction_str(value)} z-power {1 - d}")
     lines.append("corrections:")
-    correction = correction_C(
-        model.target, model.twist, model.divisor, model.skip_nonconvex
-    )
+    correction = series.correction
     if not correction.entries:
         lines.append("  (no degree-one classes)")
     for cls, n in correction.entries:

@@ -368,17 +368,6 @@ def twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[
     ]
 
 
-def checked_twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[int]:
-    """twist_uppers, raising TwistRangeError at the first negative one."""
-    uppers = twist_uppers(twist, cls, d)
-    for row, upper in zip(twist.weight_vectors, uppers):
-        if upper < 0:
-            raise TwistRangeError(
-                f"twist range negative: upper limit {upper} for weights {row}"
-            )
-    return uppers
-
-
 def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
     """Numerator prod_s prod_{m=1}^{u_s} (c1(L_s) + m z), u_s = f_s . d + rho D."""
     twist = ctx.twist
@@ -386,7 +375,9 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
         return ctx.one()
     out = ctx.one()
     h = ctx.h()
-    for row, upper in zip(twist.weight_vectors, checked_twist_uppers(twist, cls, d)):
+    for row, upper in zip(twist.weight_vectors, twist_uppers(twist, cls, d)):
+        if upper < 0:
+            raise TwistRangeError(f"twist range negative: upper limit {upper} for weights {row}")
         line_class = h.scale(twist.rho)
         for i, f in enumerate(row[: ctx.target.rank], 1):
             if f:
@@ -406,11 +397,10 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
     is multiplied out in ctx.kernel from the parts ctx caches and returned
     as a packed value of ctx.kernel, with sign and z in its numerators and
-    denominator (`ctx.kernel.to_graded` gives the GradedPoly).
+    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  A negative
+    twist upper limit raises TwistRangeError from the factor of its row:
+    the root factor for a local row, row_factor for a general one.
     """
-    uppers = ()
-    if ctx.twist is not None and ctx.twist.weight_vectors:
-        uppers = checked_twist_uppers(ctx.twist, cls, d)
     kernel, D, r = ctx.kernel, cls.D, len(d)
     if r == 1:
         # each (d_1, D) is a single lattice point: nothing to share
@@ -419,8 +409,10 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
         out = ctx.prefix(D, d[: r - 2])
         out = ctx.extend(out, d[: r - 1], D)
         out = ctx.extend(out, d, D)
+    twist = ctx.twist
     for s in ctx.general_rows:
-        out = kernel.product(out, ctx.row_factor(s, uppers[s]))
+        upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
+        out = kernel.product(out, ctx.row_factor(s, upper))
     # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
     # the first of a pair and a times as the second
     exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))

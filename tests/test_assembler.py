@@ -192,6 +192,22 @@ def test_budget_error_names_the_estimate_per_degree(p4_112):
     assert f"(per degree {listed})" in str(exc.value)
 
 
+def test_budget_counts_the_points_that_are_summed():
+    # through x^20 the pinned model sums 219 points; with nonconvex points
+    # kept the generator yields 615
+    target, twist, divisor = example3_verbatim_model()
+    period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=219)
+    with pytest.raises(WorkBudgetError, match="estimated 219 lattice points"):
+        period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=218)
+    assert estimate_points(target, twist, 20, divisor) == 615
+    assert estimate_points(*normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2))), 11) == 45
+
+
+def test_raw_series_is_the_unit_coefficients(p4_112):
+    ps = period_series(*p4_112, 6, z=Fraction(1, 2))
+    assert ps.raw == tuple(unit_coefficient(*p4_112, d, Fraction(1, 2)) for d in range(7))
+
+
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     degrees = []
 

@@ -251,6 +251,14 @@ def test_work_budget_env(monkeypatch, capsys):
     assert rc == 0
 
 
+def test_jreport_honours_the_work_budget(monkeypatch, capsys):
+    monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "1")
+    rc, out, err = run(capsys, ["jreport", *P4_ARGS, "--dmax", "8"])
+    assert rc == 1
+    assert "WorkBudgetError" in err
+    assert out == ""
+
+
 def test_repeated_period_calls_leave_no_reference_cycles(tmp_path):
     # each call used to build a parser, whose reference cycles piled up
     # until the cyclic collector ran

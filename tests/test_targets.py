@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from grperiod.assembler import _forced_nilpotent_degree, class_numerator
+from grperiod.assembler import _forced_nilpotent_degree, class_numerator, class_points
 from grperiod.summands import SummandContext, oh_summand, twist_uppers
 from grperiod.targets import (
     BlowUpSpec,
@@ -20,7 +20,6 @@ from grperiod.targets import (
     lattice_floor,
     lattice_range,
     normalize_blowup,
-    split_twist_rows,
     standard_basis,
 )
 
@@ -233,7 +232,6 @@ NONCONVEX_MODELS = {
 def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
     target, twist = NONCONVEX_MODELS[name]
     ctx = SummandContext.for_target(target, twist)
-    all_local = not split_twist_rows(twist, target.rank)[1]
     skipped = 0
     for D in range(4):
         for k in range(-6, 7):
@@ -249,6 +247,5 @@ def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
             terms, den = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d in kept)
             got_terms, got_den = class_numerator(cls, ctx, skip_nonconvex=True)
             assert (dict(got_terms), got_den) == (dict(terms), den), (cls, kept)
-            if all_local:
-                assert list(lattice_range(target, cls, ctx.cap, twist)) == kept, cls
+            assert class_points(cls, ctx, skip_nonconvex=True) == kept, cls
     assert skipped > 0
