@@ -13,7 +13,12 @@ from grperiod.targets import (
     example3_verbatim_model,
     normalize_blowup,
 )
-from grperiod.validation import oracle_example1, oracle_example2, oracle_pinned_verbatim
+from grperiod.validation import (
+    oracle_blowup,
+    oracle_example1,
+    oracle_example2,
+    oracle_pinned_verbatim,
+)
 
 
 def show(label, regularised):
@@ -59,6 +64,7 @@ def main():
     nt, nw, ndiv = example3_normalized_model()
     norm = period_series(nt, nw, dmax, divisor=ndiv)
     show("Bl P^6 (1,1,1,2)", norm.regularised)
+    assert norm.regularised == oracle_blowup(6, (1, 1, 1, 2), dmax)
     diff = [
         d for d in range(dmax + 1) if pinned.regularised[d] != norm.regularised[d]
     ]

@@ -5,7 +5,7 @@ divided by the Weyl denominator Delta = prod_{i<j} (h_i - h_j), and the
 unit-class coefficient is read off.  Summands, class aggregates and degree
 aggregates are packed values of the summand context's `ring.PackedRing`:
 integer numerators over one denominator, with one Fraction made per degree.
-Three structural facts keep this cheap and are relied on throughout:
+Four structural facts keep this cheap and are relied on throughout:
 
 * Unit extraction is representative-independent.  The aggregate over a
   curve class is a polynomial representative of a cohomology class of the
@@ -29,12 +29,24 @@ Three structural facts keep this cheap and are relied on throughout:
   point.  `class_points` adds the one check the generator cannot make, on
   the general twist rows, and its list is what is summed and what the work
   budget counts.
+
+* Fano blow-up models with r >= 2 (`orbit_degrees`) are S_r-symmetric:
+  summand(sigma d) = sgn(sigma) sigma(summand(d)).  There `period_series`
+  evaluates one summand per orbit, at the weakly increasing point, and reads
+  each degree's unit off those summands (`_orbit_unit`), building no
+  aggregate.  The c * Delta check says nothing about an antisymmetrised sum,
+  so on this path every unit is checked instead against the Euler-sequence
+  sum `validation.oracle_blowup_raw`, and a difference raises
+  OracleMismatchError.  The work budget still counts every point of an
+  orbit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,16 +58,23 @@ from .targets import (
     FlagTarget,
     TwistSpec,
     all_weyl_pairs,
+    anticanonical,
     class_enumeration,
     lattice_range,
     slot_count,
+    standard_basis,
 )
+from .validation import oracle_blowup_raw
 
 DEFAULT_WORK_BUDGET = 500_000
 
 
 class WorkBudgetError(RuntimeError):
     """Raised when a requested computation exceeds the configured budget."""
+
+
+class OracleMismatchError(ArithmeticError):
+    """The orbit-summed series of a Fano blow-up differs from the Euler-sequence sum."""
 
 
 @dataclass(frozen=True)
@@ -108,15 +127,17 @@ def class_points(
     cls: CurveClass,
     ctx: SummandContext,
     skip_nonconvex: bool = False,
+    increasing: bool = False,
 ) -> list[tuple[int, ...]]:
     """The lattice points of one curve class that are summed.
 
     The points `lattice_range` yields under ctx.cap, and with skip_nonconvex
     under the local twist rows too; with skip_nonconvex, a point at which a
-    general twist row has a negative upper limit is then dropped.
+    general twist row has a negative upper limit is then dropped.  With
+    increasing, only the weakly increasing points, one per S_r orbit.
     """
     twist = ctx.twist if skip_nonconvex else None
-    points = lattice_range(ctx.target, cls, ctx.cap, twist)
+    points = lattice_range(ctx.target, cls, ctx.cap, twist, increasing)
     if twist is None or not ctx.general_rows:
         return list(points)
     return [d for d in points if all(u >= 0 for u in twist_uppers(twist, cls, d))]
@@ -218,6 +239,36 @@ def correction_C(
     return Correction(entries=tuple(entries))
 
 
+def orbit_degrees(
+    target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
+) -> tuple[int, ...] | None:
+    """Centre degrees c of a model that period_series sums by S_r orbits, else None.
+
+    That is a Fano blow-up model with r >= 2 under its anticanonical
+    grading: the shape normalize_blowup returns for some twist level k
+    (rank E = r + 1, F = S^v(k), every c_j = k - e_j >= 1, at most N of
+    them) with N + 1 > r max c.  Its summands satisfy
+    summand(sigma d) = sgn(sigma) sigma(summand(d)), and
+    `validation.oracle_blowup_raw` gives its unit coefficients.
+    """
+    r = target.rank
+    if r < 2 or twist is None or len(target.e_degrees) != r + 1:
+        return None
+    if twist.weight_vectors != standard_basis(r):
+        return None
+    c = tuple(twist.rho - e for e in target.e_degrees)
+    if min(c) < 1 or len(c) > target.base_dim or target.base_dim + 1 <= r * max(c):
+        return None
+    if divisor is not None and divisor != anticanonical(target, twist)[1]:
+        return None
+    return c
+
+
+def _stabiliser_order(d: tuple[int, ...]) -> int:
+    """|Stab(d)| in S_r: the product of the factorials of d's multiplicities."""
+    return math.prod(math.factorial(m) for m in Counter(d).values())
+
+
 def estimate_points(
     target: FlagTarget,
     twist: TwistSpec | None,
@@ -227,24 +278,87 @@ def estimate_points(
     """Lattice points period_series sums for degrees 0..dmax.
 
     Exact when nonconvex points are kept, and an upper bound when they are
-    skipped.
+    skipped.  A model summed by orbits (orbit_degrees) counts each orbit
+    by its size r!/|Stab|, though it evaluates one summand per orbit, so
+    the count does not depend on the path.
     """
     ctx = SummandContext.for_target(target, twist)
-    return sum(map(len, _listed(ctx, dmax, divisor, False)))
+    orbits = orbit_degrees(target, twist, divisor) is not None
+    listed = _listed(ctx, dmax, divisor, False, orbits)
+    return sum(_point_count(pairs, orbits, target.rank) for pairs in listed)
 
 
 def _listed(
-    ctx: SummandContext, dmax: int, divisor: DivisorData | None, skip_nonconvex: bool
+    ctx: SummandContext,
+    dmax: int,
+    divisor: DivisorData | None,
+    skip_nonconvex: bool,
+    increasing: bool = False,
 ) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
     """The (point, class) pairs summed in each degree 0..dmax."""
     return [
         [
             (d, cls)
             for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
-            for d in class_points(cls, ctx, skip_nonconvex)
+            for d in class_points(cls, ctx, skip_nonconvex, increasing)
         ]
         for x_deg in range(dmax + 1)
     ]
+
+
+def _point_count(pairs: list, orbits: bool, r: int) -> int:
+    """Points of one degree's list, each orbit representative by its orbit size."""
+    if not orbits:
+        return len(pairs)
+    return sum(math.factorial(r) // _stabiliser_order(d) for d, _ in pairs)
+
+
+@functools.lru_cache(maxsize=32)
+def _staircase_signs(nvars: int, cap: int) -> dict[int, int]:
+    """{packed key of h^0 x^(delta o pi): sgn(pi)} for pi in S_r, delta = (r - 1, ..., 0)."""
+    kernel = _weyl_kernel(nvars, cap)
+    r = nvars - 1
+    signs = {}
+    for p in itertools.permutations(range(r - 1, -1, -1)):
+        inversions = sum(1 for i in range(r) for j in range(i + 1, r) if p[i] < p[j])
+        signs[kernel.key((0, *p))] = -1 if inversions % 2 else 1
+    return signs
+
+
+def _orbit_unit(pairs: list, ctx: SummandContext) -> Fraction:
+    """Unit coefficient of one degree from one summand per S_r orbit.
+
+    pairs holds the weakly increasing points of the degree.  On a model
+    that orbit_degrees accepts, the degree's aggregate is
+    sum over representatives of sum over sigma in S_r / Stab of
+    sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient, so
+    each representative adds
+    sum_pi sgn(pi) S_rep[h^0 x^(delta o pi)] / |Stab(rep)|.
+    No aggregate is built and nothing checks c * Delta, which an
+    antisymmetrised sum satisfies whatever its summands; period_series
+    checks the result against the Euler-sequence sum instead.
+    """
+    signs = _staircase_signs(ctx.nvars, ctx.cap)
+    get = signs.get
+    parts = []
+    for d, cls in pairs:
+        terms, den = oh_summand(d, cls, ctx)
+        parts.append((sum(get(k, 0) * c for k, c in terms), den * _stabiliser_order(d)))
+    den = math.lcm(*(q for _, q in parts))
+    return Fraction(sum(p * (den // q) for p, q in parts), den)
+
+
+def _check_against_oracle(
+    raw: list[Fraction], base_dim: int, degrees: tuple[int, ...], z: Fraction
+) -> None:
+    """Raise OracleMismatchError unless raw[d] z^(d-1) is the Euler-sequence sum's u_d."""
+    expected = oracle_blowup_raw(base_dim, degrees, len(raw) - 1)
+    for d, (u, e) in enumerate(zip(raw, expected)):
+        if u * z ** (d - 1) != e:
+            raise OracleMismatchError(
+                f"degree {d}: orbit sum gives {u * z ** (d - 1)}, the Euler-sequence "
+                f"sum for P^{base_dim} blown up in degrees {degrees} gives {e}"
+            )
 
 
 def period_series(
@@ -263,14 +377,21 @@ def period_series(
     unit-coefficient series and removes the degree-one layer with the
     exponential correction G(x) = e^(-C x) * sum_d u_d x^d.  All
     arithmetic is exact; the regularised series multiplies degree d by d!.
+
+    A model that orbit_degrees accepts lists one point per S_r orbit,
+    reads each unit with _orbit_unit and raises OracleMismatchError when
+    the units differ from the Euler-sequence sum.  Every other model sums
+    every point and checks that each degree's aggregate is c * Delta.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext.for_target(target, twist, z)
-    listed = _listed(ctx, dmax, divisor, skip_nonconvex)
+    degrees = orbit_degrees(target, twist, divisor)
+    orbits = degrees is not None
+    listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
     if budget is not None:
-        counts = [len(pairs) for pairs in listed]
+        counts = [_point_count(pairs, orbits, target.rank) for pairs in listed]
         estimate = sum(counts)
         if estimate > budget:
             per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
@@ -279,10 +400,14 @@ def period_series(
                 f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
-    raw = []
-    for pairs in listed:
-        numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
-        raw.append(unit_from_numerator(numerator, target))
+    if orbits:
+        raw = [_orbit_unit(pairs, ctx) for pairs in listed]
+        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
+    else:
+        raw = []
+        for pairs in listed:
+            numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
+            raw.append(unit_from_numerator(numerator, target))
     coeffs, regularised = corrected_series(raw, correction.total)
     return PeriodSeries(
         raw=tuple(raw),

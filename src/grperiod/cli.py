@@ -322,17 +322,25 @@ def run_validation_suite(flip_b1: bool = False) -> list[tuple[str, validation.Ch
 
     (t1, w1), (t2, w2) = _example_models()
 
-    # the staircase unit of each aggregate against the full-ring Weyl quotient
+    # the staircase unit of each aggregate against the full-ring Weyl quotient,
+    # and these per-point units against period_series, which sums by orbits here
     try:
         ring = PackedRing(t1.nvars, t1.omega_degree)
-        differ = []
+        differ, units = [], []
         for d in range(9):
             num = degree_numerator(t1, w1, d)
             quotient = vandermonde_divide(ring.to_graded(num), all_weyl_pairs(t1))
-            if unit_from_numerator(num, t1) != quotient.unit_part():
+            units.append(unit_from_numerator(num, t1))
+            if units[-1] != quotient.unit_part():
                 differ.append(d)
-        detail = f"staircase unit differs from the Weyl quotient at {differ}" if differ else ""
-        record("omega-divisibility", validation.CheckResult(not differ, detail))
+        orbit = period_series(t1, w1, 8).raw
+        moved = [d for d in range(9) if orbit[d] != units[d]]
+        problems = []
+        if differ:
+            problems.append(f"staircase unit differs from the Weyl quotient at {differ}")
+        if moved:
+            problems.append(f"orbit-summed unit differs from the per-point unit at {moved}")
+        record("omega-divisibility", validation.CheckResult(not problems, "; ".join(problems)))
     except Exception as exc:  # NotDivisibleError would be a genuine bug
         record("omega-divisibility", validation.CheckResult(False, repr(exc)))
 

@@ -204,6 +204,7 @@ def lattice_range(
     cls: CurveClass,
     cap: int | None = None,
     twist: TwistSpec | None = None,
+    increasing: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
 
@@ -212,7 +213,9 @@ def lattice_range(
     for each pair of equal fiber degrees -- is at most cap; truncation at
     the cap kills the rest.  With a twist, only the points at which every
     row local to a root i (split_twist_rows), of weight f, has
-    f * d_i + rho * D >= 0.
+    f * d_i + rho * D >= 0.  With increasing, only the weakly increasing
+    points: each value starts at the previous one and is at most the total
+    still to place over the roots left.
 
     Both cuts are made while the point is built, and they are exact: a root
     value spends budget (cap at the start) on its forced slots and on each
@@ -221,6 +224,8 @@ def lattice_range(
     when the roots still to be placed cannot all reach a free value (one
     that forces no slot) and the budget left is below what the cheapest
     forced value costs.  A value outside a twist row's bound is never tried.
+    These cuts only end branches that have no completion at all, so they
+    stay exact on the increasing points.
     """
     r, D, k = target.rank, cls.D, cls.k
     lo = lattice_floor(target, D)
@@ -247,18 +252,23 @@ def lattice_range(
         rest_low[i - 1] = rest_low[i] + low[i]
         rest_high[i - 1] = rest_high[i] + high[i]
         rest_free[i - 1] = rest_free[i] + max(free, low[i])
-    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest)
+    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest, increasing)
     yield from _completions((), k, cap, plan)
 
 
 def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterator[tuple[int, ...]]:
     """Points of lattice_range that start with head; the rest sums to total."""
-    low, high, rest_low, rest_high, rest_free, thresholds, cheapest = plan
+    low, high, rest_low, rest_high, rest_free, thresholds, cheapest, increasing = plan
     i, n = len(head), len(thresholds)
     start = max(low[i], total - rest_high[i])
+    stop = min(high[i], total - rest_low[i])
+    if increasing:  # v >= head[-1], and the len(low) - i values from v on sum to total
+        if head:
+            start = max(start, head[-1])
+        stop = min(stop, total // (len(low) - i))
     if budget < n:  # below thresholds[n - 1 - budget], a value forces more than budget slots
         start = max(start, thresholds[n - 1 - budget])
-    for v in range(start, min(high[i], total - rest_low[i]) + 1):
+    for v in range(start, stop + 1):
         left = budget - (n - bisect.bisect_right(thresholds, v)) - head.count(v)
         if left < 0 or (left < cheapest and total - v < rest_free[i]):
             continue

@@ -468,9 +468,20 @@ def oracle_blowup(
 ) -> tuple[Fraction, ...]:
     """Regularised period of P^N, N = base_dim, blown up in degrees c_0..c_r.
 
-    The Euler-sequence sum, with C the degree-one coefficient:
+    The Euler-sequence sum `oracle_blowup_raw` times e^(-C x), with C its
+    degree-one coefficient, regularised.
+    """
+    return _regularise(oracle_blowup_raw(base_dim, center_degrees, dmax))
 
-        e^(-C x) sum_{l >= 0} sum_{e=0}^{l min c} x^((N+1) l - r e)
+
+def oracle_blowup_raw(
+    base_dim: int,
+    center_degrees: tuple[int, ...],
+    dmax: int,
+) -> tuple[Fraction, ...]:
+    """Unit coefficients u_0..u_dmax of the blow-up at z = 1: the Euler-sequence sum
+
+        sum_{l >= 0} sum_{e=0}^{l min c} x^((N+1) l - r e)
             prod_j (c_j l)! / (l!^(N+1) e! prod_j (c_j l - e)!).
 
     The blow-up is the zero locus, in the toric bundle P = P(sum_j O(c_j))
@@ -487,15 +498,16 @@ def oracle_blowup(
     raw = [Fraction(0)] * (dmax + 1)
     l = 0
     while (N + 1 - r * min(c)) * l <= dmax:  # the lowest degree at this l
+        num = math.prod(math.factorial(cj * l) for cj in c)
+        base = math.factorial(l) ** (N + 1)
         for e in range(l * min(c) + 1):
             deg = (N + 1) * l - r * e
             if deg <= dmax:
-                num = math.prod(math.factorial(cj * l) for cj in c)
-                den = math.factorial(l) ** (N + 1) * math.factorial(e)
+                den = base * math.factorial(e)
                 den *= math.prod(math.factorial(cj * l - e) for cj in c)
                 raw[deg] += Fraction(num, den)
         l += 1
-    return _regularise(raw)
+    return tuple(raw)
 
 
 def _regularise(raw: list[Fraction]) -> tuple[Fraction, ...]:

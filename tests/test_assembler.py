@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from grperiod.assembler import (
     Correction,
+    OracleMismatchError,
     WorkBudgetError,
     class_numerator,
     correction_C,
     corrected_series,
     degree_numerator,
     estimate_points,
+    orbit_degrees,
     period_series,
     unit_coefficient,
     z_scaling_report,
@@ -21,12 +23,15 @@ from grperiod.summands import SummandContext, TwistRangeError
 from grperiod.targets import (
     BlowUpSpec,
     CurveClass,
+    DivisorData,
+    FlagTarget,
+    TwistSpec,
     class_enumeration,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
 )
-from grperiod.validation import oracle_blowup, oracle_pinned_verbatim
+from grperiod.validation import oracle_blowup, oracle_blowup_raw, oracle_pinned_verbatim
 
 # Regularised series of the worked models.  The first three are frozen from
 # the independent closed-form sums in grperiod.validation; VERBATIM_REGULARISED
@@ -203,9 +208,43 @@ def test_budget_counts_the_points_that_are_summed():
     assert estimate_points(*normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2))), 11) == 45
 
 
-def test_raw_series_is_the_unit_coefficients(p4_112):
-    ps = period_series(*p4_112, 6, z=Fraction(1, 2))
-    assert ps.raw == tuple(unit_coefficient(*p4_112, d, Fraction(1, 2)) for d in range(7))
+@pytest.mark.parametrize(
+    "base_dim, degrees",
+    [(4, (1, 1, 2)), (6, (1, 1, 1, 2)), (8, (1, 1, 1, 1, 2))],
+    ids=["p4-112", "p6-1112", "p8-11112"],
+)
+def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
+    # the orbit path of period_series against the per-point units
+    model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    assert orbit_degrees(*model) == degrees
+    ps = period_series(*model, 8, z=Fraction(1, 2))
+    assert ps.raw == tuple(unit_coefficient(*model, d, Fraction(1, 2)) for d in range(9))
+
+
+def test_orbit_path_is_chosen_from_the_model():
+    target, twist = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2)), twist_k=2)
+    assert orbit_degrees(target, twist) == (1, 1, 1, 2)
+    assert orbit_degrees(*example3_normalized_model()) == (1, 1, 1, 2)  # explicit -K
+    assert orbit_degrees(*example3_verbatim_model()) is None  # not the -K grading
+    assert orbit_degrees(target, twist, DivisorData(1, 4)) is None
+    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) is None  # r = 1
+    assert orbit_degrees(*normalize_blowup(BlowUpSpec(6, (1, 1, 1, 3)), 1)) is None  # not Fano
+    general = TwistSpec(((1, 0, 0), (0, 1, 0), (1, 0, 1)), rho=1)
+    assert orbit_degrees(target, general) is None
+    assert orbit_degrees(FlagTarget(6, (1, 1, 1, 0, 0), 3), twist) is None  # rank E != r + 1
+
+
+def test_wrong_weyl_sign_is_caught_by_the_oracle_check(monkeypatch):
+    # Weyl factors x_a - x_b - (d_a - d_b) z: every aggregate is still a
+    # multiple of Delta, so the per-point path returns a wrong unit silently
+    model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    original = SummandContext.weyl_factor
+    monkeypatch.setattr(
+        SummandContext, "weyl_factor", lambda self, a, b, diff: original(self, a, b, -diff)
+    )
+    assert unit_coefficient(*model, 4) != oracle_blowup_raw(8, (1, 1, 1, 1, 2), 4)[4]
+    with pytest.raises(OracleMismatchError, match="degree 4"):
+        period_series(*model, 10)
 
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):

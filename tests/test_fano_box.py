@@ -4,16 +4,20 @@ The box holds every blow-up of P^N, N <= 8, in degrees c_0 <= ... <= c_r
 from {1, 2, 3} with 1 <= r <= 3, r + 1 <= N and N + 1 > r * max(c): 95
 specs.  Every twist level k presents the same blow-up, so each k must give
 the oracle's series or raise GradingError; none may give a wrong series.
-At the default k every unit coefficient must also be z-homogeneous.
+At the default k every unit coefficient must also be z-homogeneous, and
+the per-point units must equal the oracle's: period_series checks its own
+orbit sums against the oracle, so this keeps the per-point path compared.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from grperiod.assembler import period_series, z_scaling_report
+from grperiod.assembler import period_series, unit_coefficient, z_scaling_report
 from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
-from grperiod.validation import oracle_blowup
+from grperiod.validation import oracle_blowup, oracle_blowup_raw
 
 DMAX = 10
 FANO_BOX = [
@@ -52,6 +56,21 @@ def test_default_twist_level_is_z_homogeneous():
     for base_dim, degrees in FANO_BOX:
         rows = z_scaling_report(*normalize_blowup(BlowUpSpec(base_dim, degrees)), range(9), 2)
         assert all(row.ok for row in rows), (base_dim, degrees, [r.degree for r in rows if not r.ok])
+
+
+def test_default_twist_level_per_point_units_equal_the_oracle():
+    # At r = 1 the units carry one more degree-one class than the sum, a
+    # factor e^x that the correction removes: u_d = sum_t raw_(d-t) / t!.
+    for base_dim, degrees in FANO_BOX:
+        model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        units = tuple(unit_coefficient(*model, d) for d in range(DMAX + 1))
+        raw = oracle_blowup_raw(base_dim, degrees, DMAX)
+        if len(degrees) == 2:
+            raw = tuple(
+                sum(Fraction(raw[d - t], math.factorial(t)) for t in range(d + 1))
+                for d in range(DMAX + 1)
+            )
+        assert units == raw, (base_dim, degrees)
 
 
 def test_p4_122_at_twist_level_3_raises():

@@ -216,6 +216,9 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                         assert list(lattice_range(target, cls, cap)) == expected, (
                             e_degrees, r, D, k, cap,
                         )
+                        increasing = [d for d in expected if list(d) == sorted(d)]
+                        got = list(lattice_range(target, cls, cap, increasing=True))
+                        assert got == increasing, (e_degrees, r, D, k, cap)
                         cases += 1
     assert cases == 120_000
 

@@ -15,6 +15,7 @@ from grperiod.validation import (
     harmonic,
     modification_log_formal,
     oracle_blowup,
+    oracle_blowup_raw,
     oracle_example1,
     oracle_example2,
     oracle_pinned_verbatim,
@@ -183,6 +184,8 @@ def test_oracle_blowup_needs_no_engine_module(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, standalone)
     spec.loader.exec_module(standalone)
     assert standalone.oracle_blowup(4, (1, 2, 2), 9) == oracle_blowup(4, (1, 2, 2), 9)
+    raw = standalone.oracle_blowup_raw(8, (1, 1, 1, 1, 2), 11)
+    assert raw == oracle_blowup_raw(8, (1, 1, 1, 1, 2), 11)
 
 
 def test_oracle_blowup_matches_the_other_oracles():
