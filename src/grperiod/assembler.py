@@ -38,7 +38,12 @@ Four structural facts keep this cheap and are relied on throughout:
   so on this path every unit is checked instead against the Euler-sequence
   sum `validation.oracle_blowup_raw`, and a difference raises
   OracleMismatchError.  The work budget still counts every point of an
-  orbit.
+  orbit.  Those summands are built in `ring.BoxRing`, the quotient of the
+  summand ring by h and x_i^r: the r! permuted staircase coefficients the
+  readout takes all survive both quotients unchanged, and the box holds
+  150 monomials at r = 4 where the full ring holds 462.  Every other path
+  (per-point sums, `correction_C`, `unit_coefficient`) keeps the full ring,
+  where the c * Delta check has something to check.
 """
 
 from __future__ import annotations
@@ -328,7 +333,8 @@ def _staircase_signs(nvars: int, cap: int) -> dict[int, int]:
 def _orbit_unit(pairs: list, ctx: SummandContext) -> Fraction:
     """Unit coefficient of one degree from one summand per S_r orbit.
 
-    pairs holds the weakly increasing points of the degree.  On a model
+    pairs holds the weakly increasing points of the degree, and ctx may be
+    a box context: the keys read are those of the full ring.  On a model
     that orbit_degrees accepts, the degree's aggregate is
     sum over representatives of sum over sigma in S_r / Stab of
     sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient, so
@@ -380,15 +386,16 @@ def period_series(
 
     A model that orbit_degrees accepts lists one point per S_r orbit,
     reads each unit with _orbit_unit and raises OracleMismatchError when
-    the units differ from the Euler-sequence sum.  Every other model sums
-    every point and checks that each degree's aggregate is c * Delta.
+    the units differ from the Euler-sequence sum; it builds its summands in
+    the box ring.  Every other model sums every point and checks that each
+    degree's aggregate is c * Delta.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    # one context, so its factor caches are shared by every degree
-    ctx = SummandContext.for_target(target, twist, z)
     degrees = orbit_degrees(target, twist, divisor)
     orbits = degrees is not None
+    # one context, so its factor caches are shared by every degree
+    ctx = SummandContext.for_target(target, twist, z, box=orbits)
     listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
     if budget is not None:
         counts = [_point_count(pairs, orbits, target.rank) for pairs in listed]

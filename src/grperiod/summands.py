@@ -28,9 +28,14 @@ shared by the points, classes and degrees of one computation:
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
-assembler.  The GradedPoly helpers below (`factor_ratio`, `base_j_factor`,
-`flag_factor`, `weyl_block`, `twist_factor`) compute the same factors
-directly and serve as its reference.
+assembler.  A context made with box=True multiplies them in `ring.BoxRing`
+instead, the quotient by h and x_i^r that the orbit path reads its units
+from: the same methods build the same parts there, but the linear forms
+lose their h terms, the base factor of P^N is the scalar
+slot_series(D)[0]^(N+1), and each root factor has r terms.  The GradedPoly
+helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
+`weyl_block`, `twist_factor`) compute the same factors directly and serve
+as its reference.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import GradedPoly, PackedRing, poly_mul, unit_inverse
+from .ring import BoxRing, GradedPoly, PackedRing, poly_mul, unit_inverse
 from .targets import CurveClass, FlagTarget, TwistSpec, split_twist_rows
 
 
@@ -61,13 +66,15 @@ class SummandContext:
 
     The context also owns the caches `oh_summand` draws on, so they live
     exactly as long as the context: callers make one per target and z and
-    share it across the points and degrees of one computation.
+    share it across the points and degrees of one computation.  With box,
+    the kernel is `ring.BoxRing` rather than the full `ring.PackedRing`.
     """
 
     target: FlagTarget
     twist: TwistSpec | None
     z: Fraction
     cap: int
+    box: bool = False
     kernel: PackedRing = field(init=False, repr=False, compare=False)
     # twist rows by the one root they involve (weights), and the rest (indices)
     local_rows: tuple = field(init=False, repr=False, compare=False)
@@ -82,7 +89,8 @@ class SummandContext:
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
+        ring = BoxRing if self.box else PackedRing
+        object.__setattr__(self, "kernel", ring(self.nvars, self.cap))
         local, general = split_twist_rows(self.twist, self.target.rank)
         object.__setattr__(self, "local_rows", local)
         object.__setattr__(self, "general_rows", general)
@@ -97,6 +105,7 @@ class SummandContext:
         twist: TwistSpec | None = None,
         z: Fraction | int = 1,
         cap: int | None = None,
+        box: bool = False,
     ) -> "SummandContext":
         zq = Fraction(z)
         if zq == 0:
@@ -106,6 +115,7 @@ class SummandContext:
             twist=twist,
             z=zq,
             cap=target.omega_degree if cap is None else cap,
+            box=box,
         )
 
     @property
@@ -155,7 +165,10 @@ class SummandContext:
         return cache[upper]
 
     def _line(self, h_coeff: int, weights: tuple) -> tuple[list, int]:
-        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based)."""
+        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based).
+
+        A box kernel drops the h term as it packs.
+        """
         key = (h_coeff, weights)
         out = self._lines.get(key)
         if out is None:
@@ -397,7 +410,8 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
     is multiplied out in ctx.kernel from the parts ctx caches and returned
     as a packed value of ctx.kernel, with sign and z in its numerators and
-    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  A negative
+    denominator (`ctx.kernel.to_graded` gives the GradedPoly; for a box
+    context, that of the summand's image in the box).  A negative
     twist upper limit raises TwistRangeError from the factor of its row:
     the root factor for a local row, row_factor for a general one.
     """

@@ -210,11 +210,12 @@ def test_budget_counts_the_points_that_are_summed():
 
 @pytest.mark.parametrize(
     "base_dim, degrees",
-    [(4, (1, 1, 2)), (6, (1, 1, 1, 2)), (8, (1, 1, 1, 1, 2))],
-    ids=["p4-112", "p6-1112", "p8-11112"],
+    [(4, (1, 1, 2)), (6, (1, 1, 1, 2)), (8, (1, 1, 1, 1, 2)), (10, (1, 1, 1, 1, 1, 2))],
+    ids=["p4-112", "p6-1112", "p8-11112", "p10-111112"],
 )
 def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
-    # the orbit path of period_series against the per-point units
+    # the orbit path of period_series, in the box ring whose exponent bound
+    # r - 1 grows with r, against the per-point units in the full ring
     model = normalize_blowup(BlowUpSpec(base_dim, degrees))
     assert orbit_degrees(*model) == degrees
     ps = period_series(*model, 8, z=Fraction(1, 2))
@@ -241,6 +242,20 @@ def test_wrong_weyl_sign_is_caught_by_the_oracle_check(monkeypatch):
     original = SummandContext.weyl_factor
     monkeypatch.setattr(
         SummandContext, "weyl_factor", lambda self, a, b, diff: original(self, a, b, -diff)
+    )
+    assert unit_coefficient(*model, 4) != oracle_blowup_raw(8, (1, 1, 1, 1, 2), 4)[4]
+    with pytest.raises(OracleMismatchError, match="degree 4"):
+        period_series(*model, 10)
+
+
+def test_wrong_twist_limit_is_caught_by_the_oracle_check(monkeypatch):
+    # root factors built with the twist rows one step too long: the orbit
+    # path takes its root factors from the context's shared cache, so the
+    # box-ring summands carry the error and the oracle check sees it
+    model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    original = SummandContext.twist_series
+    monkeypatch.setattr(
+        SummandContext, "twist_series", lambda self, upper: original(self, upper + 1)
     )
     assert unit_coefficient(*model, 4) != oracle_blowup_raw(8, (1, 1, 1, 1, 2), 4)[4]
     with pytest.raises(OracleMismatchError, match="degree 4"):
