@@ -4,14 +4,15 @@ Every k gives a different bundle Gr(r, sum O(k - c_j)) presenting the same
 blow-up, so the regularised period must be identical column by column.
 Lattice floors, class enumeration, and per-degree point counts all change
 with k, which makes this a decent stress test of the bookkeeping.  A k whose
-class enumeration is not finite raises GradingError; the sweep prints it
-and goes on to the next k.  It exits nonzero only if a period moves.
+class enumeration is not finite raises GradingError, and a blow-up that is
+not Fano raises NotFanoError at every k; the sweep prints either and goes
+on to the next k.  It exits nonzero only if a period moves.
 """
 
 import argparse
 import time
 
-from grperiod.assembler import estimate_points, period_series
+from grperiod.assembler import NotFanoError, estimate_points, period_series
 from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
 
 
@@ -34,11 +35,11 @@ def main():
         target, twist = normalize_blowup(spec, twist_k=k)
         try:
             points = estimate_points(target, twist, args.dmax)
-        except GradingError as exc:
-            print(f"{k:>3} GradingError: {exc}")
+            t0 = time.perf_counter()
+            ps = period_series(target, twist, args.dmax, budget=None)
+        except (GradingError, NotFanoError) as exc:
+            print(f"{k:>3} {type(exc).__name__}: {exc}")
             continue
-        t0 = time.perf_counter()
-        ps = period_series(target, twist, args.dmax, budget=None)
         dt = time.perf_counter() - t0
         row = " ".join(str(v) for v in ps.regularised)
         print(f"{k:>3} {points:>8} {dt:>7.2f}s  {row}")

@@ -31,25 +31,16 @@ Four structural facts keep this cheap and are relied on throughout:
   budget counts.
 
 * Fano blow-up models with r >= 2 (`orbit_degrees`) are S_r-symmetric:
-  summand(sigma d) = sgn(sigma) sigma(summand(d)).  There `period_series`
-  evaluates one summand per orbit, at the weakly increasing point, and reads
-  each degree's unit off those summands (`_orbit_unit`), building no
-  aggregate.  The c * Delta check says nothing about an antisymmetrised sum,
-  so on this path every unit is checked instead against the Euler-sequence
-  sum `validation.oracle_blowup_raw`, and a difference raises
-  OracleMismatchError.  The work budget still counts every point of an
-  orbit.  Those summands are built in `ring.BoxRing`, the quotient of the
-  summand ring by h and x_i^r: the r! permuted staircase coefficients the
-  readout takes all survive both quotients unchanged, and the box holds
-  150 monomials at r = 4 where the full ring holds 462.  Every other path
-  (per-point sums, `correction_C`, `unit_coefficient`) keeps the full ring,
-  where the c * Delta check has something to check.
+  summand(sigma d) = sgn(sigma) sigma(summand(d)).  There one summand per
+  orbit is evaluated, as a scalar, and each degree's unit is read off those
+  (`_orbit_unit`); every unit is checked against the Euler-sequence sum
+  `validation.oracle_blowup_raw`, since the c * Delta check says nothing
+  about an antisymmetrised sum.  Every other path keeps the full ring.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -80,6 +71,10 @@ class WorkBudgetError(RuntimeError):
 
 class OracleMismatchError(ArithmeticError):
     """The orbit-summed series of a Fano blow-up differs from the Euler-sequence sum."""
+
+
+class NotFanoError(ValueError):
+    """A blow-up with N + 1 <= r max c: its mirror map need not be e^(-C x)."""
 
 
 @dataclass(frozen=True)
@@ -244,29 +239,48 @@ def correction_C(
     return Correction(entries=tuple(entries))
 
 
+def fano_degrees(
+    target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
+) -> tuple[int, ...] | None:
+    """Centre degrees c of a Fano blow-up of P^N, None for a model of another shape.
+
+    The shape is the one normalize_blowup returns for some twist level k:
+    rank E = r + 1, F = S^v(k), every c_j = k - e_j >= 1, at most N of
+    them, under the anticanonical grading (no divisor, or one equal to it).
+    A model of that shape with N + 1 <= r max c raises NotFanoError.
+    """
+    r = target.rank
+    if twist is None or len(target.e_degrees) != r + 1:
+        return None
+    if twist.weight_vectors != standard_basis(r):
+        return None
+    c = tuple(twist.rho - e for e in target.e_degrees)
+    if min(c) < 1 or len(c) > target.base_dim:
+        return None
+    if divisor is not None and divisor != anticanonical(target, twist)[1]:
+        return None
+    if target.base_dim + 1 <= r * max(c):
+        raise NotFanoError(
+            f"P^{target.base_dim} blown up in degrees {c} is not Fano: "
+            f"N + 1 = {target.base_dim + 1} <= r max c = {r * max(c)}"
+        )
+    return c
+
+
 def orbit_degrees(
     target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
 ) -> tuple[int, ...] | None:
     """Centre degrees c of a model that period_series sums by S_r orbits, else None.
 
-    That is a Fano blow-up model with r >= 2 under its anticanonical
-    grading: the shape normalize_blowup returns for some twist level k
-    (rank E = r + 1, F = S^v(k), every c_j = k - e_j >= 1, at most N of
-    them) with N + 1 > r max c.  Its summands satisfy
-    summand(sigma d) = sgn(sigma) sigma(summand(d)), and
+    That is a Fano blow-up (fano_degrees) with r >= 2.  Its summands
+    satisfy summand(sigma d) = sgn(sigma) sigma(summand(d)), and
     `validation.oracle_blowup_raw` gives its unit coefficients.
     """
-    r = target.rank
-    if r < 2 or twist is None or len(target.e_degrees) != r + 1:
+    try:
+        c = fano_degrees(target, twist, divisor)
+    except NotFanoError:
         return None
-    if twist.weight_vectors != standard_basis(r):
-        return None
-    c = tuple(twist.rho - e for e in target.e_degrees)
-    if min(c) < 1 or len(c) > target.base_dim or target.base_dim + 1 <= r * max(c):
-        return None
-    if divisor is not None and divisor != anticanonical(target, twist)[1]:
-        return None
-    return c
+    return c if target.rank >= 2 else None
 
 
 def _stabiliser_order(d: tuple[int, ...]) -> int:
@@ -318,38 +332,23 @@ def _point_count(pairs: list, orbits: bool, r: int) -> int:
     return sum(math.factorial(r) // _stabiliser_order(d) for d, _ in pairs)
 
 
-@functools.lru_cache(maxsize=32)
-def _staircase_signs(nvars: int, cap: int) -> dict[int, int]:
-    """{packed key of h^0 x^(delta o pi): sgn(pi)} for pi in S_r, delta = (r - 1, ..., 0)."""
-    kernel = _weyl_kernel(nvars, cap)
-    r = nvars - 1
-    signs = {}
-    for p in itertools.permutations(range(r - 1, -1, -1)):
-        inversions = sum(1 for i in range(r) for j in range(i + 1, r) if p[i] < p[j])
-        signs[kernel.key((0, *p))] = -1 if inversions % 2 else 1
-    return signs
-
-
 def _orbit_unit(pairs: list, ctx: SummandContext) -> Fraction:
     """Unit coefficient of one degree from one summand per S_r orbit.
 
-    pairs holds the weakly increasing points of the degree, and ctx may be
-    a box context: the keys read are those of the full ring.  On a model
-    that orbit_degrees accepts, the degree's aggregate is
-    sum over representatives of sum over sigma in S_r / Stab of
-    sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient, so
-    each representative adds
-    sum_pi sgn(pi) S_rep[h^0 x^(delta o pi)] / |Stab(rep)|.
-    No aggregate is built and nothing checks c * Delta, which an
-    antisymmetrised sum satisfies whatever its summands; period_series
-    checks the result against the Euler-sequence sum instead.
+    pairs holds the weakly increasing points of the degree, and ctx is an
+    orbit context.  On a model that orbit_degrees accepts, the degree's
+    aggregate is sum over representatives of sum over sigma in S_r / Stab
+    of sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient,
+    so each representative adds its oh_summand value,
+    sum_pi sgn(pi) S_rep[h^0 x^(delta o pi)], over |Stab(rep)|.  Nothing
+    checks c * Delta, which an antisymmetrised sum satisfies whatever its
+    summands; period_series checks the result against the Euler-sequence
+    sum instead.
     """
-    signs = _staircase_signs(ctx.nvars, ctx.cap)
-    get = signs.get
     parts = []
     for d, cls in pairs:
-        terms, den = oh_summand(d, cls, ctx)
-        parts.append((sum(get(k, 0) * c for k, c in terms), den * _stabiliser_order(d)))
+        num, den = oh_summand(d, cls, ctx)
+        parts.append((num, den * _stabiliser_order(d)))
     den = math.lcm(*(q for _, q in parts))
     return Fraction(sum(p * (den // q) for p, q in parts), den)
 
@@ -378,24 +377,40 @@ def period_series(
 ) -> PeriodSeries:
     """Quantum period of the twist zero locus through x^dmax.
 
-    Lists the points of every degree, refuses with WorkBudgetError when
-    there are more than budget of them, then computes the raw
-    unit-coefficient series and removes the degree-one layer with the
-    exponential correction G(x) = e^(-C x) * sum_d u_d x^d.  All
-    arithmetic is exact; the regularised series multiplies degree d by d!.
+    unit_series with the degree-one layer removed by the exponential
+    correction G(x) = e^(-C x) * sum_d u_d x^d.  All arithmetic is exact;
+    the regularised series multiplies degree d by d!.  A blow-up that is
+    not Fano raises NotFanoError.
+    """
+    fano_degrees(target, twist, divisor)
+    raw, correction = unit_series(target, twist, dmax, z, divisor, skip_nonconvex, budget)
+    coeffs, regularised = corrected_series(raw, correction.total)
+    return PeriodSeries(tuple(raw), coeffs, regularised, correction)
 
-    A model that orbit_degrees accepts lists one point per S_r orbit,
-    reads each unit with _orbit_unit and raises OracleMismatchError when
-    the units differ from the Euler-sequence sum; it builds its summands in
-    the box ring.  Every other model sums every point and checks that each
-    degree's aggregate is c * Delta.
+
+def unit_series(
+    target: FlagTarget,
+    twist: TwistSpec | None,
+    dmax: int,
+    z: Fraction | int = 1,
+    divisor: DivisorData | None = None,
+    skip_nonconvex: bool = False,
+    budget: int | None = DEFAULT_WORK_BUDGET,
+) -> tuple[list[Fraction], Correction]:
+    """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
+
+    Refuses with WorkBudgetError when more than budget points are listed.
+    A model that orbit_degrees accepts lists one point per S_r orbit, reads
+    each unit with _orbit_unit and raises OracleMismatchError when the
+    units differ from the Euler-sequence sum.  Every other model sums every
+    point and checks that each degree's aggregate is c * Delta.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     degrees = orbit_degrees(target, twist, divisor)
     orbits = degrees is not None
     # one context, so its factor caches are shared by every degree
-    ctx = SummandContext.for_target(target, twist, z, box=orbits)
+    ctx = SummandContext.for_target(target, twist, z, orbit=orbits)
     listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
     if budget is not None:
         counts = [_point_count(pairs, orbits, target.rank) for pairs in listed]
@@ -415,13 +430,7 @@ def period_series(
         for pairs in listed:
             numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
             raw.append(unit_from_numerator(numerator, target))
-    coeffs, regularised = corrected_series(raw, correction.total)
-    return PeriodSeries(
-        raw=tuple(raw),
-        coefficients=coeffs,
-        regularised=regularised,
-        correction=correction,
-    )
+    return raw, correction
 
 
 def corrected_series(

@@ -18,10 +18,13 @@ from fractions import Fraction
 
 from .assembler import (
     DEFAULT_WORK_BUDGET,
+    NotFanoError,
     PeriodSeries,
     degree_numerator,
+    fano_degrees,
     period_series,
     unit_from_numerator,
+    unit_series,
     z_scaling_report,
 )
 from .ring import PackedRing, vandermonde_divide
@@ -276,7 +279,7 @@ def cmd_period(cfg: RunConfig) -> int:
 
 def cmd_jreport(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    series = period_series(
+    raw, correction = unit_series(
         model.target,
         model.twist,
         cfg.dmax,
@@ -285,11 +288,14 @@ def cmd_jreport(cfg: RunConfig) -> int:
         skip_nonconvex=model.skip_nonconvex,
         budget=work_budget(),
     )
-    lines = ["unit coefficients:"]
-    for d, value in enumerate(series.raw):
+    lines = ["I-function unit coefficients:"]
+    for d, value in enumerate(raw):
         lines.append(f"  {d}: unit {fraction_str(value)} z-power {1 - d}")
+    try:
+        fano_degrees(model.target, model.twist, model.divisor)
+    except NotFanoError as exc:
+        lines.append(f"  (not a quantum period: {exc})")
     lines.append("corrections:")
-    correction = series.correction
     if not correction.entries:
         lines.append("  (no degree-one classes)")
     for cls, n in correction.entries:

@@ -6,16 +6,12 @@ number of generators) is a usage error, never a silent coercion.  Coefficients
 are `fractions.Fraction` throughout, so all arithmetic is exact.  `PackedRing`
 works in the same ring with integer numerators over one common denominator:
 it builds the lattice-point summands, adds them up, and reads the unit
-coefficient off their sum with an exact Weyl-divisibility check.  `BoxRing`
-is its quotient by h and by every root power x_i^r, in which the summands of
-the S_r-orbit path are built: it keeps every staircase monomial the unit is
-read from, and drops only monomials that divide none of them.
+coefficient off their sum with an exact Weyl-divisibility check.
+`integer_det` is the determinant the S_r-orbit path reads its units from.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -335,9 +331,7 @@ class PackedRing:
     and `compose` return sorted terms, `product` and `add_all` do not, so a
     product that is used as an inner operand is sorted once by its caller.
 
-    Generator 0 is h and generators 1..nvars-1 the Chern roots.  The per-point
-    path works in this full ring, where the c * Delta check (`weyl_unit`)
-    means something; the orbit path works in its quotient `BoxRing`.
+    Generator 0 is h and generators 1..nvars-1 the Chern roots.
     """
 
     __slots__ = ("nvars", "cap", "radix", "limit", "_expos", "_weyl")
@@ -481,57 +475,24 @@ class PackedRing:
         return expo
 
 
-@functools.lru_cache(maxsize=8)
-def box_keys(nvars: int, cap: int) -> frozenset[int]:
-    """Packed keys of the monomials h^0 x^e with every e_i < r and |e| <= cap.
+def integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
-    r = nvars - 1 is the number of roots.  Built once per ring shape, and
-    only when a BoxRing of that shape is made.
+    Every division by the previous pivot is exact; rows is not modified.
     """
-    ring = PackedRing(nvars, cap)
-    r = nvars - 1
-    return frozenset(
-        ring.key((0, *e)) for e in itertools.product(range(r), repeat=r) if sum(e) <= cap
-    )
-
-
-class BoxRing(PackedRing):
-    """PackedRing modulo h and x_1^r, ..., x_r^r: Q[h, x] / (h, x_i^r, degree > cap).
-
-    Same key layout as PackedRing(nvars, cap), so a key means the same
-    monomial in both.  Both quotients are by monomial ideals, so dropping
-    the monomials outside the box (`box_keys`) is a ring map: a product
-    computed here equals the full-ring product with those monomials
-    dropped.  Every staircase monomial x^(delta o pi), delta = (r - 1, ...,
-    0), lies in the box, so their coefficients, which are all the orbit path
-    reads, come out the same as in the full ring.  The box has 150
-    monomials at r = 4 and 1,753 at r = 5, against 462 and 8,008 in the full
-    ring.  `weyl_unit` is meaningless here: the box keeps only part of Delta.
-    """
-
-    __slots__ = ("box",)
-
-    def __init__(self, nvars: int, cap: int):
-        super().__init__(nvars, cap)
-        self.box = box_keys(nvars, cap)
-
-    def pack(self, terms: Mapping[tuple, Fraction | int]) -> tuple[list, int]:
-        """Packed value of {exponent tuple: rational}, dropping monomials outside the box."""
-        box = self.box
-        return super().pack({e: c for e, c in terms.items() if self.key(e) in box})
-
-    def product(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
-        """a * b in the box, with b's terms sorted by key; the result's terms are unsorted."""
-        (ta, da), (tb, db) = a, b
-        limit, box = self.limit, self.box
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ka, ca in ta:
-            room = limit - ka
-            for kb, cb in tb:
-                if kb >= room:
-                    break
-                k = ka + kb
-                if k in box:
-                    acc[k] = get(k, 0) + ca * cb
-        return [(k, c) for k, c in acc.items() if c], da * db
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1

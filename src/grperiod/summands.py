@@ -28,22 +28,21 @@ shared by the points, classes and degrees of one computation:
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
-assembler.  A context made with box=True multiplies them in `ring.BoxRing`
-instead, the quotient by h and x_i^r that the orbit path reads its units
-from: the same methods build the same parts there, but the linear forms
-lose their h terms, the base factor of P^N is the scalar
-slot_series(D)[0]^(N+1), and each root factor has r terms.  The GradedPoly
-helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
+assembler.  A context made with orbit=True, for the S_r-orbit path of a
+Fano blow-up, multiplies nothing out: it reads the staircase coefficients
+off r x r integer determinants of per-root tables (`staircase`).  The
+GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
 `weyl_block`, `twist_factor`) compute the same factors directly and serve
 as its reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import BoxRing, GradedPoly, PackedRing, poly_mul, unit_inverse
+from .ring import GradedPoly, PackedRing, integer_det, poly_mul, unit_inverse
 from .targets import CurveClass, FlagTarget, TwistSpec, split_twist_rows
 
 
@@ -66,15 +65,15 @@ class SummandContext:
 
     The context also owns the caches `oh_summand` draws on, so they live
     exactly as long as the context: callers make one per target and z and
-    share it across the points and degrees of one computation.  With box,
-    the kernel is `ring.BoxRing` rather than the full `ring.PackedRing`.
+    share it across the points and degrees of one computation.  With orbit,
+    oh_summand returns a representative's staircase scalar (`staircase`).
     """
 
     target: FlagTarget
     twist: TwistSpec | None
     z: Fraction
     cap: int
-    box: bool = False
+    orbit: bool = False
     kernel: PackedRing = field(init=False, repr=False, compare=False)
     # twist rows by the one root they involve (weights), and the rest (indices)
     local_rows: tuple = field(init=False, repr=False, compare=False)
@@ -87,10 +86,10 @@ class SummandContext:
     _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ring = BoxRing if self.box else PackedRing
-        object.__setattr__(self, "kernel", ring(self.nvars, self.cap))
+        object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
         local, general = split_twist_rows(self.twist, self.target.rank)
         object.__setattr__(self, "local_rows", local)
         object.__setattr__(self, "general_rows", general)
@@ -105,7 +104,7 @@ class SummandContext:
         twist: TwistSpec | None = None,
         z: Fraction | int = 1,
         cap: int | None = None,
-        box: bool = False,
+        orbit: bool = False,
     ) -> "SummandContext":
         zq = Fraction(z)
         if zq == 0:
@@ -115,7 +114,7 @@ class SummandContext:
             twist=twist,
             z=zq,
             cap=target.omega_degree if cap is None else cap,
-            box=box,
+            orbit=orbit,
         )
 
     @property
@@ -165,10 +164,7 @@ class SummandContext:
         return cache[upper]
 
     def _line(self, h_coeff: int, weights: tuple) -> tuple[list, int]:
-        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based).
-
-        A box kernel drops the h term as it packs.
-        """
+        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based)."""
         key = (h_coeff, weights)
         out = self._lines.get(key)
         if out is None:
@@ -234,6 +230,10 @@ class SummandContext:
         terms, den = out
         return [(k + (k // radix % radix) * shift, c) for k, c in terms], den
 
+    def shift(self, d: int) -> Fraction:
+        """d z, the shift of a root at fibre degree d in the Weyl factors."""
+        return d * self.z
+
     def weyl_factor(self, a: int, b: int, diff: int):
         """Packed x_a - x_b + diff z (roots 0-based), cached by (a, b, diff)."""
         key = (a, b, diff)
@@ -243,7 +243,7 @@ class SummandContext:
             expo_a[a + 1] = expo_b[b + 1] = 1
             zero = (0,) * self.nvars
             out = self._weyls[key] = self.kernel.pack(
-                {tuple(expo_a): 1, tuple(expo_b): -1, zero: diff * self.z}
+                {tuple(expo_a): 1, tuple(expo_b): -1, zero: self.shift(diff)}
             )
         return out
 
@@ -288,6 +288,54 @@ class SummandContext:
             line = self._line(self.twist.rho, tuple(enumerate(row)))
             out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
         return out
+
+    def root_table(self, da: int, D: int) -> tuple[list, int]:
+        """(M, den): M[i][b] / den = [x^(r-1-i)] R(x) (x + shift(d_a))^(r-1-b).
+
+        R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
+        of a blow-up model, whose one twist row on that root has weight 1.
+        """
+        out = self._tables.get((da, D))
+        if out is None:
+            r = self.target.rank
+            factors = [self.slot_series(da + e * D) for e in self.target.e_degrees]
+            factors.append(self.twist_series(da + self.twist.rho * D))
+            poly, den = [1] + [0] * (r - 1), 1
+            for series in factors:
+                q = math.lcm(*(c.denominator for c in series[:r]))
+                nums = [c.numerator * (q // c.denominator) for c in series[:r]]
+                poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(r)]
+                den *= q
+            p, q = self.shift(da).as_integer_ratio()
+            cols = []  # cols[m] = R(x) (q x + p)^m q^(r-1-m), over den q^(r-1)
+            for m in range(r):
+                cols.append([c * q ** (r - 1 - m) for c in poly])
+                poly = [p * c + q * (poly[k - 1] if k else 0) for k, c in enumerate(poly)]
+            table = [[cols[r - 1 - b][r - 1 - i] for b in range(r)] for i in range(r)]
+            out = self._tables[da, D] = table, den * q ** (r - 1)
+        return out
+
+    def staircase(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
+        """sum_pi sgn(pi) P[h^0 x^(delta o pi)] as (numerator, den), delta = (r-1, ..., 0).
+
+        At h = 0, P = base x prod_a R_a(x_a) x det[u_a^(r-1-b)], the Weyl
+        product as a Vandermonde determinant in u_a = x_a + shift(d_a).  Its
+        row a depends on x_a alone, so P[x^alpha] is the determinant with
+        rows M_a[r-1-alpha_a] (root_table), and by multilinearity the sum is
+        sum over nonempty S of (-1)^(r-|S|) det(sum_{a in S} M_a).
+        """
+        r = len(d)
+        tables = [self.root_table(da, D) for da in d]
+        den = math.lcm(*(q for _, q in tables))
+        scaled = [[[c * (den // q) for c in row] for row in m] for m, q in tables]
+        sums, total = [[[0] * r for _ in range(r)]], 0  # sums[S]: sum over a in S
+        for subset in range(1, 1 << r):
+            low = scaled[(subset & -subset).bit_length() - 1]
+            rest = sums[subset & (subset - 1)]  # S without its lowest element
+            sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, low)])
+            total += (-1) ** (r - subset.bit_count()) * integer_det(sums[subset])
+        base = self.slot_series(D)[0] ** (self.target.base_dim + 1)
+        return total * base.numerator, den**r * base.denominator
 
 
 def _times_linear(series: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
@@ -400,7 +448,7 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
     return out
 
 
-def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tuple[list, int]:
+def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     """Full numerator contribution of one lattice point, sign folded in.
 
     This is the summand of the bundle I-function *before* division by the
@@ -410,12 +458,19 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
     is multiplied out in ctx.kernel from the parts ctx caches and returned
     as a packed value of ctx.kernel, with sign and z in its numerators and
-    denominator (`ctx.kernel.to_graded` gives the GradedPoly; for a box
-    context, that of the summand's image in the box).  A negative
-    twist upper limit raises TwistRangeError from the factor of its row:
-    the root factor for a local row, row_factor for a general one.
+    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  An orbit
+    context returns z * sign * ctx.staircase(d, D) as (numerator, den).
+    A negative twist upper limit raises TwistRangeError from the factor of
+    its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
+    # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
+    # the first of a pair and a times as the second
+    exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))
+    z = -ctx.z if exponent % 2 else ctx.z
+    if ctx.orbit:
+        num, den = ctx.staircase(d, D)
+        return num * z.numerator, den * z.denominator
     if r == 1:
         # each (d_1, D) is a single lattice point: nothing to share
         out = kernel.product(ctx.base_factor(D), ctx._root_build(ctx.local_rows[0], d[0], D))
@@ -427,10 +482,6 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> tupl
     for s in ctx.general_rows:
         upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
         out = kernel.product(out, ctx.row_factor(s, upper))
-    # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
-    # the first of a pair and a times as the second
-    exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))
     terms, den = out
-    z = -ctx.z if exponent % 2 else ctx.z
     num = z.numerator
     return [(k, c * num) for k, c in terms], den * z.denominator

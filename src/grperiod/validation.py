@@ -445,6 +445,8 @@ def r1_direct_period(
     k = c_sorted[0]
     e = k - c_sorted[1]
     a = (base_dim + 1 + e) - k
+    if a <= 0:
+        raise ValueError("r1_direct_period needs N + 1 > max(c)")
     b = 1
     raw = [Fraction(0)] * (dmax + 1)
     for D in range(dmax // a + 1):

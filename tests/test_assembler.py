@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grperiod.assembler import (
     Correction,
+    NotFanoError,
     OracleMismatchError,
     WorkBudgetError,
     class_numerator,
@@ -13,9 +15,11 @@ from grperiod.assembler import (
     corrected_series,
     degree_numerator,
     estimate_points,
+    fano_degrees,
     orbit_degrees,
     period_series,
     unit_coefficient,
+    unit_series,
     z_scaling_report,
 )
 from grperiod.ring import GradedPoly, PackedRing
@@ -214,12 +218,22 @@ def test_budget_counts_the_points_that_are_summed():
     ids=["p4-112", "p6-1112", "p8-11112", "p10-111112"],
 )
 def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
-    # the orbit path of period_series, in the box ring whose exponent bound
-    # r - 1 grows with r, against the per-point units in the full ring
+    # the orbit path of period_series, whose staircase determinants are
+    # r x r, against the per-point units in the full ring
     model = normalize_blowup(BlowUpSpec(base_dim, degrees))
     assert orbit_degrees(*model) == degrees
     ps = period_series(*model, 8, z=Fraction(1, 2))
     assert ps.raw == tuple(unit_coefficient(*model, d, Fraction(1, 2)) for d in range(9))
+
+
+@pytest.mark.parametrize("r, dmax", [(6, 14), (7, 16)])
+def test_orbit_path_equals_the_oracle_at_ranks_6_and_7(r, dmax):
+    # 63 and 127 staircase determinants per representative; period_series
+    # raises OracleMismatchError on the first degree that differs
+    degrees = (1,) * r + (2,)
+    ps = period_series(*normalize_blowup(BlowUpSpec(2 * r, degrees)), dmax)
+    assert ps.regularised == oracle_blowup(2 * r, degrees, dmax)
+    assert any(ps.raw[r + 1 :])
 
 
 def test_orbit_path_is_chosen_from_the_model():
@@ -235,14 +249,48 @@ def test_orbit_path_is_chosen_from_the_model():
     assert orbit_degrees(FlagTarget(6, (1, 1, 1, 0, 0), 3), twist) is None  # rank E != r + 1
 
 
+NON_FANO = [(3, (3, 4)), (3, (2, 4)), (3, (2, 5)), (4, (1, 5)), (4, (1, 3, 3))]
+
+
+@pytest.mark.parametrize("base_dim, degrees", NON_FANO)
+def test_non_fano_blowups_are_refused(base_dim, degrees):
+    # N + 1 <= r max c: the units are still computed, but no period is made
+    model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    assert orbit_degrees(*model) is None
+    message = f"P\\^{base_dim} blown up in degrees {re.escape(str(degrees))} is not Fano"
+    with pytest.raises(NotFanoError, match=message):
+        fano_degrees(*model)
+    with pytest.raises(NotFanoError, match=message):
+        period_series(*model, 4)
+    raw, correction = unit_series(*model, 4)
+    assert raw == [unit_coefficient(*model, d) for d in range(5)]
+    assert raw[0] == 1
+
+
+def test_blowup_shape_is_one_test_for_both_paths():
+    target, twist = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2)))
+    assert fano_degrees(target, twist) == orbit_degrees(target, twist) == (1, 1, 1, 2)
+    assert fano_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)  # r = 1
+    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) is None
+    # other shapes are neither refused nor summed by orbits
+    assert fano_degrees(*example3_verbatim_model()) is None  # not the -K grading
+    assert fano_degrees(target, twist, DivisorData(1, 4)) is None
+    assert fano_degrees(FlagTarget(6, (1, 1, 1, 0, 0), 3), twist) is None
+    non_fano = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 3)), 1)
+    assert fano_degrees(*non_fano[:1], TwistSpec(((1, 0, 0), (0, 1, 0), (1, 0, 1)), 1)) is None
+    # the pinned model is not blow-up-shaped, so it keeps its period
+    pinned, pinned_twist, pinned_divisor = example3_verbatim_model()
+    ps = period_series(pinned, pinned_twist, 8, divisor=pinned_divisor, skip_nonconvex=True)
+    assert ps.regularised == VERBATIM_REGULARISED[:9]
+
+
 def test_wrong_weyl_sign_is_caught_by_the_oracle_check(monkeypatch):
-    # Weyl factors x_a - x_b - (d_a - d_b) z: every aggregate is still a
-    # multiple of Delta, so the per-point path returns a wrong unit silently
+    # root shifts -d_a z, so Weyl factors x_a - x_b - (d_a - d_b) z: every
+    # aggregate is still a multiple of Delta, so the per-point path returns
+    # a wrong unit silently
     model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
-    original = SummandContext.weyl_factor
-    monkeypatch.setattr(
-        SummandContext, "weyl_factor", lambda self, a, b, diff: original(self, a, b, -diff)
-    )
+    original = SummandContext.shift
+    monkeypatch.setattr(SummandContext, "shift", lambda self, d: original(self, -d))
     assert unit_coefficient(*model, 4) != oracle_blowup_raw(8, (1, 1, 1, 1, 2), 4)[4]
     with pytest.raises(OracleMismatchError, match="degree 4"):
         period_series(*model, 10)

@@ -241,6 +241,31 @@ def test_jreport_units_and_corrections(capsys):
     assert "  class D=1 k=0: n=0" in out
 
 
+@pytest.mark.parametrize(
+    "base_dim, degrees", [("3", "3,4"), ("3", "2,4"), ("3", "2,5"), ("4", "1,5"), ("4", "1,3,3")]
+)
+def test_non_fano_blowup_has_units_but_no_period(capsys, base_dim, degrees):
+    argv = ["--base-dim", base_dim, "--center-degrees", degrees, "--dmax", "4"]
+    rc, out, err = run(capsys, ["period", *argv])
+    assert rc == 1
+    assert out == ""
+    assert "NotFanoError" in err
+    rc, out, err = run(capsys, ["jreport", *argv])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "I-function unit coefficients:"
+    assert lines[1] == "  0: unit 1 z-power 1"
+    assert lines[5].startswith("  4: unit ")
+    assert lines[6].startswith("  (not a quantum period: ")
+    assert "not Fano" in lines[6]
+
+
+def test_jreport_of_a_fano_blowup_claims_nothing_more(capsys):
+    rc, out, _ = run(capsys, ["jreport", *P4_ARGS, "--dmax", "3"])
+    assert rc == 0
+    assert "not a quantum period" not in out
+
+
 def test_work_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "1")
     rc, _, err = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])

@@ -1,19 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grperiod.assembler import _staircase_signs
 from grperiod.ring import (
-    BoxRing,
     GradedPoly,
     NotAUnitError,
     NotDivisibleError,
     PackedRing,
     RingUsageError,
-    box_keys,
     divide_linear,
+    integer_det,
     poly_mul,
     unit_inverse,
     vandermonde_divide,
@@ -251,37 +250,27 @@ def test_packed_compose_needs_integral_linear_form():
 
 
 @st.composite
-def box_operands(draw):
-    """(r, a, b): two polynomials in h and r roots of degree <= omega, r = 2..5.
-
-    A monomial is a list of generators (0 is h), so repeated roots give the
-    operands and their products monomials inside the box and outside it.
-    """
-    r = draw(st.integers(min_value=2, max_value=5))
-    omega = r * (r - 1) // 2
-    expos = st.lists(st.integers(0, r), max_size=omega).map(
-        lambda gens: tuple(gens.count(g) for g in range(r + 1))
-    )
-    terms = st.dictionaries(expos, fractions, max_size=8)
-    return r, draw(terms), draw(terms)
+def integer_matrices(draw):
+    """Square integer matrices of size 0..5, some with zero leading pivots."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entries = st.integers(min_value=-6, max_value=6) | st.just(0)
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
 
 
-@settings(deadline=None, max_examples=150)
-@given(box_operands())
-def test_box_product_is_the_full_product_mod_h_and_root_powers(case):
-    r, a, b = case
-    nvars, omega = r + 1, r * (r - 1) // 2
-    full, box = PackedRing(nvars, omega), BoxRing(nvars, omega)
-    terms, den = full.product(full.pack(a), full.pack(b))
-    expected = {k: Fraction(c, den) for k, c in terms if k in box_keys(nvars, omega)}
-    terms, den = box.product(box.pack(a), box.pack(b))
-    assert {k: Fraction(c, den) for k, c in terms} == expected
+@settings(deadline=None, max_examples=300)
+@given(integer_matrices())
+def test_integer_det_is_the_leibniz_sum(rows):
+    n = len(rows)
+    expected = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        expected += (-1) ** inversions * math.prod(rows[i][p[i]] for i in range(n))
+    copy = [list(row) for row in rows]
+    assert integer_det(rows) == expected
+    assert rows == copy
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_box_holds_every_permuted_staircase(r):
-    nvars, omega = r + 1, r * (r - 1) // 2
-    keys = box_keys(nvars, omega)
-    assert len(_staircase_signs(nvars, omega)) == math.factorial(r)
-    assert set(_staircase_signs(nvars, omega)) <= keys
-    assert len(keys) == {2: 3, 3: 17, 4: 150, 5: 1753}[r]
+def test_integer_det_swaps_rows_past_a_zero_pivot():
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+    assert integer_det([[0, 1], [0, 2]]) == 0

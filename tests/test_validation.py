@@ -199,6 +199,13 @@ def test_oracle_blowup_matches_the_other_oracles():
         oracle_blowup(6, (1, 1, 1, 3), 5)  # not Fano: N + 1 <= r * max(c)
 
 
+@pytest.mark.parametrize("base_dim, degrees", [(3, (3, 4)), (3, (2, 4)), (3, (2, 5)), (4, (1, 5))])
+def test_r1_direct_period_refuses_a_non_fano_blowup(base_dim, degrees):
+    # its loop bound divides by a = N + 1 - max(c), which is 0 or negative here
+    with pytest.raises(ValueError, match="needs N \\+ 1 > max"):
+        r1_direct_period(base_dim, degrees, 4)
+
+
 def test_r1_direct_blpt_p2():
     assert r1_direct_period(2, (1, 1), 8) == (1, 0, 2, 6, 6, 60, 110, 420, 1750)
     assert r1_direct_period(2, (1, 1), 0) == (1,)
