@@ -467,37 +467,17 @@ def corrected_series(
     return tuple(coeffs), tuple(regularised)
 
 
-@dataclass(frozen=True)
-class ZScalingRow:
-    degree: int
-    value_at_z: Fraction
-    value_at_one: Fraction
-    expected_ratio: Fraction
-    ok: bool
-
-
-def z_scaling_report(
+def z_scaling_failures(
     target: FlagTarget,
     twist: TwistSpec | None,
     degrees: list[int],
     z: Fraction | int,
-    divisor: DivisorData | None = None,
-    skip_nonconvex: bool = False,
-) -> list[ZScalingRow]:
-    """Check value(z) == value(1) * z^(1 - d) degree by degree."""
+) -> list[int]:
+    """The degrees d at which value(z) != value(1) * z^(1 - d)."""
     zq = Fraction(z)
-    rows = []
-    for d in degrees:
-        at_z = unit_coefficient(target, twist, d, zq, divisor, skip_nonconvex)
-        at_one = unit_coefficient(target, twist, d, 1, divisor, skip_nonconvex)
-        expected = zq ** (1 - d)
-        rows.append(
-            ZScalingRow(
-                degree=d,
-                value_at_z=at_z,
-                value_at_one=at_one,
-                expected_ratio=expected,
-                ok=(at_z == at_one * expected),
-            )
-        )
-    return rows
+    return [
+        d
+        for d in degrees
+        if unit_coefficient(target, twist, d, zq)
+        != unit_coefficient(target, twist, d, 1) * zq ** (1 - d)
+    ]

@@ -3,7 +3,10 @@
 Everything downstream works in Q[g_0, ..., g_{n-1}] / (total degree > cap).
 A value knows its own cap: mixing values with different caps (or a different
 number of generators) is a usage error, never a silent coercion.  Coefficients
-are `fractions.Fraction` throughout, so all arithmetic is exact.  `PackedRing`
+are `fractions.Fraction` throughout, so all arithmetic is exact.
+`divide_linear` divides by g_i - g_j: once g_i -> g_j leaves no remainder,
+each term c * g_i^e * m (m free of g_i) contributes c * m times the
+geometric sum g_i^(e-1) + g_i^(e-2) g_j + ... + g_j^(e-1).  `PackedRing`
 works in the same ring with integer numerators over one common denominator:
 it builds the lattice-point summands, adds them up, and reads the unit
 coefficient off their sum with an exact Weyl-divisibility check.
@@ -139,9 +142,6 @@ class GradedPoly:
             other = GradedPoly.constant(other, self.nvars, self.cap)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, value) -> "GradedPoly":
         v = _as_fraction(value)
         out = GradedPoly(self.nvars, self.cap)
@@ -208,10 +208,6 @@ class GradedPoly:
         out.terms = terms
         return out
 
-    def unit_part(self) -> Fraction:
-        """Constant term, for callers that read a scalar off a quotient."""
-        return self.constant_term()
-
 
 def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
     a._check_compatible(b)
@@ -264,11 +260,11 @@ def divide_linear(p: GradedPoly, i: int, j: int) -> GradedPoly:
     lives at cap p.cap - 1 (the top degree of a quotient is not determined
     by a numerator known only up to degree cap).
 
-    Works monomial by monomial: with u = g_i - g_j,
-        g_i^e * m  =  ((g_i - g_j) + g_j)^e * m
-    and expanding binomially, every term with at least one factor u is
-    divisible by u; the u-free term g_j^e * m cancels across the whole
-    polynomial because the substitution remainder is zero.
+    With the remainder zero, the images c * g_j^e * m of p's terms
+    c * g_i^e * m (m free of g_i) cancel, so p = sum c * m * (g_i^e - g_j^e)
+    and the quotient is sum c * m * sum_{s<e} g_i^s g_j^(e-1-s).  Every
+    quotient monomial has one degree less than its term, so none passes
+    cap - 1.
     """
     remainder = p.substitute_equal(i, j)
     if not remainder.is_zero():
@@ -276,28 +272,14 @@ def divide_linear(p: GradedPoly, i: int, j: int) -> GradedPoly:
             f"not divisible by g{i} - g{j}: substitution leaves a remainder",
             remainder,
         )
-    nvars, cap = p.nvars, p.cap
-    u = GradedPoly.generator(i, nvars, cap) - GradedPoly.generator(j, nvars, cap)
-    quotient = GradedPoly(nvars, cap)
+    quotient: dict[tuple, Fraction] = {}
     for expo, coeff in p.terms.items():
-        e = expo[i]
-        if e == 0:
-            continue
-        rest = list(expo)
-        rest[i] = 0
-        rest_poly = GradedPoly(nvars, cap, {tuple(rest): coeff})
-        # sum_{t=1}^{e} C(e, t) u^(t-1) g_j^(e-t)
-        acc = GradedPoly(nvars, cap)
-        u_power = GradedPoly.constant(1, nvars, cap)
-        for t in range(1, e + 1):
-            gj_expo = [0] * nvars
-            gj_expo[j] = e - t
-            term = GradedPoly(nvars, cap, {tuple(gj_expo): Fraction(math.comb(e, t))})
-            acc = acc + poly_mul(u_power, term)
-            if t < e:
-                u_power = poly_mul(u_power, u)
-        quotient = quotient + poly_mul(rest_poly, acc)
-    return quotient.truncate(cap - 1)
+        e, mono = expo[i], list(expo)
+        for s in range(e):
+            mono[i], mono[j] = s, expo[j] + e - 1 - s
+            key = tuple(mono)
+            quotient[key] = quotient.get(key, 0) + coeff
+    return GradedPoly(p.nvars, p.cap - 1, quotient)
 
 
 def vandermonde_divide(p: GradedPoly, pairs: Iterable[tuple[int, int]]) -> GradedPoly:
@@ -413,7 +395,7 @@ class PackedRing:
 
         The pairs must satisfy i < j, and the cap must equal their number.
         Then `vandermonde_divide(self.to_graded(value), pairs)` succeeds
-        exactly when value is such a multiple, and its unit part is c; this
+        exactly when value is such a multiple, and its constant term is c; this
         checks the same equation on the integer numerators.  c is read off
         the staircase monomial prod_i g_i^(number of pairs (i, _)), which
         only the all-first choice reaches, so its coefficient in Delta is 1.
@@ -453,16 +435,12 @@ class PackedRing:
             delta = self.product(delta, self.pack({tuple(gi): 1, tuple(gj): -1}))
         return self.key(staircase), delta[0]
 
-    def to_graded(self, value: tuple[list, int], scale: Fraction = Fraction(1)) -> GradedPoly:
-        """The GradedPoly of value * scale."""
+    def to_graded(self, value: tuple[list, int]) -> GradedPoly:
+        """The GradedPoly of value."""
         terms, den = value
-        num, den = scale.numerator, den * scale.denominator
         expos = self._expos
         out = GradedPoly(self.nvars, self.cap)
-        if num:
-            out.terms = {
-                expos.get(k) or self._unpack(k): Fraction(c * num, den) for k, c in terms
-            }
+        out.terms = {expos.get(k) or self._unpack(k): Fraction(c, den) for k, c in terms}
         return out
 
     def _unpack(self, key: int) -> tuple:

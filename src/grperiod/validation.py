@@ -7,7 +7,9 @@ configuration, read the unit coefficient off one staircase monomial of a
 product of univariate series; none uses the engine's polynomial ring or
 Weyl division, so engine results can be compared against genuinely
 independent arithmetic.  They deliberately share nothing with the engine
-but Fraction.  The formal checks verify the Bernoulli/G-series identities
+but Fraction: this module imports no other grperiod module, and
+`grperiod validate` runs the engine-against-oracle comparisons.  The
+formal checks verify the Bernoulli/G-series identities
 
     G(x+z, z) = G(x, z) + s(x)                                  (gamma)
     M_beta(-z) = exp(G(f,z)) * exp(-G(f - <f,beta> z, z))       (delta-M)
@@ -131,13 +133,6 @@ class FormalSeries:
                 out._add_term(key, coeff)
         return out
 
-    def restrict_z(self, z_min: int, z_max: int) -> "FormalSeries":
-        out = FormalSeries(self.s_order)
-        for key, coeff in self.terms.items():
-            if z_min <= key[2] <= z_max:
-                out._add_term(key, coeff)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, FormalSeries)
@@ -170,33 +165,23 @@ def s_series(shift: int, s_order: int) -> FormalSeries:
     return out
 
 
-def g_series(
-    s_order: int,
-    shift: int = 0,
-    x_order: int | None = None,
-    z_orders: tuple[int, int] | None = None,
-    bernoulli_values=None,
-) -> FormalSeries:
+def g_series(s_order: int, shift: int = 0, x_order: int | None = None) -> FormalSeries:
     """G(f + shift*z, z) = sum s_{l+m-1} (B_m/m!) (f+shift z)^l / l! z^{m-1}.
 
     Indexing over l + m - 1 = k >= 0 automatically omits the (l, m) = (0, 0)
     term, whose s_{-1} is undefined; the gamma identity holds without it.
-    `bernoulli_values` lets checks inject a perturbed B_1.
     """
-    bern = bernoulli_values or bernoulli
     out = FormalSeries(s_order)
     for k in range(s_order):
         s_exp = _s_unit(k, s_order)
         for l in range(k + 2):
             m = k + 1 - l
-            base = bern(m) / (math.factorial(m) * math.factorial(l))
+            base = bernoulli(m) / (math.factorial(m) * math.factorial(l))
             for j in range(l + 1):
                 coeff = base * math.comb(l, j) * shift**j
                 out._add_term((s_exp, l - j, m - 1 + j), coeff)
     if x_order is not None:
         out = out.restrict_f(x_order)
-    if z_orders is not None:
-        out = out.restrict_z(*z_orders)
     return out
 
 
@@ -209,18 +194,10 @@ class CheckResult:
         return self.ok
 
 
-def check_gamma_identity(
-    x_order: int = 4,
-    s_order: int = 3,
-    flip_b1: bool = False,
-) -> CheckResult:
+def check_gamma_identity(x_order: int = 4, s_order: int = 3) -> CheckResult:
     """Compare G(f+z, z) against G(f, z) + s(f) coefficientwise."""
-    if flip_b1:
-        bern = lambda m: -bernoulli(m) if m == 1 else bernoulli(m)
-    else:
-        bern = bernoulli
-    lhs = g_series(s_order, shift=1, x_order=x_order, bernoulli_values=bern)
-    rhs = g_series(s_order, shift=0, x_order=x_order, bernoulli_values=bern).add(
+    lhs = g_series(s_order, shift=1, x_order=x_order)
+    rhs = g_series(s_order, shift=0, x_order=x_order).add(
         s_series(0, s_order).restrict_f(x_order)
     )
     diff = lhs.first_difference(rhs)
@@ -523,16 +500,3 @@ def _regularise(raw: list[Fraction]) -> tuple[Fraction, ...]:
         out.append(math.factorial(deg) * acc)
     return tuple(out)
 
-
-def r1_cross_check(base_dim: int, center_degrees: tuple[int, int], dmax: int) -> CheckResult:
-    """Engine vs direct double-sum on a rank-one blow-up model."""
-    from .assembler import period_series
-    from .targets import BlowUpSpec, normalize_blowup
-
-    target, twist = normalize_blowup(BlowUpSpec(base_dim, tuple(center_degrees)))
-    engine = period_series(target, twist, dmax).regularised
-    direct = r1_direct_period(base_dim, tuple(center_degrees), dmax)
-    for deg, (ev, ov) in enumerate(zip(engine, direct)):
-        if ev != ov:
-            return CheckResult(False, f"degree {deg}: engine {ev} != oracle {ov}")
-    return CheckResult(True)

@@ -20,7 +20,7 @@ from grperiod.assembler import (
     period_series,
     unit_coefficient,
     unit_series,
-    z_scaling_report,
+    z_scaling_failures,
 )
 from grperiod.ring import GradedPoly, PackedRing
 from grperiod.summands import SummandContext, TwistRangeError
@@ -172,12 +172,14 @@ def test_nonconvex_points_error_unless_skipped():
     class_numerator(cls, ctx, skip_nonconvex=True)  # does not raise
 
 
-def test_z_scaling_row(p4_112):
+def test_z_scaling_row(p4_112, monkeypatch):
     target, twist = p4_112
-    rows = z_scaling_report(target, twist, [3, 4], 2)
-    assert rows[0].value_at_z == Fraction(1, 2)
-    assert rows[0].expected_ratio == Fraction(1, 4)
-    assert all(row.ok for row in rows)
+    assert unit_coefficient(target, twist, 3, 2) == Fraction(1, 2)
+    assert unit_coefficient(target, twist, 3, 1) * Fraction(1, 4) == Fraction(1, 2)
+    assert z_scaling_failures(target, twist, [3, 4], 2) == []
+    # a unit that ignores z scales correctly only at degree one
+    monkeypatch.setattr("grperiod.assembler.unit_coefficient", lambda *args: Fraction(1))
+    assert z_scaling_failures(target, twist, [0, 1, 2], 2) == [0, 2]
 
 
 def test_budget_guard(p4_112):
@@ -298,8 +300,8 @@ def test_wrong_weyl_sign_is_caught_by_the_oracle_check(monkeypatch):
 
 def test_wrong_twist_limit_is_caught_by_the_oracle_check(monkeypatch):
     # root factors built with the twist rows one step too long: the orbit
-    # path takes its root factors from the context's shared cache, so the
-    # box-ring summands carry the error and the oracle check sees it
+    # path builds its root tables from the context's shared cache, so the
+    # staircase determinants carry the error and the oracle check sees it
     model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
     original = SummandContext.twist_series
     monkeypatch.setattr(

@@ -12,6 +12,7 @@ from grperiod.cli import (
     parse_records,
     run_validation_suite,
 )
+from grperiod import validation
 from grperiod.validation import oracle_blowup
 
 P4_ARGS = ["--base-dim", "4", "--center-degrees", "1,1,2"]
@@ -193,6 +194,26 @@ def test_bad_mode_in_config(tmp_path, capsys):
     assert "mode must be one of" in err
 
 
+TARGET_CONFIG = "mode = target\nbase_dim = 4\ne_degrees = 0,0,-1\nranks = 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("format = json\n", "format must be one of"),
+        ("nonconvex = maybe\n", "nonconvex must be"),
+        (TARGET_CONFIG, "target mode needs"),
+        (TARGET_CONFIG + "rho = 1\ngrading_a = 1\n", "must be given together"),
+    ],
+)
+def test_config_file_refusals(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc, _, err = run(capsys, ["period", *P4_ARGS, "--config", str(cfg), "--dmax", "2"])
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+
+
 def test_blowup_mode_needs_model_args(capsys):
     rc, _, err = run(capsys, ["period", "--dmax", "2"])
     assert rc == 1
@@ -219,8 +240,15 @@ def test_validate_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
-def test_validate_flip_b1_fails(capsys):
-    rc, out, _ = run(capsys, ["validate", "--flip-b1"])
+def test_validate_flip_b1_fails(capsys, monkeypatch):
+    # the true values first, so the flipped B_1 never reaches bernoulli's cache
+    values = [validation.bernoulli(m) for m in range(22)]
+
+    def flipped(m):
+        return -values[m] if m == 1 else values[m]
+
+    monkeypatch.setattr(validation, "bernoulli", flipped)
+    rc, out, _ = run(capsys, ["validate"])
     assert rc == 1
     assert any(line.startswith("FAIL gamma-identity") for line in out.splitlines())
 

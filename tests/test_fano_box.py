@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from grperiod.assembler import period_series, unit_coefficient, z_scaling_report
+from grperiod.assembler import period_series, unit_coefficient, z_scaling_failures
 from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
 from grperiod.validation import oracle_blowup, oracle_blowup_raw
 
@@ -54,8 +54,8 @@ def test_default_twist_level_in_either_centre_order_equals_the_oracle():
 
 def test_default_twist_level_is_z_homogeneous():
     for base_dim, degrees in FANO_BOX:
-        rows = z_scaling_report(*normalize_blowup(BlowUpSpec(base_dim, degrees)), range(9), 2)
-        assert all(row.ok for row in rows), (base_dim, degrees, [r.degree for r in rows if not r.ok])
+        model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        assert z_scaling_failures(*model, range(9), 2) == [], (base_dim, degrees)
 
 
 def test_default_twist_level_per_point_units_equal_the_oracle():

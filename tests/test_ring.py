@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grperiod.ring import (
     GradedPoly,
@@ -104,6 +104,25 @@ def test_divide_linear_round_trip(q):
     assert poly_mul(factor, GradedPoly(NVARS, CAP, recovered.terms)) == p
 
 
+@given(
+    st.dictionaries(exponents, fractions, max_size=5),
+    st.sampled_from([(0, 1), (1, 2), (2, 0)]),
+    exponents,
+    fractions,
+)
+def test_divide_linear_recovers_the_quotient_or_reports_the_remainder(terms, pair, mono, c):
+    i, j = pair
+    q = GradedPoly(NVARS, CAP - 1, terms)
+    p = poly_mul(h(i) - h(j), GradedPoly(NVARS, CAP, q.terms))
+    assert divide_linear(p, i, j) == q
+    # a monomial of degree <= cap survives g_i -> g_j, so p plus it is not divisible
+    extra = GradedPoly(NVARS, CAP, {mono: c})
+    assume(not extra.is_zero())
+    with pytest.raises(NotDivisibleError) as err:
+        divide_linear(p + extra, i, j)
+    assert err.value.remainder == (p + extra).substitute_equal(i, j)
+
+
 def test_vandermonde_divide_drops_cap_per_pair():
     p = poly_mul(h(1), h(1)) - poly_mul(h(2), h(2))
     q = vandermonde_divide(p, [(1, 2)])
@@ -125,9 +144,9 @@ def test_mul_associates(a, b, c):
     assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
 
 
-def test_unit_part_reads_constant():
+def test_constant_term_reads_constant():
     p = const(Fraction(3, 7)) + h(0)
-    assert p.unit_part() == Fraction(3, 7)
+    assert p.constant_term() == Fraction(3, 7)
 
 
 def test_substitute_equal_merges():
@@ -136,13 +155,13 @@ def test_substitute_equal_merges():
 
 
 def _packed_graded(ring, terms):
-    return ring.to_graded(ring.pack(terms), Fraction(1))
+    return ring.to_graded(ring.pack(terms))
 
 
 @given(polys, polys, st.integers(min_value=0, max_value=CAP))
 def test_packed_product_matches_poly_mul(a, b, cap):
     ring = PackedRing(NVARS, cap)
-    got = ring.to_graded(ring.product(ring.pack(a.terms), ring.pack(b.terms)), Fraction(1))
+    got = ring.to_graded(ring.product(ring.pack(a.terms), ring.pack(b.terms)))
     assert got == poly_mul(a.truncate(cap), b.truncate(cap))
 
 
@@ -201,7 +220,7 @@ def test_weyl_unit_agrees_with_vandermonde_divide(case):
         assert err.value.remainder == p - delta.scale(p.coefficient(staircase))
     else:
         got = ring.weyl_unit(ring.pack(p.terms), pairs)
-        assert got == quotient.unit_part() == p.coefficient(staircase)
+        assert got == quotient.constant_term() == p.coefficient(staircase)
         if p == delta.scale(c):
             assert got == c
 
@@ -216,7 +235,7 @@ def test_weyl_unit_needs_the_weyl_cap_and_ordered_pairs():
 @given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=5))
 def test_packed_round_trip_with_scale(a, scale):
     ring = PackedRing(NVARS, CAP)
-    assert ring.to_graded(ring.pack(a.terms), scale) == a.scale(scale)
+    assert ring.to_graded(ring.pack(a.terms)).scale(scale) == a.scale(scale)
 
 
 def test_packed_keys_sort_by_degree_and_do_not_carry():
@@ -231,7 +250,7 @@ def test_packed_compose_substitutes_a_linear_form():
     ring = PackedRing(NVARS, CAP)
     series = (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 8), Fraction(5))
     linear = {(1, 0, 0): 1, (0, 0, 1): -2}
-    got = ring.to_graded(ring.compose(series, ring.pack(linear)), Fraction(1))
+    got = ring.to_graded(ring.compose(series, ring.pack(linear)))
     ell = GradedPoly(NVARS, CAP, linear)
     expected = const(0)
     power = const(1)

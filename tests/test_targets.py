@@ -54,6 +54,11 @@ def test_normalize_rejects_codim_overflow():
         normalize_blowup(BlowUpSpec(2, (1, 1, 1)))
 
 
+def test_normalize_refuses_when_no_twist_level_bounds_the_classes():
+    with pytest.raises(GradingError, match=r"no twist level in \[3, 3\]"):
+        normalize_blowup(BlowUpSpec(2, (3, 3)))
+
+
 def test_normalize_rejects_nonpositive_degrees():
     with pytest.raises(ValueError):
         normalize_blowup(BlowUpSpec(4, (1, 0)))

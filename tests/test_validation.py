@@ -19,7 +19,6 @@ from grperiod.validation import (
     oracle_example1,
     oracle_example2,
     oracle_pinned_verbatim,
-    r1_cross_check,
     r1_direct_period,
     s_series,
 )
@@ -108,8 +107,16 @@ def test_gamma_identity_holds():
     assert check_gamma_identity(x_order=5, s_order=4)
 
 
-def test_gamma_identity_pins_b1_sign():
-    result = check_gamma_identity(flip_b1=True)
+def test_gamma_identity_pins_b1_sign(monkeypatch):
+    # read the true values first: bernoulli recurses through the module-level
+    # name, so a patched B_1 must never reach its cache
+    values = [bernoulli(m) for m in range(6)]
+
+    def flipped(m):
+        return -values[m] if m == 1 else values[m]
+
+    monkeypatch.setattr("grperiod.validation.bernoulli", flipped)
+    result = check_gamma_identity()
     assert not result
     assert "mismatch" in result.detail
 
@@ -212,5 +219,9 @@ def test_r1_direct_blpt_p2():
 
 
 def test_r1_cross_checks():
-    assert r1_cross_check(2, (1, 1), 8)
-    assert r1_cross_check(4, (1, 2), 6)
+    from grperiod.assembler import period_series
+    from grperiod.targets import BlowUpSpec, normalize_blowup
+
+    for base_dim, degrees, dmax in ((2, (1, 1), 8), (4, (1, 2), 6)):
+        engine = period_series(*normalize_blowup(BlowUpSpec(base_dim, degrees)), dmax)
+        assert engine.regularised == r1_direct_period(base_dim, degrees, dmax)
