@@ -36,6 +36,8 @@ Four structural facts keep this cheap and are relied on throughout:
   (`_orbit_unit`); every unit is checked against the Euler-sequence sum
   `validation.oracle_blowup_raw`, since the c * Delta check says nothing
   about an antisymmetrised sum.  Every other path keeps the full ring.
+  At r = 1 Delta = 1 and the check is empty too, so the units of a Fano
+  blow-up with r = 1 are checked against the same sum.
 """
 
 from __future__ import annotations
@@ -276,11 +278,18 @@ def orbit_degrees(
     satisfy summand(sigma d) = sgn(sigma) sigma(summand(d)), and
     `validation.oracle_blowup_raw` gives its unit coefficients.
     """
+    c = _oracle_degrees(target, twist, divisor)
+    return c if target.rank >= 2 else None
+
+
+def _oracle_degrees(
+    target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
+) -> tuple[int, ...] | None:
+    """fano_degrees, or None for a non-Fano blow-up: the models checked against the oracle."""
     try:
-        c = fano_degrees(target, twist, divisor)
+        return fano_degrees(target, twist, divisor)
     except NotFanoError:
         return None
-    return c if target.rank >= 2 else None
 
 
 def _stabiliser_order(d: tuple[int, ...]) -> int:
@@ -356,12 +365,18 @@ def _orbit_unit(pairs: list, ctx: SummandContext) -> Fraction:
 def _check_against_oracle(
     raw: list[Fraction], base_dim: int, degrees: tuple[int, ...], z: Fraction
 ) -> None:
-    """Raise OracleMismatchError unless raw[d] z^(d-1) is the Euler-sequence sum's u_d."""
+    """Raise OracleMismatchError unless raw[d] z^(d-1) is the Euler-sequence sum's u_d.
+
+    At r = 1 the points (k,) at D = 0 add 1/k! each, which the sum leaves
+    out: there the units are e^x times it, sum_t u_(d-t) / t!.
+    """
     expected = oracle_blowup_raw(base_dim, degrees, len(raw) - 1)
+    if len(degrees) == 2:
+        expected = corrected_series(list(expected), Fraction(-1))[0]
     for d, (u, e) in enumerate(zip(raw, expected)):
         if u * z ** (d - 1) != e:
             raise OracleMismatchError(
-                f"degree {d}: orbit sum gives {u * z ** (d - 1)}, the Euler-sequence "
+                f"degree {d}: the engine gives {u * z ** (d - 1)}, the Euler-sequence "
                 f"sum for P^{base_dim} blown up in degrees {degrees} gives {e}"
             )
 
@@ -400,15 +415,16 @@ def unit_series(
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
     Refuses with WorkBudgetError when more than budget points are listed.
-    A model that orbit_degrees accepts lists one point per S_r orbit, reads
-    each unit with _orbit_unit and raises OracleMismatchError when the
-    units differ from the Euler-sequence sum.  Every other model sums every
-    point and checks that each degree's aggregate is c * Delta.
+    A model that orbit_degrees accepts lists one point per S_r orbit and
+    reads each unit with _orbit_unit.  Every other model sums every point
+    and checks that each degree's aggregate is c * Delta.  The units of a
+    Fano blow-up, r = 1 included, must also equal the Euler-sequence sum,
+    or OracleMismatchError is raised.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    degrees = orbit_degrees(target, twist, divisor)
-    orbits = degrees is not None
+    degrees = _oracle_degrees(target, twist, divisor)
+    orbits = degrees is not None and target.rank >= 2
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext.for_target(target, twist, z, orbit=orbits)
     listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
@@ -424,12 +440,13 @@ def unit_series(
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     if orbits:
         raw = [_orbit_unit(pairs, ctx) for pairs in listed]
-        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
     else:
         raw = []
         for pairs in listed:
             numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
             raw.append(unit_from_numerator(numerator, target))
+    if degrees is not None:
+        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
     return raw, correction
 
 

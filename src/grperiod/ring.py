@@ -183,14 +183,6 @@ class GradedPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def truncate(self, cap: int) -> "GradedPoly":
-        """Copy of self in the ring with the (lower or equal) cap."""
-        if cap > self.cap:
-            raise RingUsageError(f"cannot raise cap from {self.cap} to {cap}")
-        out = GradedPoly(self.nvars, cap)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        return out
-
     def substitute_equal(self, i: int, j: int) -> "GradedPoly":
         """Image under g_i -> g_j (same ring)."""
         terms: dict[tuple, Fraction] = {}

@@ -24,13 +24,17 @@ shared by the points, classes and degrees of one computation:
 * the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b);
 * the product through the first j roots, in the order base x R_1 x R_2 x
   W(1,2) x R_3 x W(1,3) x W(2,3) x ..., which depends only on
-  (D, d_1, ..., d_j): cached for j < r - 1 (`prefix`).
+  (D, d_1, ..., d_j): cached for j < r - 1 (`prefix`);
+* the base constant slot_series(D)[0]^(N+1): cached by D.
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
-assembler.  A context made with orbit=True, for the S_r-orbit path of a
-Fano blow-up, multiplies nothing out: it reads the staircase coefficients
-off r x r integer determinants of per-root tables (`staircase`).  The
+assembler.  At cap 0, the Weyl degree at r = 1, every factor is its
+constant term, so the summand is the product of those terms, one integer
+over one denominator (`constant`).  A context made with orbit=True, for
+the S_r-orbit path of a Fano blow-up, multiplies nothing out either: it
+reads the staircase coefficients off r x r integer determinants of
+per-root tables (`staircase`).  The
 GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
 `weyl_block`, `twist_factor`) compute the same factors directly and serve
 as its reference.
@@ -81,6 +85,7 @@ class SummandContext:
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -192,6 +197,47 @@ class SummandContext:
                 out = kernel.product(out, single)
             out = self._bases[D] = sorted(out[0]), out[1]
         return out
+
+    def base_constant(self, D: int) -> Fraction:
+        """Constant term slot_series(D)[0]^(N+1) of the base factor, cached by D."""
+        out = self._base_constants.get(D)
+        if out is None:
+            out = self._base_constants[D] = self.slot_series(D)[0] ** (self.target.base_dim + 1)
+        return out
+
+    def constant(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
+        """(numerator, den) of the summand at (d, D) at cap 0, before z and sign.
+
+        At cap 0 every factor is its constant term: base_constant(D), each
+        slot ratio's slot_series(upper)[0], each twist row's
+        twist_series(upper)[0] and each Weyl factor's (d_a - d_b) z.  Every
+        twist row is read, so a negative upper limit raises TwistRangeError
+        even where another factor is zero.
+        """
+        base = self.base_constant(D)
+        num, den = base.numerator, base.denominator
+        slots, twists, e_degrees = self.slot_series, self.twist_series, self.target.e_degrees
+        twist = self.twist
+        for di, rows in zip(d, self.local_rows):
+            for e in e_degrees:
+                c = slots(di + e * D)[0]
+                num *= c.numerator
+                den *= c.denominator
+            for f in rows:
+                c = twists(f * di + twist.rho * D)[0]
+                num *= c.numerator
+                den *= c.denominator
+        for s in self.general_rows:
+            upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
+            c = twists(upper)[0]
+            num *= c.numerator
+            den *= c.denominator
+        p, q = self.z.numerator, self.z.denominator
+        for a, da in enumerate(d):
+            for db in d[a + 1 :]:
+                num *= (da - db) * p
+                den *= q
+        return num, den
 
     def _root_build(self, rows: tuple, di: int, D: int):
         """Packed slot ratios of root 0 at (d_i, D) times twist rows `rows` on it."""
@@ -334,7 +380,7 @@ class SummandContext:
             rest = sums[subset & (subset - 1)]  # S without its lowest element
             sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, low)])
             total += (-1) ** (r - subset.bit_count()) * integer_det(sums[subset])
-        base = self.slot_series(D)[0] ** (self.target.base_dim + 1)
+        base = self.base_constant(D)
         return total * base.numerator, den**r * base.denominator
 
 
@@ -458,10 +504,11 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
     is multiplied out in ctx.kernel from the parts ctx caches and returned
     as a packed value of ctx.kernel, with sign and z in its numerators and
-    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  An orbit
-    context returns z * sign * ctx.staircase(d, D) as (numerator, den).
-    A negative twist upper limit raises TwistRangeError from the factor of
-    its row.
+    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  At cap 0
+    that value is ([(0, z * sign * numerator)], den) from ctx.constant(d, D),
+    or ([], den) when it is zero.  An orbit context returns
+    z * sign * ctx.staircase(d, D) as (numerator, den).  A negative twist
+    upper limit raises TwistRangeError from the factor of its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
     # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
@@ -471,13 +518,14 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     if ctx.orbit:
         num, den = ctx.staircase(d, D)
         return num * z.numerator, den * z.denominator
-    if r == 1:
-        # each (d_1, D) is a single lattice point: nothing to share
-        out = kernel.product(ctx.base_factor(D), ctx._root_build(ctx.local_rows[0], d[0], D))
-    else:
-        out = ctx.prefix(D, d[: r - 2])
-        out = ctx.extend(out, d[: r - 1], D)
-        out = ctx.extend(out, d, D)
+    if not ctx.cap:
+        num, den = ctx.constant(d, D)
+        num *= z.numerator
+        return [(0, num)] if num else [], den * z.denominator
+    cached = max(r - 2, 0)
+    out = ctx.prefix(D, d[:cached])
+    for j in range(cached + 1, r + 1):
+        out = ctx.extend(out, d[:j], D)
     twist = ctx.twist
     for s in ctx.general_rows:
         upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D

@@ -312,6 +312,26 @@ def test_wrong_twist_limit_is_caught_by_the_oracle_check(monkeypatch):
         period_series(*model, 10)
 
 
+def test_r1_units_are_checked_against_the_oracle(monkeypatch):
+    # at r = 1 Delta = 1, so the c * Delta check is empty; the units must be
+    # e^x times the Euler-sequence sum, and a base constant with N copies of
+    # the slot ratio in place of N + 1 breaks that from D = 1 (degree 3) on
+    # where z != 1, while every degree-one class, at D = 0, keeps its value
+    model = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    raw = period_series(*model, 12, z=Fraction(-1, 2)).raw
+    expected = oracle_blowup_raw(3, (1, 2), 12)
+    for d, u in enumerate(raw):
+        e = sum(expected[d - t] / math.factorial(t) for t in range(d + 1))
+        assert u * Fraction(-1, 2) ** (d - 1) == e
+    monkeypatch.setattr(
+        SummandContext,
+        "base_constant",
+        lambda self, D: self.slot_series(D)[0] ** self.target.base_dim,
+    )
+    with pytest.raises(OracleMismatchError, match="degree 3:"):
+        period_series(*model, 12, z=2)
+
+
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     degrees = []
 

@@ -18,7 +18,16 @@ from grperiod.summands import (
     twist_uppers,
     weyl_block,
 )
-from grperiod.targets import CurveClass, FlagTarget, TwistSpec
+from grperiod.assembler import class_points
+from grperiod.targets import (
+    BlowUpSpec,
+    CurveClass,
+    FlagTarget,
+    TwistSpec,
+    class_enumeration,
+    lattice_floor,
+    normalize_blowup,
+)
 
 
 def gen(i, nvars, cap):
@@ -292,3 +301,74 @@ def test_slot_series_matches_factor_ratio(p4_112):
     for upper in (3, -2, 1, 0, -4, 5):
         series = GradedPoly(1, 3, {(k,): c for k, c in enumerate(ctx.slot_series(upper))})
         assert series == factor_ratio(h, upper, ctx.z)
+
+
+R1_MODELS = [(3, (1, 2)), (2, (1, 1)), (4, (4, 4))]
+CAP0_Z = [Fraction(1), Fraction(2), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("base_dim, degrees", R1_MODELS)
+@pytest.mark.parametrize("z", CAP0_Z)
+def test_cap0_summand_equals_reference_on_listed_points(reference_summand, base_dim, degrees, z):
+    # r = 1: the default cap is 0, so every summand is one constant
+    target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    ctx = SummandContext.for_target(target, twist, z=z)
+    assert ctx.cap == 0
+    listed = [
+        (d, cls)
+        for x_deg in range(16)
+        for cls in class_enumeration(target, twist, x_deg)
+        for d in class_points(cls, ctx)
+    ]
+    assert any(cls.D == 0 for _, cls in listed) and any(cls.D > 0 for _, cls in listed)
+    for d, cls in listed:
+        terms, den = oh_summand(d, cls, ctx)
+        assert terms == [] or (len(terms) == 1 and terms[0][0] == 0 and terms[0][1] != 0)
+        assert den > 0
+        assert ctx.kernel.to_graded((terms, den)) == reference_summand(d, cls, ctx), (d, cls)
+
+
+@pytest.mark.parametrize("base_dim, degrees", R1_MODELS)
+@pytest.mark.parametrize("z", CAP0_Z)
+def test_cap0_summand_below_the_floor_is_zero(reference_summand, base_dim, degrees, z):
+    # points below the floor whose twist range is nonnegative: a slot ratio
+    # keeps its nilpotent factor, whose constant term is 0
+    target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    ctx = SummandContext.for_target(target, twist, z=z)
+    checked = 0
+    for D in range(4):
+        for di in range(-twist.rho * D, lattice_floor(target, D)):
+            cls = CurveClass(D=D, k=di)
+            assert oh_summand((di,), cls, ctx)[0] == []
+            assert reference_summand((di,), cls, ctx).is_zero()
+            checked += 1
+    assert checked
+
+
+def test_cap0_zero_slot_still_reads_every_twist_row():
+    # a zero slot constant does not stop a negative twist range from raising,
+    # on a local row (r = 1) or on a general row read after the slots
+    target, twist = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    ctx = SummandContext.for_target(target, twist)
+    with pytest.raises(TwistRangeError):
+        oh_summand((-1,), CurveClass(D=0, k=-1), ctx)
+    target = FlagTarget(base_dim=2, e_degrees=(0, 0), rank=2)
+    ctx = SummandContext.for_target(target, TwistSpec(((1, 1),), 0), cap=0)
+    with pytest.raises(TwistRangeError):
+        oh_summand((-1, 0), CurveClass(D=0, k=-1), ctx)
+
+
+@pytest.mark.parametrize("z", CAP0_Z)
+def test_cap0_summand_at_higher_rank_has_the_weyl_constants(reference_summand, z):
+    # cap 0 below the Weyl degree: each Weyl factor contributes (d_a - d_b) z
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
+    twist = TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 1)
+    ctx = SummandContext.for_target(target, twist, z=z, cap=0)
+    nonzero = 0
+    for d in itertools.product(range(-1, 4), repeat=3):
+        for D in (0, 1, 2):
+            cls = CurveClass(D=D, k=sum(d))
+            got = _outcome(graded_oh_summand, d, cls, ctx)
+            assert got == _outcome(reference_summand, d, cls, ctx), (d, D)
+            nonzero += got is not TwistRangeError and not got.is_zero()
+    assert nonzero
