@@ -30,21 +30,23 @@ Four structural facts keep this cheap and are relied on throughout:
   the general twist rows, and its list is what is summed and what the work
   budget counts.
 
-* Fano blow-up models with r >= 2 (`orbit_degrees`) are S_r-symmetric:
-  summand(sigma d) = sgn(sigma) sigma(summand(d)).  There one summand per
-  orbit is evaluated, as a scalar, and each degree's unit is read off those
-  (`_orbit_unit`); every unit is checked against the Euler-sequence sum
-  `validation.oracle_blowup_raw`, since the c * Delta check says nothing
-  about an antisymmetrised sum.  Every other path keeps the full ring.
-  At r = 1 Delta = 1 and the check is empty too, so the units of a Fano
-  blow-up with r = 1 are checked against the same sum.
+* Fano blow-up models (`orbit_degrees`), r = 1 included, are
+  S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
+  one summand per orbit is evaluated, as a scalar, and each degree's unit
+  is read off those (`_orbit_unit`); every unit is checked against the
+  Euler-sequence sum `validation.oracle_blowup_raw`, since the c * Delta
+  check says nothing about an antisymmetrised sum (nor about anything at
+  r = 1, where Delta = 1).  Every other model keeps the full ring and the
+  c * Delta check.
+
+The degree-one counts of the correction are summed in the full ring, and
+their total must equal the checked unit u_1, or CorrectionError is raised.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +75,10 @@ class WorkBudgetError(RuntimeError):
 
 class OracleMismatchError(ArithmeticError):
     """The orbit-summed series of a Fano blow-up differs from the Euler-sequence sum."""
+
+
+class CorrectionError(ArithmeticError):
+    """The degree-one counts of the correction are not the degree-one unit."""
 
 
 class NotFanoError(ValueError):
@@ -234,7 +240,7 @@ def correction_C(
             for ctx in contexts
         ]
         if values[0] != values[1]:
-            raise AssertionError(
+            raise CorrectionError(
                 f"degree-one coefficient for {cls} depends on z: {values}"
             )
         entries.append((cls, values[0]))
@@ -274,18 +280,11 @@ def orbit_degrees(
 ) -> tuple[int, ...] | None:
     """Centre degrees c of a model that period_series sums by S_r orbits, else None.
 
-    That is a Fano blow-up (fano_degrees) with r >= 2.  Its summands
-    satisfy summand(sigma d) = sgn(sigma) sigma(summand(d)), and
-    `validation.oracle_blowup_raw` gives its unit coefficients.
+    That is a Fano blow-up: fano_degrees, with a non-Fano blow-up read as
+    None.  Its summands satisfy summand(sigma d) = sgn(sigma)
+    sigma(summand(d)), and `validation.oracle_blowup_raw` gives its unit
+    coefficients.
     """
-    c = _oracle_degrees(target, twist, divisor)
-    return c if target.rank >= 2 else None
-
-
-def _oracle_degrees(
-    target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
-) -> tuple[int, ...] | None:
-    """fano_degrees, or None for a non-Fano blow-up: the models checked against the oracle."""
     try:
         return fano_degrees(target, twist, divisor)
     except NotFanoError:
@@ -293,8 +292,12 @@ def _oracle_degrees(
 
 
 def _stabiliser_order(d: tuple[int, ...]) -> int:
-    """|Stab(d)| in S_r: the product of the factorials of d's multiplicities."""
-    return math.prod(math.factorial(m) for m in Counter(d).values())
+    """|Stab(d)| in S_r for a weakly increasing d: the product of its runs' factorials."""
+    order = run = 1
+    for a in range(1, len(d)):
+        run = run + 1 if d[a] == d[a - 1] else 1
+        order *= run
+    return order
 
 
 def estimate_points(
@@ -415,16 +418,17 @@ def unit_series(
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
     Refuses with WorkBudgetError when more than budget points are listed.
-    A model that orbit_degrees accepts lists one point per S_r orbit and
-    reads each unit with _orbit_unit.  Every other model sums every point
-    and checks that each degree's aggregate is c * Delta.  The units of a
-    Fano blow-up, r = 1 included, must also equal the Euler-sequence sum,
-    or OracleMismatchError is raised.
+    A model that orbit_degrees accepts, r = 1 included, lists one point per
+    S_r orbit, reads each unit with _orbit_unit and raises
+    OracleMismatchError unless the units equal the Euler-sequence sum.
+    Every other model sums every point in the full ring and checks that
+    each degree's aggregate is c * Delta.  The degree-one counts must sum
+    to u_1, or CorrectionError is raised.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    degrees = _oracle_degrees(target, twist, divisor)
-    orbits = degrees is not None and target.rank >= 2
+    degrees = orbit_degrees(target, twist, divisor)
+    orbits = degrees is not None
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext.for_target(target, twist, z, orbit=orbits)
     listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
@@ -440,13 +444,18 @@ def unit_series(
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     if orbits:
         raw = [_orbit_unit(pairs, ctx) for pairs in listed]
+        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
     else:
         raw = []
         for pairs in listed:
             numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
             raw.append(unit_from_numerator(numerator, target))
-    if degrees is not None:
-        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
+    # u_1 has z-power 0, so it is the counts' total at any z
+    if dmax >= 1 and correction.total != raw[1]:
+        raise CorrectionError(
+            f"degree one: the degree-one counts sum to {correction.total}, "
+            f"the unit u_1 is {raw[1]}"
+        )
     return raw, correction
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grperiod.assembler import (
     Correction,
+    CorrectionError,
     NotFanoError,
     OracleMismatchError,
     WorkBudgetError,
@@ -244,7 +245,7 @@ def test_orbit_path_is_chosen_from_the_model():
     assert orbit_degrees(*example3_normalized_model()) == (1, 1, 1, 2)  # explicit -K
     assert orbit_degrees(*example3_verbatim_model()) is None  # not the -K grading
     assert orbit_degrees(target, twist, DivisorData(1, 4)) is None
-    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) is None  # r = 1
+    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)  # r = 1
     assert orbit_degrees(*normalize_blowup(BlowUpSpec(6, (1, 1, 1, 3)), 1)) is None  # not Fano
     general = TwistSpec(((1, 0, 0), (0, 1, 0), (1, 0, 1)), rho=1)
     assert orbit_degrees(target, general) is None
@@ -273,7 +274,7 @@ def test_blowup_shape_is_one_test_for_both_paths():
     target, twist = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2)))
     assert fano_degrees(target, twist) == orbit_degrees(target, twist) == (1, 1, 1, 2)
     assert fano_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)  # r = 1
-    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) is None
+    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)
     # other shapes are neither refused nor summed by orbits
     assert fano_degrees(*example3_verbatim_model()) is None  # not the -K grading
     assert fano_degrees(target, twist, DivisorData(1, 4)) is None
@@ -330,6 +331,34 @@ def test_r1_units_are_checked_against_the_oracle(monkeypatch):
     )
     with pytest.raises(OracleMismatchError, match="degree 3:"):
         period_series(*model, 12, z=2)
+
+
+def test_z_dependent_degree_one_unit_raises_correction_error(monkeypatch):
+    # twist rows one step long: a degree-one unit of the full ring then
+    # depends on z, which correction_C compares at z = 1 and z = 2
+    original = SummandContext.twist_series
+    monkeypatch.setattr(
+        SummandContext, "twist_series", lambda self, upper: original(self, upper + 1)
+    )
+    with pytest.raises(CorrectionError, match="degree-one coefficient .* depends on z"):
+        period_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 6)
+
+
+def test_correction_is_tied_to_the_checked_unit(monkeypatch):
+    # only correction_C calls class_numerator, so doubling its numerators
+    # doubles C = 25 on P^4 in (4,4) while the orbit-summed u_1 stays 25
+    model = normalize_blowup(BlowUpSpec(4, (4, 4)))
+    raw, correction = unit_series(*model, 2)
+    assert correction.total == raw[1] == 25
+    original = class_numerator
+
+    def doubled(*args, **kwargs):
+        terms, den = original(*args, **kwargs)
+        return [(k, 2 * c) for k, c in terms], den
+
+    monkeypatch.setattr("grperiod.assembler.class_numerator", doubled)
+    with pytest.raises(CorrectionError, match="degree one: .* sum to 50, the unit u_1 is 25"):
+        period_series(*model, 6)
 
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):

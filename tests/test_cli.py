@@ -65,6 +65,14 @@ def test_z_flag_scales_each_degree(capsys):
     assert values[3] == 48
 
 
+def test_negative_z_needs_the_equals_form(capsys):
+    # argparse reads a bare -1/2 as a flag, so a negative z is given as --z=-1/2
+    argv = ["period", *P4_ARGS, "--dmax", "3", "--format", "records", "--z=-1/2"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert dict(parse_records(out))[0] == Fraction(-1, 2)
+
+
 def test_csv_skips_zero_rows(capsys):
     rc, out, _ = run(capsys, ["period", *P4_ARGS, "--dmax", "3", "--format", "csv"])
     assert rc == 0

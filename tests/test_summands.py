@@ -303,16 +303,25 @@ def test_slot_series_matches_factor_ratio(p4_112):
         assert series == factor_ratio(h, upper, ctx.z)
 
 
-R1_MODELS = [(3, (1, 2)), (2, (1, 1)), (4, (4, 4))]
+R1_FANO = [(3, (1, 2)), (2, (1, 1)), (4, (4, 4))]
+# (base_dim, degrees, orbit): the packed cases keep pytest's default ids, and
+# the non-Fano P^3 (3,4) is summed only in the packed kernel
+R1_CASES = [
+    pytest.param(n, c, False, id=f"{n}-degrees{i}")
+    for i, (n, c) in enumerate(R1_FANO + [(3, (3, 4))])
+] + [pytest.param(n, c, True, id=f"{n}-degrees{i}-orbit") for i, (n, c) in enumerate(R1_FANO)]
 CAP0_Z = [Fraction(1), Fraction(2), Fraction(-1, 2)]
 
 
-@pytest.mark.parametrize("base_dim, degrees", R1_MODELS)
+@pytest.mark.parametrize("base_dim, degrees, orbit", R1_CASES)
 @pytest.mark.parametrize("z", CAP0_Z)
-def test_cap0_summand_equals_reference_on_listed_points(reference_summand, base_dim, degrees, z):
-    # r = 1: the default cap is 0, so every summand is one constant
+def test_cap0_summand_equals_reference_on_listed_points(
+    reference_summand, base_dim, degrees, orbit, z
+):
+    # r = 1: the default cap is 0, so every summand is one constant; an
+    # orbit context returns it as (numerator, den)
     target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    ctx = SummandContext.for_target(target, twist, z=z)
+    ctx = SummandContext.for_target(target, twist, z=z, orbit=orbit)
     assert ctx.cap == 0
     listed = [
         (d, cls)
@@ -322,24 +331,29 @@ def test_cap0_summand_equals_reference_on_listed_points(reference_summand, base_
     ]
     assert any(cls.D == 0 for _, cls in listed) and any(cls.D > 0 for _, cls in listed)
     for d, cls in listed:
+        expected = reference_summand(d, cls, ctx)
+        if orbit:
+            num, den = oh_summand(d, cls, ctx)
+            assert Fraction(num, den) == expected.constant_term(), (d, cls)
+            continue
         terms, den = oh_summand(d, cls, ctx)
         assert terms == [] or (len(terms) == 1 and terms[0][0] == 0 and terms[0][1] != 0)
         assert den > 0
-        assert ctx.kernel.to_graded((terms, den)) == reference_summand(d, cls, ctx), (d, cls)
+        assert ctx.kernel.to_graded((terms, den)) == expected, (d, cls)
 
 
-@pytest.mark.parametrize("base_dim, degrees", R1_MODELS)
+@pytest.mark.parametrize("base_dim, degrees, orbit", R1_CASES)
 @pytest.mark.parametrize("z", CAP0_Z)
-def test_cap0_summand_below_the_floor_is_zero(reference_summand, base_dim, degrees, z):
+def test_cap0_summand_below_the_floor_is_zero(reference_summand, base_dim, degrees, orbit, z):
     # points below the floor whose twist range is nonnegative: a slot ratio
     # keeps its nilpotent factor, whose constant term is 0
     target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    ctx = SummandContext.for_target(target, twist, z=z)
+    ctx = SummandContext.for_target(target, twist, z=z, orbit=orbit)
     checked = 0
     for D in range(4):
         for di in range(-twist.rho * D, lattice_floor(target, D)):
             cls = CurveClass(D=D, k=di)
-            assert oh_summand((di,), cls, ctx)[0] == []
+            assert not oh_summand((di,), cls, ctx)[0]
             assert reference_summand((di,), cls, ctx).is_zero()
             checked += 1
     assert checked
@@ -347,11 +361,14 @@ def test_cap0_summand_below_the_floor_is_zero(reference_summand, base_dim, degre
 
 def test_cap0_zero_slot_still_reads_every_twist_row():
     # a zero slot constant does not stop a negative twist range from raising,
-    # on a local row (r = 1) or on a general row read after the slots
+    # on a local row (r = 1, packed or orbit) or on a general row read after
+    # the slots
     target, twist = normalize_blowup(BlowUpSpec(3, (1, 2)))
-    ctx = SummandContext.for_target(target, twist)
-    with pytest.raises(TwistRangeError):
-        oh_summand((-1,), CurveClass(D=0, k=-1), ctx)
+    for orbit in (False, True):
+        ctx = SummandContext.for_target(target, twist, orbit=orbit)
+        assert ctx.slot_series(-1)[0] == 0
+        with pytest.raises(TwistRangeError):
+            oh_summand((-1,), CurveClass(D=0, k=-1), ctx)
     target = FlagTarget(base_dim=2, e_degrees=(0, 0), rank=2)
     ctx = SummandContext.for_target(target, TwistSpec(((1, 1),), 0), cap=0)
     with pytest.raises(TwistRangeError):
