@@ -1,7 +1,7 @@
 """Assembly of quantum period series from lattice-point summands.
 
 For each x-degree the contributions of all curve classes are aggregated,
-divided by the Weyl denominator Delta = prod_{i<j} (h_i - h_j), and the
+divided by the Weyl denominator Delta = prod_{i<j} (x_i - x_j), and the
 unit-class coefficient is read off.  Summands, class aggregates and degree
 aggregates are packed values of the summand context's `ring.PackedRing`:
 integer numerators over one denominator, with one Fraction made per degree.
@@ -36,10 +36,10 @@ Four structural facts keep this cheap and are relied on throughout:
   is read off those (`_orbit_unit`); every unit is checked against the
   Euler-sequence sum `validation.oracle_blowup_raw`, since the c * Delta
   check says nothing about an antisymmetrised sum (nor about anything at
-  r = 1, where Delta = 1).  Every other model keeps the full ring and the
-  c * Delta check.
+  r = 1, where Delta = 1).  Every other model sums its points in the
+  packed ring of the Chern roots, at h = 0, with the c * Delta check.
 
-The degree-one counts of the correction are summed in the full ring, and
+The degree-one counts of the correction are summed in the packed ring, and
 their total must equal the checked unit u_1, or CorrectionError is raised.
 """
 
@@ -421,7 +421,7 @@ def unit_series(
     A model that orbit_degrees accepts, r = 1 included, lists one point per
     S_r orbit, reads each unit with _orbit_unit and raises
     OracleMismatchError unless the units equal the Euler-sequence sum.
-    Every other model sums every point in the full ring and checks that
+    Every other model sums every point in the packed ring and checks that
     each degree's aggregate is c * Delta.  The degree-one counts must sum
     to u_1, or CorrectionError is raised.
     """

@@ -305,7 +305,9 @@ class PackedRing:
     and `compose` return sorted terms, `product` and `add_all` do not, so a
     product that is used as an inner operand is sorted once by its caller.
 
-    Generator 0 is h and generators 1..nvars-1 the Chern roots.
+    Generators 1..nvars-1 are the Chern roots x_i.  Generator 0 is the
+    hyperplane class h, which the summands never carry: they are evaluated
+    at h = 0, so every key has a zero h digit.
     """
 
     __slots__ = ("nvars", "cap", "radix", "limit", "_expos", "_weyl")

@@ -10,34 +10,38 @@ positive upper limits, an extra (nilpotent-bearing) numerator block for
 negative ones.  z enters as an exact rational parameter, not a generator;
 degree homogeneity lets callers recover the z-dependence afterwards.
 
-`oh_summand` builds each product from parts cached on its SummandContext,
+`oh_summand` evaluates every summand at h = 0.  Setting the hyperplane
+class h to 0 is a ring map, and the unit the assembler reads off is the
+h^0 staircase coefficient, so no h term ever reaches it: the base factor
+is its constant term, and each factor of a root is univariate in the
+root's x.  The summand is built from parts cached on its SummandContext,
 shared by the points, classes and degrees of one computation:
 
 * every ratio and twist numerator is a univariate series in its (nilpotent,
   linear) class, depending only on its upper limit: cached by that limit;
-* the packed linear forms those series are composed with: cached by
-  (h coefficient, root weights);
-* the base factor of P^N: cached by D;
-* the factor of one root, its slot ratios times its own twist rows: built
-  for root 0 and cached by (that root's twist rows, d_i, D), then renamed
-  to any root with the same rows (`root_factor`);
+* the base constant slot_series(D)[0]^(N+1): cached by D;
+* the factor of one root, its slot ratios times its own twist rows, as
+  integer coefficients of x^0..x^(length-1) over one denominator: cached
+  by (the root's twist rows, d_a, D, length) and shared by every root with
+  those rows (`root_poly`);
+* the packed linear forms the general twist rows are composed with:
+  cached by their root weights;
 * the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b);
 * the product through the first j roots, in the order base x R_1 x R_2 x
   W(1,2) x R_3 x W(1,3) x W(2,3) x ..., which depends only on
-  (D, d_1, ..., d_j): cached for j < r - 1 (`prefix`);
-* the base constant slot_series(D)[0]^(N+1): cached by D.
+  (D, d_1, ..., d_j): cached for 0 < j < r - 1 (`prefix`).
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
 assembler.  A context made with orbit=True, for the S_r-orbit path of a
 Fano blow-up, multiplies nothing out: it reads the staircase coefficients
-off r x r integer determinants of per-root tables (`staircase`), and at
-r = 1, where the cap is 0 and every orbit is one point, the summand is the
-product of its factors' constant terms (`constant`).  Both read the
-root's factor series from one list (`root_series`).  The
-GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
-`weyl_block`, `twist_factor`) compute the same factors directly and serve
-as its reference.
+off r x r integer determinants of per-root tables (`staircase`), which
+read the first r coefficients of `root_poly`, and at r = 1, where the cap
+is 0 and every orbit is one point, the summand is the product of its
+factors' constant terms (`constant`).  The GradedPoly helpers below
+(`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
+`twist_factor`) compute the same factors in the full ring, h included,
+and serve as its reference.
 """
 
 from __future__ import annotations
@@ -84,7 +88,6 @@ class SummandContext:
     general_rows: tuple = field(init=False, repr=False, compare=False)
     _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _base_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -168,54 +171,59 @@ class SummandContext:
             cache[t] = _times_linear(cache[t - 1], t * self.z)
         return cache[upper]
 
-    def _line(self, h_coeff: int, weights: tuple) -> tuple[list, int]:
-        """Packed h_coeff h + sum f x_i over (i, f) in weights (i 0-based)."""
-        key = (h_coeff, weights)
-        out = self._lines.get(key)
+    def _line(self, weights: tuple) -> tuple[list, int]:
+        """Packed sum f x_i over (i, f) in weights (i 0-based)."""
+        out = self._lines.get(weights)
         if out is None:
             terms = {}
-            for g, coeff in ((0, h_coeff), *((i + 1, f) for i, f in weights)):
-                if coeff:
+            for i, f in weights:
+                if f:
                     expo = [0] * self.nvars
-                    expo[g] = 1
-                    terms[tuple(expo)] = coeff
-            out = self._lines[key] = self.kernel.pack(terms)
-        return out
-
-    def base_factor(self, D: int):
-        """Packed base_j_factor(D): N + 1 copies of the slot series in h.
-
-        Its terms are sorted, as are those of every cached part that
-        oh_summand multiplies in as an inner operand.
-        """
-        out = self._bases.get(D)
-        if out is None:
-            kernel = self.kernel
-            single = kernel.compose(self.slot_series(D), self._line(1, ()))
-            out = ([(0, 1)], 1)
-            for _ in range(self.target.base_dim + 1):
-                out = kernel.product(out, single)
-            out = self._bases[D] = sorted(out[0]), out[1]
+                    expo[i + 1] = 1
+                    terms[tuple(expo)] = f
+            out = self._lines[weights] = self.kernel.pack(terms)
         return out
 
     def base_constant(self, D: int) -> Fraction:
-        """Constant term slot_series(D)[0]^(N+1) of the base factor, cached by D."""
+        """Base factor at h = 0, slot_series(D)[0]^(N+1), cached by D."""
         out = self._base_constants.get(D)
         if out is None:
             out = self._base_constants[D] = self.slot_series(D)[0] ** (self.target.base_dim + 1)
         return out
 
-    def root_series(self, da: int, D: int) -> list[tuple[Fraction, ...]]:
-        """Factor series of a root at (d_a, D) of a blow-up model, in its x.
+    def root_series(self, rows: tuple, da: int, D: int) -> list[tuple[Fraction, ...]]:
+        """Factor series of a root at (d_a, D) with local twist rows `rows`, in its x.
 
-        The slot ratios at d_a + e D, one per e in e_degrees, then the one
-        twist row on that root, of weight 1, at d_a + rho D.  The twist row
-        is read even where a slot series vanishes, so a negative range
-        raises TwistRangeError.
+        The slot ratios at d_a + e D, one per e in e_degrees, then one twist
+        series per weight f in rows, read at f d_a + rho D with x^k scaled
+        by f^k (skipped for f = 1).  Every twist row is read even where a
+        slot series vanishes, so a negative range raises TwistRangeError.
         """
         series = [self.slot_series(da + e * D) for e in self.target.e_degrees]
-        series.append(self.twist_series(da + self.twist.rho * D))
+        for f in rows:
+            twist = self.twist_series(f * da + self.twist.rho * D)
+            series.append(twist if f == 1 else tuple(c * f**k for k, c in enumerate(twist)))
         return series
+
+    def root_poly(self, rows: tuple, da: int, D: int, length: int) -> tuple[list, int]:
+        """(nums, den): nums[k] / den = [x^k] R(x) for k < length.
+
+        R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
+        with local twist rows `rows`: the product of its root_series.  It
+        is cached by (rows, d_a, D, length), so every root with the same
+        rows shares one build.
+        """
+        key = (rows, da, D, length)
+        out = self._roots.get(key)
+        if out is None:
+            poly, den = [1] + [0] * (length - 1), 1
+            for series in self.root_series(rows, da, D):
+                q = math.lcm(*(c.denominator for c in series[:length]))
+                nums = [c.numerator * (q // c.denominator) for c in series[:length]]
+                poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(length)]
+                den *= q
+            out = self._roots[key] = poly, den
+        return out
 
     def constant(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
         """(numerator, den) of the summand of a rank-1 blow-up at (d, D), before z.
@@ -227,48 +235,22 @@ class SummandContext:
         """
         base = self.base_constant(D)
         num, den = base.numerator, base.denominator
-        for series in self.root_series(d[0], D):
+        for series in self.root_series(self.local_rows[0], d[0], D):
             c = series[0]
             num *= c.numerator
             den *= c.denominator
         return num, den
 
-    def _root_build(self, rows: tuple, di: int, D: int):
-        """Packed slot ratios of root 0 at (d_i, D) times twist rows `rows` on it."""
-        kernel = self.kernel
-        out = ([(0, 1)], 1)
-        for e in self.target.e_degrees:
-            slot = kernel.compose(self.slot_series(di + e * D), self._line(e, ((0, 1),)))
-            out = kernel.product(out, slot)
-        for f in rows:
-            rho = self.twist.rho
-            line = kernel.compose(self.twist_series(f * di + rho * D), self._line(rho, ((0, f),)))
-            out = kernel.product(out, line)
-        return sorted(out[0]), out[1]
-
     def root_factor(self, i: int, di: int, D: int):
-        """Packed slot ratios of root i (0-based) times its own twist rows.
+        """Packed factor of root i (0-based) at (d_i, D): root_poly on x_(i+1).
 
-        The factor of root i is that of root 0 with x_1 renamed x_(i+1), so
-        one build, cached by (local rows of root i, d_i, D), serves every
-        root with those rows.  The rows are part of the key because they
-        may differ from root to root.  The build lives in h and x_1 only,
-        so the renaming moves the exponent e of x_1, the digit
-        (key // B) % B, up by i places: key + e (B^(i+1) - B).  Packed keys
-        have no carries and sort by degree first, so the renamed terms
-        stay sorted.
+        x_(i+1)^k packs as k (B^(i+1) + B^nvars), so the terms come out
+        sorted by key.
         """
-        rows = self.local_rows[i]
-        key = (rows, di, D)
-        out = self._roots.get(key)
-        if out is None:
-            out = self._roots[key] = self._root_build(rows, di, D)
-        if not i:
-            return out
-        radix = self.kernel.radix
-        shift = radix ** (i + 1) - radix
-        terms, den = out
-        return [(k + (k // radix % radix) * shift, c) for k, c in terms], den
+        kernel = self.kernel
+        nums, den = self.root_poly(self.local_rows[i], di, D, self.cap + 1)
+        step = kernel.radix ** (i + 1) + kernel.radix**self.nvars
+        return [(k * step, c) for k, c in enumerate(nums) if c], den
 
     def shift(self, d: int) -> Fraction:
         """d z, the shift of a root at fibre degree d in the Weyl factors."""
@@ -302,7 +284,8 @@ class SummandContext:
         point by oh_summand.
         """
         if not head:
-            return self.base_factor(D)
+            base = self.base_constant(D)
+            return [(0, base.numerator)] if base else [], base.denominator
         key = (D, head)
         out = self._prefixes.get(key)
         if out is None:
@@ -325,25 +308,20 @@ class SummandContext:
         out = self._rows.get(key)
         if out is None:
             row = self.twist.weight_vectors[s][: self.target.rank]
-            line = self._line(self.twist.rho, tuple(enumerate(row)))
+            line = self._line(tuple(enumerate(row)))
             out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
         return out
 
     def root_table(self, da: int, D: int) -> tuple[list, int]:
         """(M, den): M[i][b] / den = [x^(r-1-i)] R(x) (x + shift(d_a))^(r-1-b).
 
-        R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
-        of a blow-up model: the product of its root_series.
+        R is the factor at h = 0 of a root at (d_a, D) of a blow-up model,
+        whose roots all carry the one standard twist row (`root_poly`).
         """
         out = self._tables.get((da, D))
         if out is None:
             r = self.target.rank
-            poly, den = [1] + [0] * (r - 1), 1
-            for series in self.root_series(da, D):
-                q = math.lcm(*(c.denominator for c in series[:r]))
-                nums = [c.numerator * (q // c.denominator) for c in series[:r]]
-                poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(r)]
-                den *= q
+            poly, den = self.root_poly(self.local_rows[0], da, D, r)
             p, q = self.shift(da).as_integer_ratio()
             cols = []  # cols[m] = R(x) (q x + p)^m q^(r-1-m), over den q^(r-1)
             for m in range(r):
@@ -431,8 +409,8 @@ def base_j_factor(D: int, ctx: SummandContext) -> GradedPoly:
 def flag_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
     """Product of slot ratios pairing each Chern root with each summand of E.
 
-    A summand O(e_j) contributes the slot (h_i + e_j h, d_i + e_j D) for
-    every root h_i of S^v.
+    A summand O(e_j) contributes the slot (x_i + e_j h, d_i + e_j D) for
+    every root x_i of S^v.
     """
     out = ctx.one()
     h = ctx.h()
@@ -445,7 +423,7 @@ def flag_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gra
 
 
 def weyl_block(d: tuple[int, ...], ctx: SummandContext) -> tuple[GradedPoly, int]:
-    """Weyl numerator prod_{i<j} (h_i - h_j + (d_i - d_j) z) and its sign.
+    """Weyl numerator prod_{i<j} (x_i - x_j + (d_i - d_j) z) and its sign.
 
     The sign (-1)^(sum_{i<j} (d_i - d_j)) is returned separately so callers
     can fold it into whatever aggregate they build.
@@ -492,11 +470,12 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     This is the summand of the bundle I-function *before* division by the
     Weyl denominator: leading z, base factor, slot ratios, Weyl numerators,
     twist numerator, and the Weyl sign.  The caller divides the aggregate
-    over a curve class by prod (h_i - h_j) afterwards.  It equals
-    z * sign * base_j_factor * flag_factor * weyl_block * twist_factor, but
-    is multiplied out in ctx.kernel from the parts ctx caches and returned
-    as a packed value of ctx.kernel, with sign and z in its numerators and
-    denominator (`ctx.kernel.to_graded` gives the GradedPoly).  An orbit
+    over a curve class by prod (x_i - x_j) afterwards.  It equals
+    z * sign * base_j_factor * flag_factor * weyl_block * twist_factor at
+    h = 0, but is multiplied out in ctx.kernel from the parts ctx caches
+    and returned as a packed value of ctx.kernel, with sign and z in its
+    numerators and denominator (`ctx.kernel.to_graded` gives the
+    GradedPoly, which has no h term).  An orbit
     context returns z * sign * ctx.staircase(d, D) as (numerator, den), or
     z * ctx.constant(d, D) at r = 1.  A negative twist upper limit raises
     TwistRangeError from the factor of its row.

@@ -9,7 +9,8 @@ that the series assembly iterates over.  The model is always this one-step
 bundle, of a single rank r: the blow-up needs no partial flag bundle.
 
 Generator layout used everywhere downstream: generator 0 is the hyperplane
-class h pulled back from P^N; generators 1..r are the Chern roots of S^v.
+class h pulled back from P^N; generators 1..r are the Chern roots x_1..x_r
+of S^v.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ class FlagTarget:
 
     @property
     def omega_degree(self) -> int:
-        """Degree of the Weyl denominator prod (h_i - h_j), the working cap."""
+        """Degree of the Weyl denominator prod (x_i - x_j), the working cap."""
         return self.rank * (self.rank - 1) // 2
 
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """Split twist bundle F = sum_s L_s with c1(L_s) = sum_i f_si h_i + rho h.
+    """Split twist bundle F = sum_s L_s with c1(L_s) = sum_i f_si x_i + rho h.
 
     weight_vectors holds the rows f_s (one integer per Chern root of S^v).
     Blow-up models use the standard basis: F = S^v(rho).

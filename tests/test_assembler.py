@@ -12,6 +12,7 @@ from grperiod.assembler import (
     OracleMismatchError,
     WorkBudgetError,
     class_numerator,
+    class_points,
     correction_C,
     corrected_series,
     degree_numerator,
@@ -20,10 +21,11 @@ from grperiod.assembler import (
     orbit_degrees,
     period_series,
     unit_coefficient,
+    unit_from_numerator,
     unit_series,
     z_scaling_failures,
 )
-from grperiod.ring import GradedPoly, PackedRing
+from grperiod.ring import GradedPoly, NotDivisibleError, PackedRing, vandermonde_divide
 from grperiod.summands import SummandContext, TwistRangeError
 from grperiod.targets import (
     BlowUpSpec,
@@ -31,10 +33,12 @@ from grperiod.targets import (
     DivisorData,
     FlagTarget,
     TwistSpec,
+    all_weyl_pairs,
     class_enumeration,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
+    standard_basis,
 )
 from grperiod.validation import oracle_blowup, oracle_blowup_raw, oracle_pinned_verbatim
 
@@ -268,6 +272,97 @@ def test_non_fano_blowups_are_refused(base_dim, degrees):
     raw, correction = unit_series(*model, 4)
     assert raw == [unit_coefficient(*model, d) for d in range(5)]
     assert raw[0] == 1
+
+
+# Units u_0..u_10 at z = 1 of the non-Fano P^4 blown up in (2,2,3), r = 2,
+# which is summed in the packed kernel with the c * Delta check
+P4_223_UNITS = (
+    1, 12, 270, 5612, Fraction(202845, 2), Fraction(7987943, 5), Fraction(221749587, 10),
+    Fraction(1920802998, 7), Fraction(3426238610239, 1120), Fraction(46883696467859, 1512),
+    Fraction(2903106762014257, 10080),
+)
+
+
+def test_non_fano_rank2_units_are_pinned():
+    model = normalize_blowup(BlowUpSpec(4, (2, 2, 3)))
+    assert orbit_degrees(*model) is None
+    raw, correction = unit_series(*model, 10)
+    assert tuple(raw) == P4_223_UNITS
+    assert correction == Correction(((CurveClass(D=1, k=-1), Fraction(12)),))
+
+
+# Target models (r = 2, 3) with standard, per-root, general and unbalanced
+# twist rows, each with the gradings it enumerates under (None is -K; an
+# unbalanced twist has none)
+G11, G32, G83 = DivisorData(1, 1), DivisorData(3, 2), DivisorData(8, 3)
+H_ZERO_MODELS = {
+    "standard r2": (
+        FlagTarget(4, (0, 0, -1), 2),
+        TwistSpec(standard_basis(2), 1),
+        (None, G11, G83),
+    ),
+    "per-root r2": (FlagTarget(4, (0, 1, -1), 2), TwistSpec(((2, 0), (0, 1)), 1), (G11, G32, G83)),
+    "general r2": (
+        FlagTarget(5, (0, -1, 1), 2),
+        TwistSpec(((1, 0), (1, -1)), -1),
+        (G11, G32, G83),
+    ),
+    "unbalanced r2": (
+        FlagTarget(4, (0, 0, -1), 2),
+        TwistSpec(((1, 0), (1, 0)), 1),
+        (G11, G32, G83),
+    ),
+    "standard r3": (FlagTarget(6, (0, 0, 0, 2), 3), TwistSpec(standard_basis(3), 1), (None, G83)),
+    "per-root r3": (
+        FlagTarget(5, (0, 0, 1, -1), 3),
+        TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1)), 1),
+        (G32, G83),
+    ),
+    "general r3": (
+        FlagTarget(5, (0, 0, 1, -1), 3),
+        TwistSpec(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)), 1),
+        (G32, G83),
+    ),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NotDivisibleError, TwistRangeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", H_ZERO_MODELS)
+def test_unit_at_h_zero_fails_exactly_where_the_full_ring_quotient_fails(
+    name, full_reference_summand
+):
+    # the engine evaluates every summand at h = 0; the reference sums the
+    # full-ring summands and divides by Delta one linear factor at a time
+    target, twist, gradings = H_ZERO_MODELS[name]
+    ctx = SummandContext.for_target(target, twist)
+    seen = set()
+    for divisor in gradings:
+        for skip in (False, True):
+            for x_deg in range(7):
+
+                def engine():
+                    num = degree_numerator(
+                        target, twist, x_deg, divisor=divisor, skip_nonconvex=skip
+                    )
+                    return unit_from_numerator(num, target)
+
+                def reference():
+                    total = GradedPoly(target.nvars, target.omega_degree)
+                    for cls in class_enumeration(target, twist, x_deg, divisor):
+                        for d in class_points(cls, ctx, skip):
+                            total = total + full_reference_summand(d, cls, ctx)
+                    return vandermonde_divide(total, all_weyl_pairs(target)).constant_term()
+
+                got = _outcome(engine)
+                assert got == _outcome(reference), (divisor, skip, x_deg)
+                seen.add(got if isinstance(got, type) else Fraction)
+    assert Fraction in seen and (name.startswith("standard") or NotDivisibleError in seen)
 
 
 def test_blowup_shape_is_one_test_for_both_paths():

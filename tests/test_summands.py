@@ -266,13 +266,15 @@ def test_context_caches_repeat_parts(p4_112):
     ctx = p4_ctx(p4_112, z=2)
     cls = CurveClass(D=2, k=1)
     first = oh_summand((1, 0), cls, ctx)
-    assert ctx.root_factor(0, 1, 2) is ctx.root_factor(0, 1, 2)
+    rows = ctx.local_rows[0]
+    assert ctx.local_rows == (rows, rows)
+    assert ctx.root_poly(rows, 1, 2, 2) is ctx.root_poly(rows, 1, 2, 2)
     assert ctx.weyl_factor(0, 1, 1) is ctx.weyl_factor(0, 1, 1)
     assert oh_summand((1, 0), cls, ctx) == first == oh_summand((1, 0), cls, p4_ctx(p4_112, z=2))
-    # both roots carry one standard twist row, so (0, 1) needs no new build:
-    # root 0 at d_1 = 0 and root 1 at d_2 = 1 reuse the builds of (1, 0)
+    # both roots carry one standard twist row, so they share the univariate
+    # builds: (1, 0) builds d = 1 and d = 0 once each, and (0, 1) reuses them
     builds = dict(ctx._roots)
-    assert len(builds) == 2
+    assert set(builds) == {(rows, 1, 2, 2), (rows, 0, 2, 2)}
     oh_summand((0, 1), cls, ctx)
     assert ctx._roots == builds
 
