@@ -33,14 +33,14 @@ Four structural facts keep this cheap and are relied on throughout:
 * Fano blow-up models (`orbit_degrees`), r = 1 included, are
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
   one summand per orbit is evaluated, as a scalar, and each degree's unit
-  is read off those (`_orbit_unit`); every unit is checked against the
+  is read off those (`_unit`); every unit is checked against the
   Euler-sequence sum `validation.oracle_blowup_raw`, since the c * Delta
   check says nothing about an antisymmetrised sum (nor about anything at
   r = 1, where Delta = 1).  Every other model sums its points in the
   packed ring of the Chern roots, at h = 0, with the c * Delta check.
 
-The degree-one counts of the correction are summed in the packed ring, and
-their total must equal the checked unit u_1, or CorrectionError is raised.
+The degree-one counts of the correction are read class by class, by `_unit`
+too, and must sum to the checked unit u_1, or CorrectionError is raised.
 """
 
 from __future__ import annotations
@@ -229,14 +229,16 @@ def correction_C(
 ) -> Correction:
     """n_beta for every degree-one curve class.
 
-    Each n_beta is z-independent (its z-power is 1 - 1 = 0); this is
-    verified by evaluating at two different z.
+    Each class's unit is read by `_unit` on the path unit_series takes for
+    the model, so a Fano blow-up never builds Delta.  Each n_beta is
+    z-independent (its z-power is 0); this is verified at two different z.
     """
-    contexts = [SummandContext.for_target(target, twist, z) for z in (1, 2)]
+    orbits = orbit_degrees(target, twist, divisor) is not None
+    contexts = [SummandContext.for_target(target, twist, z, orbit=orbits) for z in (1, 2)]
     entries = []
     for cls in class_enumeration(target, twist, 1, divisor):
         values = [
-            unit_from_numerator(class_numerator(cls, ctx, skip_nonconvex), target)
+            _unit([(d, cls) for d in class_points(cls, ctx, skip_nonconvex, orbits)], ctx)
             for ctx in contexts
         ]
         if values[0] != values[1]:
@@ -344,19 +346,22 @@ def _point_count(pairs: list, orbits: bool, r: int) -> int:
     return sum(math.factorial(r) // _stabiliser_order(d) for d, _ in pairs)
 
 
-def _orbit_unit(pairs: list, ctx: SummandContext) -> Fraction:
-    """Unit coefficient of one degree from one summand per S_r orbit.
+def _unit(pairs: list, ctx: SummandContext) -> Fraction:
+    """Unit coefficient of the sum over (point, class) pairs: one degree or one class.
 
-    pairs holds the weakly increasing points of the degree, and ctx is an
-    orbit context.  On a model that orbit_degrees accepts, the degree's
-    aggregate is sum over representatives of sum over sigma in S_r / Stab
-    of sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient,
-    so each representative adds its oh_summand value,
+    Off an orbit context the summands are added in ctx.kernel, and
+    unit_from_numerator reads the unit with its c * Delta check.  An orbit
+    context takes weakly increasing points: on a model that orbit_degrees
+    accepts, the aggregate is sum over representatives of sum over sigma in
+    S_r / Stab of sgn(sigma) sigma(S_rep), and its unit is its staircase
+    coefficient, so each representative adds its oh_summand value,
     sum_pi sgn(pi) S_rep[h^0 x^(delta o pi)], over |Stab(rep)|.  Nothing
     checks c * Delta, which an antisymmetrised sum satisfies whatever its
-    summands; period_series checks the result against the Euler-sequence
-    sum instead.
+    summands; unit_series checks its units against the Euler-sequence sum.
     """
+    if not ctx.orbit:
+        numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
+        return unit_from_numerator(numerator, ctx.target)
     parts = []
     for d, cls in pairs:
         num, den = oh_summand(d, cls, ctx)
@@ -419,11 +424,11 @@ def unit_series(
 
     Refuses with WorkBudgetError when more than budget points are listed.
     A model that orbit_degrees accepts, r = 1 included, lists one point per
-    S_r orbit, reads each unit with _orbit_unit and raises
-    OracleMismatchError unless the units equal the Euler-sequence sum.
-    Every other model sums every point in the packed ring and checks that
-    each degree's aggregate is c * Delta.  The degree-one counts must sum
-    to u_1, or CorrectionError is raised.
+    S_r orbit and raises OracleMismatchError unless the units equal the
+    Euler-sequence sum.  Every other model sums every point in the packed
+    ring and checks that each degree's aggregate is c * Delta (`_unit`).
+    The degree-one counts, read on the same path, must sum to u_1, or
+    CorrectionError is raised.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
@@ -442,14 +447,9 @@ def unit_series(
                 f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
+    raw = [_unit(pairs, ctx) for pairs in listed]
     if orbits:
-        raw = [_orbit_unit(pairs, ctx) for pairs in listed]
         _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
-    else:
-        raw = []
-        for pairs in listed:
-            numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
-            raw.append(unit_from_numerator(numerator, target))
     # u_1 has z-power 0, so it is the counts' total at any z
     if dmax >= 1 and correction.total != raw[1]:
         raise CorrectionError(

@@ -429,7 +429,7 @@ def test_r1_units_are_checked_against_the_oracle(monkeypatch):
 
 
 def test_z_dependent_degree_one_unit_raises_correction_error(monkeypatch):
-    # twist rows one step long: a degree-one unit of the full ring then
+    # twist rows one step too long: a degree-one class's orbit unit then
     # depends on z, which correction_C compares at z = 1 and z = 2
     original = SummandContext.twist_series
     monkeypatch.setattr(
@@ -440,20 +440,40 @@ def test_z_dependent_degree_one_unit_raises_correction_error(monkeypatch):
 
 
 def test_correction_is_tied_to_the_checked_unit(monkeypatch):
-    # only correction_C calls class_numerator, so doubling its numerators
-    # doubles C = 25 on P^4 in (4,4) while the orbit-summed u_1 stays 25
+    # doubling every n_beta doubles C = 25 on P^4 in (4,4) while the
+    # orbit-summed u_1, which the oracle checks, stays 25
     model = normalize_blowup(BlowUpSpec(4, (4, 4)))
     raw, correction = unit_series(*model, 2)
     assert correction.total == raw[1] == 25
-    original = class_numerator
+    original = correction_C
 
     def doubled(*args, **kwargs):
-        terms, den = original(*args, **kwargs)
-        return [(k, 2 * c) for k, c in terms], den
+        entries = original(*args, **kwargs).entries
+        return Correction(tuple((cls, 2 * n) for cls, n in entries))
 
-    monkeypatch.setattr("grperiod.assembler.class_numerator", doubled)
+    monkeypatch.setattr("grperiod.assembler.correction_C", doubled)
     with pytest.raises(CorrectionError, match="degree one: .* sum to 50, the unit u_1 is 25"):
         period_series(*model, 6)
+
+
+def test_fano_blowups_never_build_the_weyl_denominator(monkeypatch):
+    # every unit of a Fano blow-up, its degree-one counts included, is an
+    # orbit scalar: nothing is multiplied out in the packed ring of the roots
+    calls = []
+    for name in ("product", "weyl_unit"):
+        original = getattr(PackedRing, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(PackedRing, name, counted)
+    for base_dim, degrees in ((4, (4, 4)), (4, (1, 1, 2)), (8, (1, 1, 1, 1, 2))):
+        period_series(*normalize_blowup(BlowUpSpec(base_dim, degrees)), 10)
+        assert calls == [], (base_dim, degrees)
+    target, twist, divisor = example3_verbatim_model()
+    period_series(target, twist, 9, divisor=divisor, skip_nonconvex=True)
+    assert "product" in calls and "weyl_unit" in calls  # the packed path is counted
 
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):

@@ -5,8 +5,9 @@ from {1, 2, 3} with 1 <= r <= 3, r + 1 <= N and N + 1 > r * max(c): 95
 specs.  Every twist level k presents the same blow-up, so each k must give
 the oracle's series or raise GradingError; none may give a wrong series.
 At the default k every unit coefficient must also be z-homogeneous, and
-the per-point units must equal the oracle's: period_series checks its own
-orbit sums against the oracle, so this keeps the per-point path compared.
+the per-point units must equal the oracle's, and the per-point degree-one
+counts the orbit-summed ones: period_series checks its own orbit sums
+against the oracle, so this keeps the per-point path compared.
 """
 
 import math
@@ -15,8 +16,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from grperiod.assembler import period_series, unit_coefficient, z_scaling_failures
-from grperiod.targets import BlowUpSpec, GradingError, normalize_blowup
+from grperiod.assembler import (
+    class_numerator,
+    correction_C,
+    period_series,
+    unit_coefficient,
+    unit_from_numerator,
+    z_scaling_failures,
+)
+from grperiod.summands import SummandContext
+from grperiod.targets import BlowUpSpec, GradingError, class_enumeration, normalize_blowup
 from grperiod.validation import oracle_blowup, oracle_blowup_raw
 
 DMAX = 10
@@ -71,6 +80,19 @@ def test_default_twist_level_per_point_units_equal_the_oracle():
                 for d in range(DMAX + 1)
             )
         assert units == raw, (base_dim, degrees)
+
+
+def test_default_twist_level_orbit_counts_equal_the_packed_counts():
+    # correction_C reads each degree-one class by S_r orbits here; the
+    # per-class packed sum, with its c * Delta check, is the reference
+    for base_dim, degrees in FANO_BOX:
+        target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        ctx = SummandContext.for_target(target, twist)
+        expected = tuple(
+            (cls, unit_from_numerator(class_numerator(cls, ctx), target))
+            for cls in class_enumeration(target, twist, 1)
+        )
+        assert correction_C(target, twist).entries == expected, (base_dim, degrees)
 
 
 def test_p4_122_at_twist_level_3_raises():
