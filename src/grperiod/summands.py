@@ -22,21 +22,24 @@ shared by the points, classes and degrees of one computation:
 * the base constant slot_series(D)[0]^(N+1): cached by D;
 * the factor of one root, its slot ratios times its own twist rows, as
   integer coefficients of x^0..x^(length-1) over one denominator: cached
-  by (the root's twist rows, d_a, D, length) and shared by every root with
-  those rows (`root_poly`);
+  by (the root's twist rows, d_a, D) and shared by every root with those
+  rows (`root_poly`);
+* that factor packed on root i's own generator: cached by (i, d_i, D)
+  (`root_factor`);
 * the packed linear forms the general twist rows are composed with:
   cached by their root weights;
-* the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b);
-* the product through the first j roots, in the order base x R_1 x R_2 x
-  W(1,2) x R_3 x W(1,3) x W(2,3) x ..., which depends only on
-  (D, d_1, ..., d_j): cached for 0 < j < r - 1 (`prefix`).
+* the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b).
+
+Every factor series has the context's `length`: cap + 1 coefficients on a
+packed context, which multiplies them out through degree cap, and r on an
+orbit context, whose tables read no more.
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
 assembler.  A context made with orbit=True, for the S_r-orbit path of a
 Fano blow-up, multiplies nothing out: it reads the staircase coefficients
-off r x r integer determinants of per-root tables (`staircase`), which
-read the first r coefficients of `root_poly`, and at r = 1, where the cap
+off r x r integer determinants of per-root tables (`staircase`), built
+from the r coefficients of `root_poly`, and at r = 1, where the cap
 is 0 and every orbit is one point, the summand is the product of its
 factors' constant terms (`constant`).  The GradedPoly helpers below
 (`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
@@ -90,7 +93,7 @@ class SummandContext:
     _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _base_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _prefixes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -101,7 +104,7 @@ class SummandContext:
         local, general = split_twist_rows(self.twist, self.target.rank)
         object.__setattr__(self, "local_rows", local)
         object.__setattr__(self, "general_rows", general)
-        unit = (Fraction(1),) + (Fraction(0),) * self.cap
+        unit = (Fraction(1),) + (Fraction(0),) * (self.length - 1)
         self._slots[0] = unit
         self._twists[0] = unit
 
@@ -129,6 +132,11 @@ class SummandContext:
     def nvars(self) -> int:
         return self.target.nvars
 
+    @property
+    def length(self) -> int:
+        """Coefficients kept per factor series: r on an orbit context, cap + 1 otherwise."""
+        return self.target.rank if self.orbit else self.cap + 1
+
     def one(self) -> GradedPoly:
         return GradedPoly.constant(1, self.nvars, self.cap)
 
@@ -142,7 +150,7 @@ class SummandContext:
     # -- cached parts of oh_summand -----------------------------------------
 
     def slot_series(self, upper: int) -> tuple[Fraction, ...]:
-        """Coefficients of l^0..l^cap in the ratio with upper limit `upper`.
+        """Coefficients of l^0..l^(length-1) in the ratio with upper limit `upper`.
 
         Built from the neighbouring limit: dividing by (l + upper z) going
         up, multiplying by (l + (upper + 1) z) going down.
@@ -159,7 +167,7 @@ class SummandContext:
         return cache[upper]
 
     def twist_series(self, upper: int) -> tuple[Fraction, ...]:
-        """Coefficients of prod_{m=1}^{upper} (l + m z), upper >= 0."""
+        """Coefficients of l^0..l^(length-1) in prod_{m=1}^{upper} (l + m z), upper >= 0."""
         if upper < 0:
             raise TwistRangeError(f"twist range negative: upper limit {upper}")
         cache = self._twists
@@ -205,21 +213,22 @@ class SummandContext:
             series.append(twist if f == 1 else tuple(c * f**k for k, c in enumerate(twist)))
         return series
 
-    def root_poly(self, rows: tuple, da: int, D: int, length: int) -> tuple[list, int]:
+    def root_poly(self, rows: tuple, da: int, D: int) -> tuple[list, int]:
         """(nums, den): nums[k] / den = [x^k] R(x) for k < length.
 
         R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
         with local twist rows `rows`: the product of its root_series.  It
-        is cached by (rows, d_a, D, length), so every root with the same
-        rows shares one build.
+        is cached by (rows, d_a, D), so every root with the same rows
+        shares one build.
         """
-        key = (rows, da, D, length)
+        key = (rows, da, D)
         out = self._roots.get(key)
         if out is None:
+            length = self.length
             poly, den = [1] + [0] * (length - 1), 1
             for series in self.root_series(rows, da, D):
-                q = math.lcm(*(c.denominator for c in series[:length]))
-                nums = [c.numerator * (q // c.denominator) for c in series[:length]]
+                q = math.lcm(*(c.denominator for c in series))
+                nums = [c.numerator * (q // c.denominator) for c in series]
                 poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(length)]
                 den *= q
             out = self._roots[key] = poly, den
@@ -245,12 +254,16 @@ class SummandContext:
         """Packed factor of root i (0-based) at (d_i, D): root_poly on x_(i+1).
 
         x_(i+1)^k packs as k (B^(i+1) + B^nvars), so the terms come out
-        sorted by key.
+        sorted by key.  Cached by (i, d_i, D).
         """
-        kernel = self.kernel
-        nums, den = self.root_poly(self.local_rows[i], di, D, self.cap + 1)
-        step = kernel.radix ** (i + 1) + kernel.radix**self.nvars
-        return [(k * step, c) for k, c in enumerate(nums) if c], den
+        key = (i, di, D)
+        out = self._factors.get(key)
+        if out is None:
+            kernel = self.kernel
+            nums, den = self.root_poly(self.local_rows[i], di, D)
+            step = kernel.radix ** (i + 1) + kernel.radix**self.nvars
+            out = self._factors[key] = [(k * step, c) for k, c in enumerate(nums) if c], den
+        return out
 
     def shift(self, d: int) -> Fraction:
         """d z, the shift of a root at fibre degree d in the Weyl factors."""
@@ -267,39 +280,6 @@ class SummandContext:
             out = self._weyls[key] = self.kernel.pack(
                 {tuple(expo_a): 1, tuple(expo_b): -1, zero: self.shift(diff)}
             )
-        return out
-
-    def prefix(self, D: int, head: tuple[int, ...]):
-        """Packed base x R_1 x R_2 x W(1,2) x ... x R_j x W(1,j) x ... x W(j-1,j).
-
-        R_i is root_factor of root i at (d_i, D) and W(a,b) the Weyl factor
-        of roots a, b, for the head (d_1, ..., d_j) of a lattice point.  In
-        this order the product through root j depends on the point only
-        through (D, d_1, ..., d_j), so it is cached by that key and shared
-        by every point, class and degree with the same head.  Only heads
-        shorter than r - 1 are cached: a head of length r - 1 together with
-        the class degree k fixes the point, so such a cache is rarely hit
-        and holds about one full-size product per point.  The last two
-        roots, the general twist rows, the sign and z are multiplied in per
-        point by oh_summand.
-        """
-        if not head:
-            base = self.base_constant(D)
-            return [(0, base.numerator)] if base else [], base.denominator
-        key = (D, head)
-        out = self._prefixes.get(key)
-        if out is None:
-            out = self._prefixes[key] = self.extend(self.prefix(D, head[:-1]), head, D)
-        return out
-
-    def extend(self, out, head: tuple[int, ...], D: int):
-        """out x R_j x W(1,j) x ... x W(j-1,j) for the last root j of head."""
-        kernel = self.kernel
-        j = len(head) - 1
-        dj = head[j]
-        out = kernel.product(out, self.root_factor(j, dj, D))
-        for a in range(j):
-            out = kernel.product(out, self.weyl_factor(a, j, head[a] - dj))
         return out
 
     def row_factor(self, s: int, upper: int):
@@ -321,7 +301,7 @@ class SummandContext:
         out = self._tables.get((da, D))
         if out is None:
             r = self.target.rank
-            poly, den = self.root_poly(self.local_rows[0], da, D, r)
+            poly, den = self.root_poly(self.local_rows[0], da, D)
             p, q = self.shift(da).as_integer_ratio()
             cols = []  # cols[m] = R(x) (q x + p)^m q^(r-1-m), over den q^(r-1)
             for m in range(r):
@@ -472,13 +452,14 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     twist numerator, and the Weyl sign.  The caller divides the aggregate
     over a curve class by prod (x_i - x_j) afterwards.  It equals
     z * sign * base_j_factor * flag_factor * weyl_block * twist_factor at
-    h = 0, but is multiplied out in ctx.kernel from the parts ctx caches
-    and returned as a packed value of ctx.kernel, with sign and z in its
-    numerators and denominator (`ctx.kernel.to_graded` gives the
-    GradedPoly, which has no h term).  An orbit
-    context returns z * sign * ctx.staircase(d, D) as (numerator, den), or
-    z * ctx.constant(d, D) at r = 1.  A negative twist upper limit raises
-    TwistRangeError from the factor of its row.
+    h = 0, multiplied out in ctx.kernel from the parts ctx caches: R_1,
+    then per later root j its root_factor R_j and the Weyl factors W(a, j),
+    a < j, then the general twist rows, and last the scalar
+    base_constant(D) * sign * z.  The result is a packed value of ctx.kernel
+    (`ctx.kernel.to_graded` gives the GradedPoly, which has no h term).  An
+    orbit context returns z * sign * ctx.staircase(d, D) as (numerator,
+    den), or z * ctx.constant(d, D) at r = 1.  A negative twist upper limit
+    raises TwistRangeError from the factor of its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
     # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
@@ -488,14 +469,16 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     if ctx.orbit:
         num, den = ctx.staircase(d, D) if r >= 2 else ctx.constant(d, D)
         return num * z.numerator, den * z.denominator
-    cached = max(r - 2, 0)
-    out = ctx.prefix(D, d[:cached])
-    for j in range(cached + 1, r + 1):
-        out = ctx.extend(out, d[:j], D)
+    out = ctx.root_factor(0, d[0], D)
+    for j in range(1, r):
+        out = kernel.product(out, ctx.root_factor(j, d[j], D))
+        for a in range(j):
+            out = kernel.product(out, ctx.weyl_factor(a, j, d[a] - d[j]))
     twist = ctx.twist
     for s in ctx.general_rows:
         upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
         out = kernel.product(out, ctx.row_factor(s, upper))
     terms, den = out
-    num = z.numerator
-    return [(k, c * num) for k, c in terms], den * z.denominator
+    base = ctx.base_constant(D)
+    num = base.numerator * z.numerator
+    return [(k, c * num) for k, c in terms], den * base.denominator * z.denominator

@@ -338,10 +338,12 @@ def class_enumeration(
         _, divisor = anticanonical(target, twist)
     a, b = divisor.a, divisor.b
     slope = a + b * _fiber_rate(target, divisor)
+    # k >= r * lattice_floor(D), which is k_rate * D for D >= 0
+    k_rate = target.rank * min(-e for e in target.e_degrees)
     out = []
     for D in range(x_deg // slope + 1):
         k, rest = divmod(x_deg - a * D, b)
-        if not rest and k >= target.rank * lattice_floor(target, D):
+        if not rest and k >= k_rate * D:
             out.append(CurveClass(D=D, k=k))
     return out
 

@@ -268,33 +268,57 @@ def test_context_caches_repeat_parts(p4_112):
     first = oh_summand((1, 0), cls, ctx)
     rows = ctx.local_rows[0]
     assert ctx.local_rows == (rows, rows)
-    assert ctx.root_poly(rows, 1, 2, 2) is ctx.root_poly(rows, 1, 2, 2)
+    assert ctx.root_poly(rows, 1, 2) is ctx.root_poly(rows, 1, 2)
+    assert ctx.root_factor(0, 1, 2) is ctx.root_factor(0, 1, 2)
     assert ctx.weyl_factor(0, 1, 1) is ctx.weyl_factor(0, 1, 1)
     assert oh_summand((1, 0), cls, ctx) == first == oh_summand((1, 0), cls, p4_ctx(p4_112, z=2))
     # both roots carry one standard twist row, so they share the univariate
     # builds: (1, 0) builds d = 1 and d = 0 once each, and (0, 1) reuses them
     builds = dict(ctx._roots)
-    assert set(builds) == {(rows, 1, 2, 2), (rows, 0, 2, 2)}
+    assert set(builds) == {(rows, 1, 2), (rows, 0, 2)}
     oh_summand((0, 1), cls, ctx)
     assert ctx._roots == builds
 
 
-def test_shared_parts_across_points_classes_and_degrees(reference_summand):
-    # twist rows that differ per root, plus one general row over two roots
-    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
-    twist = TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 1)
+@pytest.mark.parametrize(
+    "e_degrees, rows, count",
+    [
+        pytest.param((0, 1, -1), ((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 90, id="r3"),
+        pytest.param(
+            (0, 1, -1, 0, 2),
+            ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)),
+            12,
+            id="r4",
+        ),
+    ],
+)
+def test_shared_parts_across_points_classes_and_degrees(reference_summand, e_degrees, rows, count):
+    # twist rows that differ per root, plus one general row over two roots;
+    # the r = 4 reference takes about 0.15 s a point, so it checks fewer
+    r = len(rows[0])
+    target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
+    twist = TwistSpec(rows, 1)
     z = Fraction(3, 2)
     ctx = SummandContext.for_target(target, twist, z=z)
     points = [
         (d, CurveClass(D=D, k=sum(d)))
-        for d in itertools.product(range(-1, 3), repeat=3)
+        for d in itertools.product(range(-1, 3), repeat=r)
         for D in (0, 1, 2)
     ]
     random.Random(5).shuffle(points)
-    for d, cls in points[:90]:
+    for d, cls in points[:count]:
         fresh = SummandContext.for_target(target, twist, z=z)
         got = _outcome(graded_oh_summand, d, cls, ctx)
         assert got == _outcome(reference_summand, d, cls, fresh), (d, cls.D)
+
+
+@pytest.mark.parametrize("orbit, length", [(True, 4), (False, 7)])
+def test_factor_series_are_as_long_as_their_path_reads(orbit, length):
+    # P^8 in (1,1,1,1,2): r = 4 and cap 6; the orbit tables read x^0..x^3
+    target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    ctx = SummandContext.for_target(target, twist, orbit=orbit)
+    assert (target.rank, ctx.cap) == (4, 6)
+    assert len(ctx.slot_series(3)) == len(ctx.twist_series(3)) == length
 
 
 def test_slot_series_matches_factor_ratio(p4_112):
