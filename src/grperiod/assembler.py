@@ -235,6 +235,8 @@ def correction_C(
     """
     orbits = orbit_degrees(target, twist, divisor) is not None
     contexts = [SummandContext.for_target(target, twist, z, orbit=orbits) for z in (1, 2)]
+    if divisor is None:
+        divisor = anticanonical(target, twist)[1]
     entries = []
     for cls in class_enumeration(target, twist, 1, divisor):
         values = [
@@ -328,7 +330,13 @@ def _listed(
     skip_nonconvex: bool,
     increasing: bool = False,
 ) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
-    """The (point, class) pairs summed in each degree 0..dmax."""
+    """The (point, class) pairs summed in each degree 0..dmax.
+
+    The grading defaults to the anticanonical class of the zero locus, as
+    in class_enumeration, and is resolved once for every degree.
+    """
+    if divisor is None:
+        divisor = anticanonical(ctx.target, ctx.twist)[1]
     return [
         [
             (d, cls)

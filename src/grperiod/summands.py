@@ -38,8 +38,10 @@ The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
 assembler.  A context made with orbit=True, for the S_r-orbit path of a
 Fano blow-up, multiplies nothing out: it reads the staircase coefficients
-off r x r integer determinants of per-root tables (`staircase`), built
-from the r coefficients of `root_poly`, and at r = 1, where the cap
+off r x r integer determinants (`staircase`): one table per distinct
+root degree d_a, built from the r coefficients of `root_poly`, and one
+determinant per count vector of those values, weighted by binomials, in
+place of one per subset of the roots.  At r = 1, where the cap
 is 0 and every orbit is one point, the summand is the product of its
 factors' constant terms (`constant`).  The GradedPoly helpers below
 (`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
@@ -50,6 +52,7 @@ and serve as its reference.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -319,17 +322,36 @@ class SummandContext:
         row a depends on x_a alone, so P[x^alpha] is the determinant with
         rows M_a[r-1-alpha_a] (root_table), and by multilinearity the sum is
         sum over nonempty S of (-1)^(r-|S|) det(sum_{a in S} M_a).
+
+        Roots of equal d_a share one table, so that determinant depends only
+        on the count vector s, s_j the number of roots in S of the j-th
+        distinct value v_j, of multiplicity m_j.  The sum runs over the
+        nonzero s <= m, weighted (-1)^(r-|s|) prod_j C(m_j, s_j): prod_j
+        (m_j + 1) - 1 determinants, not 2^r - 1.  The vectors are counted
+        like an odometer, lowest value fastest, and each one's matrix is the
+        matrix of s less one v_j, j its lowest nonzero count, plus M_(v_j).
         """
         r = len(d)
-        tables = [self.root_table(da, D) for da in d]
+        groups = Counter(d)  # distinct d_a -> the number of roots that have it
+        tables = [self.root_table(v, D) for v in groups]
         den = math.lcm(*(q for _, q in tables))
         scaled = [[[c * (den // q) for c in row] for row in m] for m, q in tables]
-        sums, total = [[[0] * r for _ in range(r)]], 0  # sums[S]: sum over a in S
-        for subset in range(1, 1 << r):
-            low = scaled[(subset & -subset).bit_length() - 1]
-            rest = sums[subset & (subset - 1)]  # S without its lowest element
-            sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, low)])
-            total += (-1) ** (r - subset.bit_count()) * integer_det(sums[subset])
+        mult = list(groups.values())
+        strides = [1]  # index of s = sum_j s_j strides[j]
+        for m in mult:
+            strides.append(strides[-1] * (m + 1))
+        counts = [0] * len(mult)
+        sums, total = [[[0] * r for _ in range(r)]], 0  # sums[index of s]
+        for index in range(1, strides[-1]):
+            j = 0
+            while counts[j] == mult[j]:
+                counts[j] = 0
+                j += 1
+            counts[j] += 1
+            rest = sums[index - strides[j]]  # s less one v_j
+            sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, scaled[j])])
+            weight = math.prod(math.comb(m, s) for m, s in zip(mult, counts))
+            total += (-1) ** (r - sum(counts)) * weight * integer_det(sums[index])
         base = self.base_constant(D)
         return total * base.numerator, den**r * base.denominator
 

@@ -235,7 +235,8 @@ def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
 
 @pytest.mark.parametrize("r, dmax", [(6, 14), (7, 16)])
 def test_orbit_path_equals_the_oracle_at_ranks_6_and_7(r, dmax):
-    # 63 and 127 staircase determinants per representative; period_series
+    # up to 63 and 127 staircase determinants per representative, one per
+    # nonzero count vector of its distinct values; period_series
     # raises OracleMismatchError on the first degree that differs
     degrees = (1,) * r + (2,)
     ps = period_series(*normalize_blowup(BlowUpSpec(2 * r, degrees)), dmax)
