@@ -27,8 +27,10 @@ Four structural facts keep this cheap and are relied on throughout:
   when nonconvex points are skipped, points outside the bounds of the local
   twist rows: `targets.lattice_range` prunes them while it builds each
   point.  `class_points` adds the one check the generator cannot make, on
-  the general twist rows, and its list is what is summed and what the work
-  budget counts.
+  the general twist rows, and its list is what is summed.  The work budget
+  counts it too, except on the orbit path below, where the list holds one
+  representative per S_r orbit and the budget counts every point of each
+  orbit (P^8 blown up in (1,1,1,1,2) through x^11: 10 listed, 45 counted).
 
 * Fano blow-up models (`orbit_degrees`), r = 1 included, are
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
@@ -135,17 +137,16 @@ def class_points(
     cls: CurveClass,
     ctx: SummandContext,
     skip_nonconvex: bool = False,
-    increasing: bool = False,
 ) -> list[tuple[int, ...]]:
     """The lattice points of one curve class that are summed.
 
     The points `lattice_range` yields under ctx.cap, and with skip_nonconvex
     under the local twist rows too; with skip_nonconvex, a point at which a
-    general twist row has a negative upper limit is then dropped.  With
-    increasing, only the weakly increasing points, one per S_r orbit.
+    general twist row has a negative upper limit is then dropped.  On an
+    orbit context, only the weakly increasing points, one per S_r orbit.
     """
     twist = ctx.twist if skip_nonconvex else None
-    points = lattice_range(ctx.target, cls, ctx.cap, twist, increasing)
+    points = lattice_range(ctx.target, cls, ctx.cap, twist, ctx.orbit)
     if twist is None or not ctx.general_rows:
         return list(points)
     return [d for d in points if all(u >= 0 for u in twist_uppers(twist, cls, d))]
@@ -233,14 +234,14 @@ def correction_C(
     the model, so a Fano blow-up never builds Delta.  Each n_beta is
     z-independent (its z-power is 0); this is verified at two different z.
     """
-    orbits = orbit_degrees(target, twist, divisor) is not None
-    contexts = [SummandContext.for_target(target, twist, z, orbit=orbits) for z in (1, 2)]
+    orbit = orbit_degrees(target, twist, divisor) is not None
+    contexts = [SummandContext.for_target(target, twist, z, orbit=orbit) for z in (1, 2)]
     if divisor is None:
         divisor = anticanonical(target, twist)[1]
     entries = []
     for cls in class_enumeration(target, twist, 1, divisor):
         values = [
-            _unit([(d, cls) for d in class_points(cls, ctx, skip_nonconvex, orbits)], ctx)
+            _unit([(d, cls) for d in class_points(cls, ctx, skip_nonconvex)], ctx)
             for ctx in contexts
         ]
         if values[0] != values[1]:
@@ -317,10 +318,9 @@ def estimate_points(
     by its size r!/|Stab|, though it evaluates one summand per orbit, so
     the count does not depend on the path.
     """
-    ctx = SummandContext.for_target(target, twist)
-    orbits = orbit_degrees(target, twist, divisor) is not None
-    listed = _listed(ctx, dmax, divisor, False, orbits)
-    return sum(_point_count(pairs, orbits, target.rank) for pairs in listed)
+    orbit = orbit_degrees(target, twist, divisor) is not None
+    ctx = SummandContext.for_target(target, twist, orbit=orbit)
+    return sum(_point_count(pairs, ctx) for pairs in _listed(ctx, dmax, divisor, False))
 
 
 def _listed(
@@ -328,7 +328,6 @@ def _listed(
     dmax: int,
     divisor: DivisorData | None,
     skip_nonconvex: bool,
-    increasing: bool = False,
 ) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
     """The (point, class) pairs summed in each degree 0..dmax.
 
@@ -341,17 +340,17 @@ def _listed(
         [
             (d, cls)
             for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
-            for d in class_points(cls, ctx, skip_nonconvex, increasing)
+            for d in class_points(cls, ctx, skip_nonconvex)
         ]
         for x_deg in range(dmax + 1)
     ]
 
 
-def _point_count(pairs: list, orbits: bool, r: int) -> int:
-    """Points of one degree's list, each orbit representative by its orbit size."""
-    if not orbits:
+def _point_count(pairs: list, ctx: SummandContext) -> int:
+    """Points of one degree's list, an orbit representative by its orbit size."""
+    if not ctx.orbit:
         return len(pairs)
-    return sum(math.factorial(r) // _stabiliser_order(d) for d, _ in pairs)
+    return sum(math.factorial(ctx.target.rank) // _stabiliser_order(d) for d, _ in pairs)
 
 
 def _unit(pairs: list, ctx: SummandContext) -> Fraction:
@@ -441,12 +440,11 @@ def unit_series(
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     degrees = orbit_degrees(target, twist, divisor)
-    orbits = degrees is not None
     # one context, so its factor caches are shared by every degree
-    ctx = SummandContext.for_target(target, twist, z, orbit=orbits)
-    listed = _listed(ctx, dmax, divisor, skip_nonconvex, orbits)
+    ctx = SummandContext.for_target(target, twist, z, orbit=degrees is not None)
+    listed = _listed(ctx, dmax, divisor, skip_nonconvex)
     if budget is not None:
-        counts = [_point_count(pairs, orbits, target.rank) for pairs in listed]
+        counts = [_point_count(pairs, ctx) for pairs in listed]
         estimate = sum(counts)
         if estimate > budget:
             per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
@@ -456,7 +454,7 @@ def unit_series(
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     raw = [_unit(pairs, ctx) for pairs in listed]
-    if orbits:
+    if ctx.orbit:
         _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
     # u_1 has z-power 0, so it is the counts' total at any z
     if dmax >= 1 and correction.total != raw[1]:

@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("period", "compute a regularised quantum period series"),
         ("jreport", "report unit coefficients, z-powers, and corrections"),
-        ("validate", "run the validation suite"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
@@ -429,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="comma separated, e.g. 1,1,2",
         )
+    sub.add_parser("validate", help="run the validation suite").add_argument("--out", default=None)
     return parser
 
 
@@ -441,7 +441,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
+        config = getattr(args, "config", None)  # validate takes no config
+        file_values = parse_config_file(config) if config else {}
         cfg = build_config(file_values, args)
         if args.command == "period":
             return cmd_period(cfg)

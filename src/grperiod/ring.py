@@ -302,8 +302,8 @@ class PackedRing:
     below `limit` = (cap + 1) B^nvars, and because keys sort by degree first
     a row of products can stop at the first key past the limit.  That early
     stop needs the inner (second) operand of `product` sorted by key: `pack`
-    and `compose` return sorted terms, `product` and `add_all` do not, so a
-    product that is used as an inner operand is sorted once by its caller.
+    returns sorted terms, `product` and `add_all` do not, so a product that
+    is used as an inner operand is sorted once by its caller.
 
     Generators 1..nvars-1 are the Chern roots x_i.  Generator 0 is the
     hyperplane class h, which the summands never carry: they are evaluated
@@ -363,26 +363,6 @@ class PackedRing:
             for k, c in terms:
                 acc[k] = get(k, 0) + c * f
         return [(k, c) for k, c in acc.items() if c], den
-
-    def compose(self, series, linear: tuple[list, int]) -> tuple[list, int]:
-        """sum_k series[k] * linear^k for rational coefficients series[0..cap].
-
-        `linear` must have integer coefficients and no constant term, so its
-        powers past cap vanish.
-        """
-        if linear[1] != 1 or (linear[0] and linear[0][0][0] == 0):
-            raise RingUsageError("compose needs an integral linear form without constant term")
-        den = math.lcm(*(c.denominator for c in series))
-        nums = [c.numerator * (den // c.denominator) for c in series]
-        acc = {0: nums[0]}
-        power = [(0, 1)]
-        for c in nums[1:]:
-            power, _ = self.product((power, 1), linear)
-            if not power:
-                break
-            for k, p in power:
-                acc[k] = acc.get(k, 0) + c * p
-        return sorted((k, c) for k, c in acc.items() if c), den
 
     def weyl_unit(self, value: tuple[list, int], pairs: Iterable[tuple[int, int]]) -> Fraction:
         """The c with value = c * Delta, Delta = prod over pairs of (g_i - g_j).

@@ -17,8 +17,9 @@ is its constant term, and each factor of a root is univariate in the
 root's x.  The summand is built from parts cached on its SummandContext,
 shared by the points, classes and degrees of one computation:
 
-* every ratio and twist numerator is a univariate series in its (nilpotent,
-  linear) class, depending only on its upper limit: cached by that limit;
+* every slot ratio and the numerator of a twist row local to one root is
+  a univariate series in its (nilpotent, linear) class, depending only on
+  its upper limit: cached by that limit;
 * the base constant slot_series(D)[0]^(N+1): cached by D;
 * the factor of one root, its slot ratios times its own twist rows, as
   integer coefficients of x^0..x^(length-1) over one denominator: cached
@@ -26,9 +27,10 @@ shared by the points, classes and degrees of one computation:
   rows (`root_poly`);
 * that factor packed on root i's own generator: cached by (i, d_i, D)
   (`root_factor`);
-* the packed linear forms the general twist rows are composed with:
-  cached by their root weights;
-* the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b).
+* the Weyl factors x_a - x_b + (d_a - d_b) z: cached by (a, b, d_a - d_b);
+* the numerator prod_{m=1}^{u} (f_s . x + m z) of a general twist row s,
+  the one at u - 1 times one linear form: cached by (s, u).  Its linear
+  forms and the Weyl factors come from one builder (`_linear`).
 
 Every factor series has the context's `length`: cap + 1 coefficients on a
 packed context, which multiplies them out through degree cap, and r on an
@@ -98,7 +100,6 @@ class SummandContext:
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _lines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -182,19 +183,6 @@ class SummandContext:
             cache[t] = _times_linear(cache[t - 1], t * self.z)
         return cache[upper]
 
-    def _line(self, weights: tuple) -> tuple[list, int]:
-        """Packed sum f x_i over (i, f) in weights (i 0-based)."""
-        out = self._lines.get(weights)
-        if out is None:
-            terms = {}
-            for i, f in weights:
-                if f:
-                    expo = [0] * self.nvars
-                    expo[i + 1] = 1
-                    terms[tuple(expo)] = f
-            out = self._lines[weights] = self.kernel.pack(terms)
-        return out
-
     def base_constant(self, D: int) -> Fraction:
         """Base factor at h = 0, slot_series(D)[0]^(N+1), cached by D."""
         out = self._base_constants.get(D)
@@ -272,27 +260,44 @@ class SummandContext:
         """d z, the shift of a root at fibre degree d in the Weyl factors."""
         return d * self.z
 
+    def _linear(self, weights, constant) -> tuple[list, int]:
+        """Packed sum f x_(i+1) over (i, f) in weights (roots 0-based), plus constant."""
+        terms = {}
+        for i, f in weights:
+            expo = [0] * self.nvars
+            expo[i + 1] = 1
+            terms[tuple(expo)] = f
+        terms[(0,) * self.nvars] = constant
+        return self.kernel.pack(terms)
+
     def weyl_factor(self, a: int, b: int, diff: int):
         """Packed x_a - x_b + diff z (roots 0-based), cached by (a, b, diff)."""
         key = (a, b, diff)
         out = self._weyls.get(key)
         if out is None:
-            expo_a, expo_b = [0] * self.nvars, [0] * self.nvars
-            expo_a[a + 1] = expo_b[b + 1] = 1
-            zero = (0,) * self.nvars
-            out = self._weyls[key] = self.kernel.pack(
-                {tuple(expo_a): 1, tuple(expo_b): -1, zero: self.shift(diff)}
-            )
+            out = self._weyls[key] = self._linear(((a, 1), (b, -1)), self.shift(diff))
         return out
 
     def row_factor(self, s: int, upper: int):
-        """Packed twist numerator of general row s at its upper limit."""
-        key = (s, upper)
-        out = self._rows.get(key)
-        if out is None:
-            row = self.twist.weight_vectors[s][: self.target.rank]
-            line = self._line(tuple(enumerate(row)))
-            out = self._rows[key] = self.kernel.compose(self.twist_series(upper), line)
+        """Packed prod_{m=1}^{upper} (f_s . x + m z) of general row s, upper >= 0.
+
+        f_s . x is c1(L_s) at h = 0.  The factor at upper is the one at
+        upper - 1 times one packed linear form, built from the nearest
+        cached limit below, and its terms are sorted by key, because
+        oh_summand multiplies by it as an inner operand.  Cached by (s, upper).
+        """
+        if upper < 0:
+            raise TwistRangeError(f"twist range negative: upper limit {upper}")
+        cache = self._rows
+        t = upper
+        while t and (s, t) not in cache:
+            t -= 1
+        out = cache[s, t] if t else ([(0, 1)], 1)
+        row = tuple(enumerate(self.twist.weight_vectors[s][: self.target.rank]))
+        while t < upper:
+            t += 1
+            terms, den = self.kernel.product(out, self._linear(row, t * self.z))
+            out = cache[s, t] = sorted(terms), den
         return out
 
     def root_table(self, da: int, D: int) -> tuple[list, int]:

@@ -229,7 +229,8 @@ def lattice_range(
     stay exact on the increasing points.
     """
     r, D, k = target.rank, cls.D, cls.k
-    lo = lattice_floor(target, D)
+    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
+    lo = thresholds[0]  # lattice_floor(target, D)
     if r == 1 and twist is None:  # the class is the single point (k,)
         if k >= lo and (cap is None or slot_count(target, k, D) <= cap):
             yield (k,)
@@ -245,7 +246,6 @@ def lattice_range(
                     high[i] = min(high[i], rho_D // -f)
     if cap is None:
         cap = r * len(target.e_degrees) + target.omega_degree  # what any point forces at most
-    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
     free = thresholds[-1]
     cheapest = len(thresholds) - bisect.bisect_right(thresholds, free - 1)
     rest_low, rest_high, rest_free = [0] * r, [0] * r, [0] * r
@@ -307,7 +307,7 @@ def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
         raise GradingError(f"fiber grading b = {b} not positive; classes unbounded")
     # lattice_floor(D) = floor_rate * D for D >= 0, so a class at base
     # degree D has degree at least (a + b * r * floor_rate) * D.
-    floor_rate = min(-e for e in target.e_degrees)
+    floor_rate = lattice_floor(target, 1)
     if a + b * r * floor_rate > 0:
         return r * floor_rate
     # Literal floors do not bound the degree from below.  Tighten with
@@ -339,7 +339,7 @@ def class_enumeration(
     a, b = divisor.a, divisor.b
     slope = a + b * _fiber_rate(target, divisor)
     # k >= r * lattice_floor(D), which is k_rate * D for D >= 0
-    k_rate = target.rank * min(-e for e in target.e_degrees)
+    k_rate = target.rank * lattice_floor(target, 1)
     out = []
     for D in range(x_deg // slope + 1):
         k, rest = divmod(x_deg - a * D, b)

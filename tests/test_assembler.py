@@ -292,6 +292,21 @@ def test_non_fano_rank2_units_are_pinned():
     assert correction == Correction(((CurveClass(D=1, k=-1), Fraction(12)),))
 
 
+# Units u_0..u_12 at z = 1 of the rank-4 target model Gr(4, O^4 + O(1)) over
+# P^5 with F = S^v(1) + det(S^v)(1), nonconvex points skipped: its fifth twist
+# row (1,1,1,1) is general, so every summand multiplies in that row's factor
+R4_GENERAL_ROW_UNITS = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, Fraction(1, 32), 0, 0)
+
+
+def test_rank4_general_row_units_are_pinned():
+    target = FlagTarget(5, (0, 0, 0, 0, 1), 4)
+    twist = TwistSpec(standard_basis(4) + ((1, 1, 1, 1),), 1)
+    assert SummandContext.for_target(target, twist).general_rows == (4,)
+    raw, correction = unit_series(target, twist, 12, skip_nonconvex=True)
+    assert tuple(raw) == R4_GENERAL_ROW_UNITS
+    assert correction == Correction(())
+
+
 # Target models (r = 2, 3) with standard, per-root, general and unbalanced
 # twist rows, each with the gradings it enumerates under (None is -K; an
 # unbalanced twist has none)

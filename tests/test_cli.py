@@ -248,6 +248,13 @@ def test_validate_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
 
 
+def test_validate_rejects_the_flags_of_period():
+    # validate reads only --out, so a model or series flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--dmax", "3"])
+    assert exc.value.code == 2
+
+
 def test_validate_flip_b1_fails(capsys, monkeypatch):
     # the true values first, so the flipped B_1 never reaches bernoulli's cache
     values = [validation.bernoulli(m) for m in range(22)]

@@ -246,28 +246,6 @@ def test_packed_keys_sort_by_degree_and_do_not_carry():
     assert ring.key((1, 0)) + ring.key((0, 1)) == ring.key((1, 1)) < ring.limit
 
 
-def test_packed_compose_substitutes_a_linear_form():
-    ring = PackedRing(NVARS, CAP)
-    series = (Fraction(1, 2), Fraction(-3, 4), Fraction(7, 8), Fraction(5))
-    linear = {(1, 0, 0): 1, (0, 0, 1): -2}
-    got = ring.to_graded(ring.compose(series, ring.pack(linear)))
-    ell = GradedPoly(NVARS, CAP, linear)
-    expected = const(0)
-    power = const(1)
-    for c in series:
-        expected = expected + power.scale(c)
-        power = poly_mul(power, ell)
-    assert got == expected
-
-
-def test_packed_compose_needs_integral_linear_form():
-    ring = PackedRing(NVARS, CAP)
-    with pytest.raises(RingUsageError):
-        ring.compose((Fraction(1),), ring.pack({(1, 0, 0): Fraction(1, 2)}))
-    with pytest.raises(RingUsageError):
-        ring.compose((Fraction(1),), ring.pack({(0, 0, 0): 1, (1, 0, 0): 1}))
-
-
 @st.composite
 def integer_matrices(draw):
     """Square integer matrices of size 0..5, some with zero leading pivots."""

@@ -283,6 +283,32 @@ def test_context_caches_repeat_parts(p4_112):
     assert ctx._roots == builds
 
 
+def test_row_factor_is_the_product_of_its_linear_forms():
+    # three general rows; the uppers come out of order, so a factor is built
+    # from the nearest cached limit below it, or from 1
+    target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
+    rows = ((1, 1, 0), (2, -1, 1), (0, 0, 0))
+    z = Fraction(3, 2)
+    ctx = SummandContext.for_target(target, TwistSpec(rows, 1), z=z)
+    assert ctx.general_rows == (0, 1, 2)
+    nvars, cap = target.nvars, ctx.cap
+    for s, row in enumerate(rows):
+        line = const(0, nvars, cap)
+        for i, f in enumerate(row, 1):
+            line = line + gen(i, nvars, cap).scale(f)
+        for upper in (3, 0, 5, 1):
+            expected = const(1, nvars, cap)
+            for m in range(1, upper + 1):
+                expected = poly_mul(expected, line + m * z)
+            assert ctx.kernel.to_graded(ctx.row_factor(s, upper)) == expected, (row, upper)
+        with pytest.raises(TwistRangeError, match="upper limit -1"):
+            ctx.row_factor(s, -1)
+    assert {u for _, u in ctx._rows} == {1, 2, 3, 4, 5}
+    for terms, _ in ctx._rows.values():
+        keys = [k for k, _ in terms]
+        assert keys == sorted(keys)
+
+
 @pytest.mark.parametrize(
     "e_degrees, rows, count",
     [
