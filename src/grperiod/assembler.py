@@ -30,7 +30,7 @@ Four structural facts keep this cheap and are relied on throughout:
   the general twist rows, and its list is what is summed.  The work budget
   counts it too, except on the orbit path below, where the list holds one
   representative per S_r orbit and the budget counts every point of each
-  orbit (P^8 blown up in (1,1,1,1,2) through x^11: 10 listed, 45 counted).
+  orbit (P^8 blown up in (1,1,1,1,2) through x^11: 8 listed, 33 counted).
 
 * Fano blow-up models (`orbit_degrees`), r = 1 included, are
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
@@ -143,7 +143,8 @@ def class_points(
     The points `lattice_range` yields under ctx.cap, and with skip_nonconvex
     under the local twist rows too; with skip_nonconvex, a point at which a
     general twist row has a negative upper limit is then dropped.  On an
-    orbit context, only the weakly increasing points, one per S_r orbit.
+    orbit context, one weakly increasing point per S_r orbit, and only
+    those whose staircase can be nonzero (lattice_range with orbit).
     """
     twist = ctx.twist if skip_nonconvex else None
     points = lattice_range(ctx.target, cls, ctx.cap, twist, ctx.orbit)
@@ -315,8 +316,9 @@ def estimate_points(
 
     Exact when nonconvex points are kept, and an upper bound when they are
     skipped.  A model summed by orbits (orbit_degrees) counts each orbit
-    by its size r!/|Stab|, though it evaluates one summand per orbit, so
-    the count does not depend on the path.
+    it lists by its size r!/|Stab|, though it evaluates one summand per
+    orbit.  It lists no orbit whose staircase is zero, so its count can be
+    below the number of points the per-point path sums for the same series.
     """
     orbit = orbit_degrees(target, twist, divisor) is not None
     ctx = SummandContext.for_target(target, twist, orbit=orbit)

@@ -205,7 +205,7 @@ def lattice_range(
     cls: CurveClass,
     cap: int | None = None,
     twist: TwistSpec | None = None,
-    increasing: bool = False,
+    orbit: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
 
@@ -214,28 +214,41 @@ def lattice_range(
     for each pair of equal fiber degrees -- is at most cap; truncation at
     the cap kills the rest.  With a twist, only the points at which every
     row local to a root i (split_twist_rows), of weight f, has
-    f * d_i + rho * D >= 0.  With increasing, only the weakly increasing
-    points: each value starts at the previous one and is at most the total
-    still to place over the roots left.
+    f * d_i + rho * D >= 0.  With orbit, only the orbit representatives
+    whose staircase can be nonzero: the weakly increasing points (each
+    value starts at the previous one and is at most the total still to
+    place over the roots left) whose sorted slot counts have f_(i) <= i.
 
-    Both cuts are made while the point is built, and they are exact: a root
-    value spends budget (cap at the start) on its forced slots and on each
-    earlier root of the same value, and that spending only grows, so a
-    branch ends as soon as its budget is below zero.  A branch also ends
-    when the roots still to be placed cannot all reach a free value (one
-    that forces no slot) and the budget left is below what the cheapest
-    forced value costs.  A value outside a twist row's bound is never tried.
-    These cuts only end branches that have no completion at all, so they
-    stay exact on the increasing points.
+    That last cut is exact for the staircase of a Fano blow-up model
+    (`summands.SummandContext.staircase`): a root's factor R_a is divisible
+    by x_a^(f_a), and the staircase reads exponents that are a permutation
+    of 0..r-1, so some exponent reaches every f_a only when f_(i) <= i.  On
+    a weakly increasing point the counts fall as i grows, so the cut is a
+    floor per root: root i takes the smallest value that forces at most
+    r - 1 - i slots.  The floors sum to D times the r largest -e_j, so a
+    class below that total yields nothing.
+
+    The cap and orbit cuts are made while the point is built, and they are
+    exact: a root value spends budget (cap at the start) on its forced slots
+    and on each earlier root of the same value, and that spending only
+    grows, so a branch ends as soon as its budget is below zero.  A branch
+    also ends when the roots still to be placed cannot all reach a free
+    value (one that forces no slot) and the budget left is below what the
+    cheapest forced value costs.  A value outside a twist row's bound or
+    below a root's floor is never tried.  These cuts only end branches that
+    have no completion at all, so they stay exact on the orbit points.
     """
     r, D, k = target.rank, cls.D, cls.k
     thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
     lo = thresholds[0]  # lattice_floor(target, D)
     if r == 1 and twist is None:  # the class is the single point (k,)
-        if k >= lo and (cap is None or slot_count(target, k, D) <= cap):
+        floor = thresholds[-1] if orbit else lo  # the orbit floor below, at r = 1
+        if k >= floor and (cap is None or slot_count(target, k, D) <= cap):
             yield (k,)
         return
-    low, high = [lo] * r, [k - lo * (r - 1)] * r
+    # on the orbit path root i forces at most r - 1 - i slots (rank E >= r)
+    low = thresholds[len(thresholds) - r :] if orbit else [lo] * r
+    high = [k - lo * (r - 1)] * r
     if twist is not None:
         rho_D = twist.rho * D
         for i, weights in enumerate(split_twist_rows(twist, r)[0]):
@@ -253,17 +266,17 @@ def lattice_range(
         rest_low[i - 1] = rest_low[i] + low[i]
         rest_high[i - 1] = rest_high[i] + high[i]
         rest_free[i - 1] = rest_free[i] + max(free, low[i])
-    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest, increasing)
+    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest, orbit)
     yield from _completions((), k, cap, plan)
 
 
 def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterator[tuple[int, ...]]:
     """Points of lattice_range that start with head; the rest sums to total."""
-    low, high, rest_low, rest_high, rest_free, thresholds, cheapest, increasing = plan
+    low, high, rest_low, rest_high, rest_free, thresholds, cheapest, orbit = plan
     i, n = len(head), len(thresholds)
     start = max(low[i], total - rest_high[i])
     stop = min(high[i], total - rest_low[i])
-    if increasing:  # v >= head[-1], and the len(low) - i values from v on sum to total
+    if orbit:  # v >= head[-1], and the len(low) - i values from v on sum to total
         if head:
             start = max(start, head[-1])
         stop = min(stop, total // (len(low) - i))

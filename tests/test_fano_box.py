@@ -25,7 +25,14 @@ from grperiod.assembler import (
     z_scaling_failures,
 )
 from grperiod.summands import SummandContext
-from grperiod.targets import BlowUpSpec, GradingError, class_enumeration, normalize_blowup
+from grperiod.targets import (
+    BlowUpSpec,
+    GradingError,
+    class_enumeration,
+    lattice_range,
+    normalize_blowup,
+    slot_count,
+)
 from grperiod.validation import oracle_blowup, oracle_blowup_raw
 
 DMAX = 10
@@ -93,6 +100,25 @@ def test_default_twist_level_orbit_counts_equal_the_packed_counts():
             for cls in class_enumeration(target, twist, 1)
         )
         assert correction_C(target, twist).entries == expected, (base_dim, degrees)
+
+
+def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
+    # lattice_range(..., orbit=True) keeps a weakly increasing point only
+    # when its sorted slot counts have f_(i) <= i; every point that this
+    # drops, and the cap alone keeps, must read 0 off the staircase
+    dropped = 0
+    for base_dim, degrees in FANO_BOX:
+        target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        ctx = SummandContext.for_target(target, twist, orbit=True)
+        for x_deg in range(13):
+            for cls in class_enumeration(target, twist, x_deg):
+                for d in lattice_range(target, cls, ctx.cap):
+                    forced = sorted(slot_count(target, di, cls.D) for di in d)
+                    if list(d) != sorted(d) or all(f <= i for i, f in enumerate(forced)):
+                        continue
+                    assert ctx.staircase(d, cls.D)[0] == 0, (base_dim, degrees, cls, d)
+                    dropped += 1
+    assert dropped > 0
 
 
 def test_p4_122_at_twist_level_3_raises():

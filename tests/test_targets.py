@@ -20,6 +20,7 @@ from grperiod.targets import (
     lattice_floor,
     lattice_range,
     normalize_blowup,
+    slot_count,
     standard_basis,
 )
 
@@ -216,14 +217,23 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                     cls = CurveClass(D=D, k=k)
                     full = list(lattice_range(target, cls))
                     forced = [_forced_nilpotent_degree(target, d, D) for d in full]
+                    # weakly increasing, and some permutation of 0..r-1 gives
+                    # every root at least its forced slot count
+                    readable = [
+                        list(d) == sorted(d)
+                        and all(
+                            f <= i for i, f in enumerate(sorted(slot_count(target, di, D) for di in d))
+                        )
+                        for d in full
+                    ]
                     for cap in range(5):
                         expected = [d for d, f in zip(full, forced) if f <= cap]
                         assert list(lattice_range(target, cls, cap)) == expected, (
                             e_degrees, r, D, k, cap,
                         )
-                        increasing = [d for d in expected if list(d) == sorted(d)]
-                        got = list(lattice_range(target, cls, cap, increasing=True))
-                        assert got == increasing, (e_degrees, r, D, k, cap)
+                        orbit = [d for d, f, ok in zip(full, forced, readable) if f <= cap and ok]
+                        got = list(lattice_range(target, cls, cap, orbit=True))
+                        assert got == orbit, (e_degrees, r, D, k, cap)
                         cases += 1
     assert cases == 120_000
 
