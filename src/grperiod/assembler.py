@@ -182,7 +182,7 @@ def degree_numerator(
     The result is a packed value of PackedRing(target.nvars,
     target.omega_degree), the ring `unit_from_numerator` reads.
     """
-    ctx = SummandContext.for_target(target, twist, z)
+    ctx = SummandContext(target, twist, z)
     classes = class_enumeration(target, twist, x_deg, divisor)
     return ctx.kernel.add_all(class_numerator(cls, ctx, skip_nonconvex) for cls in classes)
 
@@ -236,7 +236,7 @@ def correction_C(
     z-independent (its z-power is 0); this is verified at two different z.
     """
     orbit = orbit_degrees(target, twist, divisor) is not None
-    contexts = [SummandContext.for_target(target, twist, z, orbit=orbit) for z in (1, 2)]
+    contexts = [SummandContext(target, twist, z, orbit=orbit) for z in (1, 2)]
     if divisor is None:
         divisor = anticanonical(target, twist)[1]
     entries = []
@@ -321,7 +321,7 @@ def estimate_points(
     below the number of points the per-point path sums for the same series.
     """
     orbit = orbit_degrees(target, twist, divisor) is not None
-    ctx = SummandContext.for_target(target, twist, orbit=orbit)
+    ctx = SummandContext(target, twist, orbit=orbit)
     return sum(_point_count(pairs, ctx) for pairs in _listed(ctx, dmax, divisor, False))
 
 
@@ -443,7 +443,7 @@ def unit_series(
         raise ValueError("dmax must be nonnegative")
     degrees = orbit_degrees(target, twist, divisor)
     # one context, so its factor caches are shared by every degree
-    ctx = SummandContext.for_target(target, twist, z, orbit=degrees is not None)
+    ctx = SummandContext(target, twist, z, orbit=degrees is not None)
     listed = _listed(ctx, dmax, divisor, skip_nonconvex)
     if budget is not None:
         counts = [_point_count(pairs, ctx) for pairs in listed]

@@ -151,6 +151,17 @@ class Model:
     skip_nonconvex: bool
 
 
+# the model settings each mode reads, by RunConfig field; any other one that
+# is set is refused.  nonconvex is left out: its default cannot be told
+# apart from an explicit value.
+MODE_SETTINGS = {
+    "blowup": ("base_dim", "center_degrees", "twist_k"),
+    "target": ("base_dim", "e_degrees", "rank", "twist_weights", "rho", "grading_a", "grading_b"),
+    "example3-verbatim": (),
+}
+MODEL_SETTINGS = tuple(dict.fromkeys(sum(MODE_SETTINGS.values(), ())))
+
+
 def build_model(cfg: RunConfig) -> Model:
     if cfg.mode == "blowup":
         if cfg.base_dim is None or cfg.center_degrees is None:
@@ -172,15 +183,24 @@ def build_model(cfg: RunConfig) -> Model:
             divisor = DivisorData(cfg.grading_a, cfg.grading_b)
     else:  # example3-verbatim
         target, twist, divisor = example3_verbatim_model()
-        return Model(target, twist, divisor, skip_nonconvex=True)
-    return Model(target, twist, divisor, cfg.nonconvex == "skip")
+    unread = [
+        "ranks" if name == "rank" else name
+        for name in MODEL_SETTINGS
+        if name not in MODE_SETTINGS[cfg.mode] and getattr(cfg, name) is not None
+    ]
+    if unread:
+        raise ConfigError(f"{cfg.mode} mode does not read {', '.join(unread)}")
+    return Model(target, twist, divisor, cfg.mode == "example3-verbatim" or cfg.nonconvex == "skip")
 
 
 def work_budget() -> int | None:
     raw = os.environ.get(WORK_BUDGET_ENV)
     if raw is None:
         return DEFAULT_WORK_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
     return None if value <= 0 else value
 
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, integer_det, poly_mul, unit_inverse
@@ -75,66 +74,36 @@ class TwistRangeError(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class SummandContext:
-    """Shared ring data for one target: variable count, cap, z.
+    """Shared ring data for one target, twist and z: the kernel and the caches.
 
     The context also owns the caches `oh_summand` draws on, so they live
     exactly as long as the context: callers make one per target and z and
-    share it across the points and degrees of one computation.  With orbit,
-    oh_summand returns a representative's staircase scalar (`staircase`).
+    share it across the points and degrees of one computation.  The cap
+    defaults to target.omega_degree.  With orbit, oh_summand returns a
+    representative's staircase scalar (`staircase`).
     """
 
-    target: FlagTarget
-    twist: TwistSpec | None
-    z: Fraction
-    cap: int
-    orbit: bool = False
-    kernel: PackedRing = field(init=False, repr=False, compare=False)
-    # twist rows by the one root they involve (weights), and the rest (indices)
-    local_rows: tuple = field(init=False, repr=False, compare=False)
-    general_rows: tuple = field(init=False, repr=False, compare=False)
-    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _twists: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _base_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _weyls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", PackedRing(self.nvars, self.cap))
-        local, general = split_twist_rows(self.twist, self.target.rank)
-        object.__setattr__(self, "local_rows", local)
-        object.__setattr__(self, "general_rows", general)
-        unit = (Fraction(1),) + (Fraction(0),) * (self.length - 1)
-        self._slots[0] = unit
-        self._twists[0] = unit
-
-    @classmethod
-    def for_target(
-        cls,
+    def __init__(
+        self,
         target: FlagTarget,
         twist: TwistSpec | None = None,
         z: Fraction | int = 1,
         cap: int | None = None,
         orbit: bool = False,
-    ) -> "SummandContext":
-        zq = Fraction(z)
-        if zq == 0:
+    ):
+        self.z = Fraction(z)
+        if self.z == 0:
             raise SingularFactorError("z = 0 makes every shifted factor singular")
-        return cls(
-            target=target,
-            twist=twist,
-            z=zq,
-            cap=target.omega_degree if cap is None else cap,
-            orbit=orbit,
-        )
-
-    @property
-    def nvars(self) -> int:
-        return self.target.nvars
+        self.target, self.twist, self.orbit = target, twist, orbit
+        self.cap = target.omega_degree if cap is None else cap
+        self.kernel = PackedRing(target.nvars, self.cap)
+        # twist rows by the one root they involve (weights), and the rest (indices)
+        self.local_rows, self.general_rows = split_twist_rows(twist, target.rank)
+        unit = (Fraction(1),) + (Fraction(0),) * (self.length - 1)
+        self._slots, self._twists = {0: unit}, {0: unit}
+        self._base_constants, self._roots, self._factors = {}, {}, {}
+        self._weyls, self._rows, self._tables = {}, {}, {}
 
     @property
     def length(self) -> int:
@@ -142,14 +111,14 @@ class SummandContext:
         return self.target.rank if self.orbit else self.cap + 1
 
     def one(self) -> GradedPoly:
-        return GradedPoly.constant(1, self.nvars, self.cap)
+        return GradedPoly.constant(1, self.target.nvars, self.cap)
 
     def h(self) -> GradedPoly:
-        return GradedPoly.generator(0, self.nvars, self.cap)
+        return GradedPoly.generator(0, self.target.nvars, self.cap)
 
     def root(self, i: int) -> GradedPoly:
         """i-th Chern root of S^v (1-based)."""
-        return GradedPoly.generator(i, self.nvars, self.cap)
+        return GradedPoly.generator(i, self.target.nvars, self.cap)
 
     # -- cached parts of oh_summand -----------------------------------------
 
@@ -252,7 +221,7 @@ class SummandContext:
         if out is None:
             kernel = self.kernel
             nums, den = self.root_poly(self.local_rows[i], di, D)
-            step = kernel.radix ** (i + 1) + kernel.radix**self.nvars
+            step = kernel.radix ** (i + 1) + kernel.radix**self.target.nvars
             out = self._factors[key] = [(k * step, c) for k, c in enumerate(nums) if c], den
         return out
 
@@ -264,10 +233,10 @@ class SummandContext:
         """Packed sum f x_(i+1) over (i, f) in weights (roots 0-based), plus constant."""
         terms = {}
         for i, f in weights:
-            expo = [0] * self.nvars
+            expo = [0] * self.target.nvars
             expo[i + 1] = 1
             terms[tuple(expo)] = f
-        terms[(0,) * self.nvars] = constant
+        terms[(0,) * self.target.nvars] = constant
         return self.kernel.pack(terms)
 
     def weyl_factor(self, a: int, b: int, diff: int):

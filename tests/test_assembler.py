@@ -170,7 +170,7 @@ def test_normalized_p6_1112_series_equals_oracle():
 
 def test_nonconvex_points_error_unless_skipped():
     target, twist, divisor = example3_verbatim_model()
-    ctx = SummandContext.for_target(target, twist)
+    ctx = SummandContext(target, twist)
     cls = CurveClass(D=1, k=-1)
     with pytest.raises(TwistRangeError):
         class_numerator(cls, ctx)
@@ -304,7 +304,7 @@ R4_GENERAL_ROW_UNITS = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, Fraction(1, 32), 0, 0)
 def test_rank4_general_row_units_are_pinned():
     target = FlagTarget(5, (0, 0, 0, 0, 1), 4)
     twist = TwistSpec(standard_basis(4) + ((1, 1, 1, 1),), 1)
-    assert SummandContext.for_target(target, twist).general_rows == (4,)
+    assert SummandContext(target, twist).general_rows == (4,)
     raw, correction = unit_series(target, twist, 12, skip_nonconvex=True)
     assert tuple(raw) == R4_GENERAL_ROW_UNITS
     assert correction == Correction(())
@@ -359,7 +359,7 @@ def test_unit_at_h_zero_fails_exactly_where_the_full_ring_quotient_fails(
     # the engine evaluates every summand at h = 0; the reference sums the
     # full-ring summands and divides by Delta one linear factor at a time
     target, twist, gradings = H_ZERO_MODELS[name]
-    ctx = SummandContext.for_target(target, twist)
+    ctx = SummandContext(target, twist)
     seen = set()
     for divisor in gradings:
         for skip in (False, True):

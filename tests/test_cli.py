@@ -222,6 +222,28 @@ def test_config_file_refusals(tmp_path, capsys, text, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "text, argv, setting",
+    [
+        ("", ["--mode", "example3-verbatim", "--twist-k", "2"], "twist_k"),
+        (
+            "mode = blowup\nbase_dim = 4\ncenter_degrees = 1,1,2\ngrading_a = 1\ngrading_b = 9\n",
+            [],
+            "grading_a, grading_b",
+        ),
+        (TARGET_CONFIG + "rho = 1\ngrading_a = 1\ngrading_b = 2\n", ["--twist-k", "2"], "twist_k"),
+    ],
+    ids=["verbatim-twist-k", "blowup-grading", "target-twist-k"],
+)
+def test_settings_the_mode_does_not_read_are_refused(tmp_path, capsys, text, argv, setting):
+    # each of these runs used to print the series of a model other than the one asked for
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, ["period", "--config", str(cfg), *argv, "--dmax", "3"])
+    assert rc == 1 and out == ""
+    assert f"does not read {setting}" in err
+
+
 def test_blowup_mode_needs_model_args(capsys):
     rc, _, err = run(capsys, ["period", "--dmax", "2"])
     assert rc == 1
@@ -317,6 +339,10 @@ def test_work_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "0")  # 0 disables the guard
     rc, out, _ = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
     assert rc == 0
+    monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "abc")
+    rc, _, err = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
+    assert rc == 1
+    assert "GRPERIOD_WORK_BUDGET" in err
 
 
 def test_jreport_honours_the_work_budget(monkeypatch, capsys):

@@ -94,7 +94,7 @@ def test_default_twist_level_orbit_counts_equal_the_packed_counts():
     # per-class packed sum, with its c * Delta check, is the reference
     for base_dim, degrees in FANO_BOX:
         target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-        ctx = SummandContext.for_target(target, twist)
+        ctx = SummandContext(target, twist)
         expected = tuple(
             (cls, unit_from_numerator(class_numerator(cls, ctx), target))
             for cls in class_enumeration(target, twist, 1)
@@ -109,7 +109,7 @@ def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
     dropped = 0
     for base_dim, degrees in FANO_BOX:
         target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-        ctx = SummandContext.for_target(target, twist, orbit=True)
+        ctx = SummandContext(target, twist, orbit=True)
         for x_deg in range(13):
             for cls in class_enumeration(target, twist, x_deg):
                 for d in lattice_range(target, cls, ctx.cap):

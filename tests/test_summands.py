@@ -83,13 +83,13 @@ def test_factor_ratio_inverts_the_shift_product(shift, upper, z):
 
 def p4_ctx(p4_112, cap=None, z=1):
     target, twist = p4_112
-    return SummandContext.for_target(target, twist, z=z, cap=cap)
+    return SummandContext(target, twist, z=z, cap=cap)
 
 
 def test_context_rejects_zero_z(p4_112):
     target, twist = p4_112
     with pytest.raises(SingularFactorError):
-        SummandContext.for_target(target, twist, z=0)
+        SummandContext(target, twist, z=0)
 
 
 def test_context_default_cap_is_weyl_degree(p4_112):
@@ -99,13 +99,13 @@ def test_context_default_cap_is_weyl_degree(p4_112):
 
 def test_base_factor_p4_degree1():
     target = FlagTarget(base_dim=4, e_degrees=(0, 0, -1), rank=2)
-    ctx = SummandContext.for_target(target, cap=1)
+    ctx = SummandContext(target, cap=1)
     assert base_j_factor(1, ctx) == const(1, 3, 1) - gen(0, 3, 1).scale(5)
 
 
 def test_base_factor_constant_term_only():
     target = FlagTarget(base_dim=1, e_degrees=(0,), rank=1)
-    ctx = SummandContext.for_target(target, cap=0)
+    ctx = SummandContext(target, cap=0)
     assert base_j_factor(2, ctx) == const(Fraction(1, 4), 2, 0)
 
 
@@ -163,7 +163,7 @@ def test_twist_factor_p4(p4_112):
 
 def test_twist_factor_p6(p6_122):
     target, twist = p6_122
-    ctx = SummandContext.for_target(target, twist)
+    ctx = SummandContext(target, twist)
     got = twist_factor((-1, -1), CurveClass(D=1, k=-2), ctx)
     h, h1, h2 = (gen(i, 3, 1) for i in range(3))
     expected = poly_mul(h1 + h.scale(2) + 1, h2 + h.scale(2) + 1)
@@ -178,7 +178,7 @@ def test_twist_factor_refuses_negative_range(p4_112):
 
 def test_empty_twist_contributes_one(p4_112):
     target, _ = p4_112
-    ctx = SummandContext.for_target(target)
+    ctx = SummandContext(target)
     assert twist_factor((1, 0), CurveClass(D=1, k=1), ctx) == ctx.one()
 
 
@@ -227,7 +227,7 @@ def one_step_points(draw):
     )
     z = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-1, 2)]))
     cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
-    return SummandContext.for_target(target, twist, z=z, cap=cap), d, cls
+    return SummandContext(target, twist, z=z, cap=cap), d, cls
 
 
 def _outcome(fn, d, cls, ctx):
@@ -257,7 +257,7 @@ def test_oh_summand_equals_reference_product(reference_summand, case):
 @pytest.mark.parametrize("z", [Fraction(1), Fraction(-1, 2)])
 def test_oh_summand_nonstandard_rows(reference_summand, rows, z):
     target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=2)
-    ctx = SummandContext.for_target(target, TwistSpec(rows, 1), z=z, cap=2)
+    ctx = SummandContext(target, TwistSpec(rows, 1), z=z, cap=2)
     for d in ((0, 0), (2, 1), (1, 3), (-1, 2)):
         for D in (0, 1, 2):
             cls = CurveClass(D=D, k=sum(d))
@@ -289,7 +289,7 @@ def test_row_factor_is_the_product_of_its_linear_forms():
     target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
     rows = ((1, 1, 0), (2, -1, 1), (0, 0, 0))
     z = Fraction(3, 2)
-    ctx = SummandContext.for_target(target, TwistSpec(rows, 1), z=z)
+    ctx = SummandContext(target, TwistSpec(rows, 1), z=z)
     assert ctx.general_rows == (0, 1, 2)
     nvars, cap = target.nvars, ctx.cap
     for s, row in enumerate(rows):
@@ -328,7 +328,7 @@ def test_shared_parts_across_points_classes_and_degrees(reference_summand, e_deg
     target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
     twist = TwistSpec(rows, 1)
     z = Fraction(3, 2)
-    ctx = SummandContext.for_target(target, twist, z=z)
+    ctx = SummandContext(target, twist, z=z)
     points = [
         (d, CurveClass(D=D, k=sum(d)))
         for d in itertools.product(range(-1, 3), repeat=r)
@@ -336,7 +336,7 @@ def test_shared_parts_across_points_classes_and_degrees(reference_summand, e_deg
     ]
     random.Random(5).shuffle(points)
     for d, cls in points[:count]:
-        fresh = SummandContext.for_target(target, twist, z=z)
+        fresh = SummandContext(target, twist, z=z)
         got = _outcome(graded_oh_summand, d, cls, ctx)
         assert got == _outcome(reference_summand, d, cls, fresh), (d, cls.D)
 
@@ -345,7 +345,7 @@ def test_shared_parts_across_points_classes_and_degrees(reference_summand, e_deg
 def test_factor_series_are_as_long_as_their_path_reads(orbit, length):
     # P^8 in (1,1,1,1,2): r = 4 and cap 6; the orbit tables read x^0..x^3
     target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
-    ctx = SummandContext.for_target(target, twist, orbit=orbit)
+    ctx = SummandContext(target, twist, orbit=orbit)
     assert (target.rank, ctx.cap) == (4, 6)
     assert len(ctx.slot_series(3)) == len(ctx.twist_series(3)) == length
 
@@ -376,7 +376,7 @@ def test_cap0_summand_equals_reference_on_listed_points(
     # r = 1: the default cap is 0, so every summand is one constant; an
     # orbit context returns it as (numerator, den)
     target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    ctx = SummandContext.for_target(target, twist, z=z, orbit=orbit)
+    ctx = SummandContext(target, twist, z=z, orbit=orbit)
     assert ctx.cap == 0
     listed = [
         (d, cls)
@@ -403,7 +403,7 @@ def test_cap0_summand_below_the_floor_is_zero(reference_summand, base_dim, degre
     # points below the floor whose twist range is nonnegative: a slot ratio
     # keeps its nilpotent factor, whose constant term is 0
     target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    ctx = SummandContext.for_target(target, twist, z=z, orbit=orbit)
+    ctx = SummandContext(target, twist, z=z, orbit=orbit)
     checked = 0
     for D in range(4):
         for di in range(-twist.rho * D, lattice_floor(target, D)):
@@ -420,12 +420,12 @@ def test_cap0_zero_slot_still_reads_every_twist_row():
     # the slots
     target, twist = normalize_blowup(BlowUpSpec(3, (1, 2)))
     for orbit in (False, True):
-        ctx = SummandContext.for_target(target, twist, orbit=orbit)
+        ctx = SummandContext(target, twist, orbit=orbit)
         assert ctx.slot_series(-1)[0] == 0
         with pytest.raises(TwistRangeError):
             oh_summand((-1,), CurveClass(D=0, k=-1), ctx)
     target = FlagTarget(base_dim=2, e_degrees=(0, 0), rank=2)
-    ctx = SummandContext.for_target(target, TwistSpec(((1, 1),), 0), cap=0)
+    ctx = SummandContext(target, TwistSpec(((1, 1),), 0), cap=0)
     with pytest.raises(TwistRangeError):
         oh_summand((-1, 0), CurveClass(D=0, k=-1), ctx)
 
@@ -435,7 +435,7 @@ def test_cap0_summand_at_higher_rank_has_the_weyl_constants(reference_summand, z
     # cap 0 below the Weyl degree: each Weyl factor contributes (d_a - d_b) z
     target = FlagTarget(base_dim=4, e_degrees=(0, 1, -1), rank=3)
     twist = TwistSpec(((1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0)), 1)
-    ctx = SummandContext.for_target(target, twist, z=z, cap=0)
+    ctx = SummandContext(target, twist, z=z, cap=0)
     nonzero = 0
     for d in itertools.product(range(-1, 4), repeat=3):
         for D in (0, 1, 2):
@@ -469,7 +469,7 @@ def test_staircase_over_count_vectors_is_the_subset_sum(r):
     # values included, at D = 0 and 1; z = 1/2 puts a denominator in the
     # Weyl shifts, and (numerator, den) must agree exactly
     target, twist = normalize_blowup(BlowUpSpec(2 * r, (1,) * r + (2,)))
-    ctx = SummandContext.for_target(target, twist, z=Fraction(1, 2), orbit=True)
+    ctx = SummandContext(target, twist, z=Fraction(1, 2), orbit=True)
     nonzero = 0
     for D in (0, 1):
         for d in itertools.combinations_with_replacement(range(-D, 3 - D), r):
@@ -482,7 +482,7 @@ def test_staircase_over_count_vectors_is_the_subset_sum(r):
 def test_staircase_takes_one_determinant_per_nonzero_count_vector(monkeypatch):
     # prod_j (m_j + 1) - 1 determinants for multiplicities m_j, not 2^r - 1
     target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
-    ctx = SummandContext.for_target(target, twist, orbit=True)
+    ctx = SummandContext(target, twist, orbit=True)
     calls = []
 
     def counting_det(rows):

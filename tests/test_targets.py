@@ -249,7 +249,7 @@ NONCONVEX_MODELS = {
 @pytest.mark.parametrize("name", NONCONVEX_MODELS)
 def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
     target, twist = NONCONVEX_MODELS[name]
-    ctx = SummandContext.for_target(target, twist)
+    ctx = SummandContext(target, twist)
     skipped = 0
     for D in range(4):
         for k in range(-6, 7):
