@@ -410,13 +410,14 @@ def period_series(
     """Quantum period of the twist zero locus through x^dmax.
 
     unit_series with the degree-one layer removed by the exponential
-    correction G(x) = e^(-C x) * sum_d u_d x^d.  All arithmetic is exact;
-    the regularised series multiplies degree d by d!.  A blow-up that is
-    not Fano raises NotFanoError.
+    correction G(x) = e^(-C x / z) * sum_d u_d x^d; u_d carries z^(1 - d),
+    so G_d does too.  All arithmetic is exact; the regularised series
+    multiplies degree d by d!.  A blow-up that is not Fano raises
+    NotFanoError.
     """
     fano_degrees(target, twist, divisor)
     raw, correction = unit_series(target, twist, dmax, z, divisor, skip_nonconvex, budget)
-    coeffs, regularised = corrected_series(raw, correction.total)
+    coeffs, regularised = corrected_series(raw, correction.total / Fraction(z))
     return PeriodSeries(tuple(raw), coeffs, regularised, correction)
 
 

@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .assembler import (
@@ -54,12 +54,12 @@ class RunConfig:
     center_degrees: tuple[int, ...] | None = None
     twist_k: int | None = None
     e_degrees: tuple[int, ...] | None = None
-    rank: int | None = None  # config key "ranks", the name existing files use
+    ranks: int | None = None  # the single rank r of Gr(r, E)
     twist_weights: tuple[tuple[int, ...], ...] | None = None  # None = standard basis
     rho: int | None = None
     grading_a: int | None = None
     grading_b: int | None = None
-    nonconvex: str = "error"  # or "skip"
+    nonconvex: str | None = None  # "error" (the default) or "skip"
     dmax: int = 8
     z: Fraction = Fraction(1)
     out: str | None = None
@@ -101,44 +101,48 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# each setting's config-file parser and the modes that read it, by RunConfig
+# field; a setting with no modes is read by every mode
+SETTINGS = {
+    "mode": (str, ()),
+    "base_dim": (int, ("blowup", "target")),
+    "center_degrees": (_parse_int_list, ("blowup",)),
+    "twist_k": (int, ("blowup",)),
+    "e_degrees": (_parse_int_list, ("target",)),
+    "ranks": (_parse_rank, ("target",)),
+    "twist_weights": (_parse_weight_rows, ("target",)),
+    "rho": (int, ("target",)),
+    "grading_a": (int, ("target",)),
+    "grading_b": (int, ("target",)),
+    "nonconvex": (str, ("target",)),
+    "dmax": (int, ()),
+    "z": (Fraction, ()),
+    "out": (str, ()),
+    "format": (str, ()),
+}
+
+
 def build_config(file_values: dict, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    converters = {
-        "mode": str,
-        "base_dim": int,
-        "center_degrees": _parse_int_list,
-        "twist_k": int,
-        "e_degrees": _parse_int_list,
-        "ranks": _parse_rank,
-        "twist_weights": _parse_weight_rows,
-        "rho": int,
-        "grading_a": int,
-        "grading_b": int,
-        "nonconvex": str,
-        "dmax": int,
-        "z": Fraction,
-        "out": str,
-        "format": str,
-    }
+    values = {}
     for key, raw in file_values.items():
-        if key not in converters:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            field = "rank" if key == "ranks" else key
-            cfg = replace(cfg, **{field: converters[key](raw)})
+            values[key] = SETTINGS[key][0](raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    for key in ("mode", "base_dim", "center_degrees", "dmax", "twist_k", "z", "out", "format"):
+    for key in SETTINGS:  # a flag's dest is its setting's name
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg = replace(cfg, **{key: flag})
+            values[key] = flag
+    cfg = RunConfig(**values)
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.format not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.dmax < 0:
         raise ConfigError("dmax must be nonnegative")
-    if cfg.nonconvex not in ("error", "skip"):
+    if cfg.nonconvex not in (None, "error", "skip"):
         raise ConfigError("nonconvex must be 'error' or 'skip'")
     return cfg
 
@@ -151,17 +155,6 @@ class Model:
     skip_nonconvex: bool
 
 
-# the model settings each mode reads, by RunConfig field; any other one that
-# is set is refused.  nonconvex is left out: its default cannot be told
-# apart from an explicit value.
-MODE_SETTINGS = {
-    "blowup": ("base_dim", "center_degrees", "twist_k"),
-    "target": ("base_dim", "e_degrees", "rank", "twist_weights", "rho", "grading_a", "grading_b"),
-    "example3-verbatim": (),
-}
-MODEL_SETTINGS = tuple(dict.fromkeys(sum(MODE_SETTINGS.values(), ())))
-
-
 def build_model(cfg: RunConfig) -> Model:
     if cfg.mode == "blowup":
         if cfg.base_dim is None or cfg.center_degrees is None:
@@ -171,10 +164,12 @@ def build_model(cfg: RunConfig) -> Model:
         )
         divisor = None
     elif cfg.mode == "target":
-        if cfg.base_dim is None or cfg.e_degrees is None or cfg.rank is None or cfg.rho is None:
+        if cfg.base_dim is None or cfg.e_degrees is None or cfg.ranks is None or cfg.rho is None:
             raise ConfigError("target mode needs base_dim, e_degrees, ranks, rho")
-        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.rank)
-        weights = standard_basis(cfg.rank) if cfg.twist_weights is None else cfg.twist_weights
+        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.ranks)
+        weights = standard_basis(cfg.ranks) if cfg.twist_weights is None else cfg.twist_weights
+        if any(len(row) != cfg.ranks for row in weights):
+            raise ConfigError(f"each row of twist_weights needs ranks = {cfg.ranks} entries")
         twist = TwistSpec(weight_vectors=weights, rho=cfg.rho)
         divisor = None
         if (cfg.grading_a is None) != (cfg.grading_b is None):
@@ -184,9 +179,9 @@ def build_model(cfg: RunConfig) -> Model:
     else:  # example3-verbatim
         target, twist, divisor = example3_verbatim_model()
     unread = [
-        "ranks" if name == "rank" else name
-        for name in MODEL_SETTINGS
-        if name not in MODE_SETTINGS[cfg.mode] and getattr(cfg, name) is not None
+        name
+        for name, (_, modes) in SETTINGS.items()
+        if modes and cfg.mode not in modes and getattr(cfg, name) is not None
     ]
     if unread:
         raise ConfigError(f"{cfg.mode} mode does not read {', '.join(unread)}")

@@ -131,8 +131,9 @@ def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[Flag
     enumeration is finite, and GradingError is raised if there is none.
     """
     c = spec.center_degrees
-    if not c:
-        raise ValueError("need at least one center degree")
+    if len(c) < 2:
+        # one degree cuts out a divisor, and blowing up a divisor gives back X
+        raise ValueError("a center needs at least two degrees")
     if any(cj < 1 for cj in c):
         raise ValueError("center degrees must be positive")
     if len(c) > spec.base_dim:

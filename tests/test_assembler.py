@@ -187,6 +187,21 @@ def test_z_scaling_row(p4_112, monkeypatch):
     assert z_scaling_failures(target, twist, [0, 1, 2], 2) == [0, 2]
 
 
+@pytest.mark.parametrize("z", [Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-3, 2)], ids=str)
+@pytest.mark.parametrize(
+    "base_dim, degrees", [(2, (1, 1)), (3, (1, 2)), (4, (4, 4))], ids=["P2-11", "P3-12", "P4-44"]
+)
+def test_period_is_z_homogeneous_when_the_correction_is_not_zero(base_dim, degrees, z):
+    # C != 0 in each model, so the correction must be e^(-Cx/z) at z != 1
+    model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    at_one = period_series(*model, 8)
+    at_z = period_series(*model, 8, z=z)
+    assert at_one.correction.total != 0
+    for field in ("regularised", "coefficients"):
+        expected = tuple(v * z ** (1 - d) for d, v in enumerate(getattr(at_one, field)))
+        assert getattr(at_z, field) == expected, field
+
+
 def test_budget_guard(p4_112):
     target, twist = p4_112
     assert estimate_points(target, twist, 8) > 1

@@ -65,6 +65,17 @@ def test_z_flag_scales_each_degree(capsys):
     assert values[3] == 48
 
 
+def test_z_flag_scales_a_series_whose_correction_is_not_zero(capsys):
+    # P^2 in (1,1) reads 1, 0, 2, 6 at z = 1, and its correction C is 1,
+    # which is applied as e^(-Cx/z)
+    argv = ["--base-dim", "2", "--center-degrees", "1,1", "--dmax", "3", "--format", "records"]
+    rc, out, _ = run(capsys, ["period", *argv, "--z", "1/2"])
+    assert rc == 0
+    values = dict(parse_records(out))
+    assert values[0] == Fraction(1, 2)
+    assert values[3] == 24
+
+
 def test_negative_z_needs_the_equals_form(capsys):
     # argparse reads a bare -1/2 as a flag, so a negative z is given as --z=-1/2
     argv = ["period", *P4_ARGS, "--dmax", "3", "--format", "records", "--z=-1/2"]
@@ -232,8 +243,16 @@ def test_config_file_refusals(tmp_path, capsys, text, message):
             "grading_a, grading_b",
         ),
         (TARGET_CONFIG + "rho = 1\ngrading_a = 1\ngrading_b = 2\n", ["--twist-k", "2"], "twist_k"),
+        ("mode = blowup\nbase_dim = 4\ncenter_degrees = 1,1,2\nnonconvex = skip\n", [], "nonconvex"),
+        ("nonconvex = error\n", ["--mode", "example3-verbatim"], "nonconvex"),
     ],
-    ids=["verbatim-twist-k", "blowup-grading", "target-twist-k"],
+    ids=[
+        "verbatim-twist-k",
+        "blowup-grading",
+        "target-twist-k",
+        "blowup-nonconvex",
+        "verbatim-nonconvex",
+    ],
 )
 def test_settings_the_mode_does_not_read_are_refused(tmp_path, capsys, text, argv, setting):
     # each of these runs used to print the series of a model other than the one asked for
@@ -242,6 +261,19 @@ def test_settings_the_mode_does_not_read_are_refused(tmp_path, capsys, text, arg
     rc, out, err = run(capsys, ["period", "--config", str(cfg), *argv, "--dmax", "3"])
     assert rc == 1 and out == ""
     assert f"does not read {setting}" in err
+
+
+@pytest.mark.parametrize("rows", ["1,0,7; 0,1,9", "1,0; 1"], ids=["long", "short"])
+def test_target_mode_twist_rows_need_ranks_entries(tmp_path, capsys, rows):
+    # with an explicit grading no anticanonical check sees the rows, and a
+    # long row used to be cut to its first ranks entries
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(
+        TARGET_CONFIG + f"rho = 1\ngrading_a = 3\ngrading_b = 2\ntwist_weights = {rows}\n"
+    )
+    rc, out, err = run(capsys, ["jreport", "--config", str(cfg), "--dmax", "4"])
+    assert rc == 1 and out == ""
+    assert "twist_weights" in err
 
 
 def test_blowup_mode_needs_model_args(capsys):

@@ -72,6 +72,9 @@ def test_default_twist_level_is_z_homogeneous():
     for base_dim, degrees in FANO_BOX:
         model = normalize_blowup(BlowUpSpec(base_dim, degrees))
         assert z_scaling_failures(*model, range(9), 2) == [], (base_dim, degrees)
+        at_one, at_two = (period_series(*model, 8, z=z).regularised for z in (1, 2))
+        scaled = tuple(v * Fraction(2) ** (1 - d) for d, v in enumerate(at_one))
+        assert at_two == scaled, (base_dim, degrees)
 
 
 def test_default_twist_level_per_point_units_equal_the_oracle():

@@ -65,6 +65,8 @@ def test_normalize_rejects_nonpositive_degrees():
         normalize_blowup(BlowUpSpec(4, (1, 0)))
     with pytest.raises(ValueError):
         normalize_blowup(BlowUpSpec(4, ()))
+    with pytest.raises(ValueError, match="at least two degrees"):
+        normalize_blowup(BlowUpSpec(3, (2,)))
 
 
 def test_flag_target_validation():
