@@ -334,14 +334,21 @@ def _listed(
     """The (point, class) pairs summed in each degree 0..dmax.
 
     The grading defaults to the anticanonical class of the zero locus, as
-    in class_enumeration, and is resolved once for every degree.
+    in class_enumeration, and is resolved once for every degree.  On an
+    orbit context a class with k below D times the r largest -e_j is
+    skipped unlisted: that is the sum of the per-root floors of
+    lattice_range(orbit=True), so it has no points (P^3 blown up in (1,2)
+    through x^60: 651 of 961 classes are listed).
     """
     if divisor is None:
         divisor = anticanonical(ctx.target, ctx.twist)[1]
+    target = ctx.target
+    rate = sum(sorted(-e for e in target.e_degrees)[-target.rank :]) if ctx.orbit else None
     return [
         [
             (d, cls)
-            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor)
+            for cls in class_enumeration(target, ctx.twist, x_deg, divisor)
+            if rate is None or cls.k >= rate * cls.D
             for d in class_points(cls, ctx, skip_nonconvex)
         ]
         for x_deg in range(dmax + 1)
@@ -388,13 +395,15 @@ def _check_against_oracle(
     out: there the units are e^x times it, sum_t u_(d-t) / t!.
     """
     expected = oracle_blowup_raw(base_dim, degrees, len(raw) - 1)
+    source = "the Euler-sequence sum"
     if len(degrees) == 2:
         expected = corrected_series(list(expected), Fraction(-1))[0]
+        source = "e^x times " + source
     for d, (u, e) in enumerate(zip(raw, expected)):
         if u * z ** (d - 1) != e:
             raise OracleMismatchError(
-                f"degree {d}: the engine gives {u * z ** (d - 1)}, the Euler-sequence "
-                f"sum for P^{base_dim} blown up in degrees {degrees} gives {e}"
+                f"degree {d}: the engine gives {u * z ** (d - 1)}, {source} "
+                f"for P^{base_dim} blown up in degrees {degrees} gives {e}"
             )
 
 
@@ -473,32 +482,27 @@ def corrected_series(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """G = e^(-C x) * sum_d u_d x^d and its regularised d! G_d, for raw u_d.
 
-    Computes d! G_d = sum_t C(d, t) (-C)^t (d - t)! u_(d-t) in integers:
-    with C = p/q and (d - t)! u_(d-t) = a/b, every term is an integer over
-    L q^d, L the lcm of the b up to degree d, so one Fraction is made per
-    degree and per series.
+    d! G_d = sum_t C(d, t) (-C)^t (d - t)! u_(d-t), built in integers from
+    a Pascal triangle.  Every m! u_m is written once as A_m / L over one
+    common denominator L.  With C = p/q, row 0 is A_0, A_1, ... and
+
+        row_(k+1)[m] = q row_k[m + 1] - p row_k[m],
+
+    so row_k[m] = sum_t C(k, t) (-p)^t q^(k-t) A_(m+k-t), and d! G_d is
+    row_d[0] / (L q^d): one multiply-subtract per (d, t) and one Fraction
+    per degree and per series.
     """
     p, q = C.numerator, C.denominator
-    nums, dens = [], []  # m! u_m = nums[m] / dens[m]
+    scaled = [u * math.factorial(m) for m, u in enumerate(raw)]
+    den = math.lcm(*(v.denominator for v in scaled))
+    row = [v.numerator * (den // v.denominator) for v in scaled]
     coeffs, regularised = [], []
-    lcm = fact = 1
-    for d, u in enumerate(raw):
+    for d in range(len(raw)):
         if d:
-            fact *= d
-        v = u * fact
-        nums.append(v.numerator)
-        dens.append(v.denominator)
-        lcm = math.lcm(lcm, v.denominator)
-        total, binom, p_power, q_power = 0, 1, 1, q**d
-        for t in range(d + 1):
-            m = d - t
-            total += binom * p_power * q_power * nums[m] * (lcm // dens[m])
-            binom = binom * m // (t + 1)
-            p_power *= -p
-            q_power //= q
-        den = lcm * q**d
-        regularised.append(Fraction(total, den))
-        coeffs.append(Fraction(total, den * fact))
+            den *= q
+            row = [q * b - p * a for a, b in zip(row, row[1:])]
+        regularised.append(Fraction(row[0], den))
+        coeffs.append(Fraction(row[0], den * math.factorial(d)))
     return tuple(coeffs), tuple(regularised)
 
 

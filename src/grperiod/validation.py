@@ -469,24 +469,32 @@ def oracle_blowup_raw(
     O(-P) and sets H = P = 0.  That twist by O(-P) is formal: O(-P) is not
     convex, so quantum Lefschetz does not cover it, and agreement with the
     engine is evidence, not proof.  Needs N + 1 > r max c (a Fano blow-up).
+    Each degree's terms are added as integers over their lcm, so one
+    Fraction is made per degree.
     """
     c, N = tuple(center_degrees), base_dim
     r = len(c) - 1
     if N + 1 <= r * max(c):
         raise ValueError("oracle_blowup needs N + 1 > r * max(c)")
-    raw = [Fraction(0)] * (dmax + 1)
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
     l = 0
     while (N + 1 - r * min(c)) * l <= dmax:  # the lowest degree at this l
         num = math.prod(math.factorial(cj * l) for cj in c)
         base = math.factorial(l) ** (N + 1)
-        for e in range(l * min(c) + 1):
-            deg = (N + 1) * l - r * e
-            if deg <= dmax:
-                den = base * math.factorial(e)
-                den *= math.prod(math.factorial(cj * l - e) for cj in c)
-                raw[deg] += Fraction(num, den)
+        over = (N + 1) * l - dmax  # the degree at e is at most dmax when r e >= over
+        for e in range(-(-over // r) if over > 0 else 0, l * min(c) + 1):
+            den = base * math.factorial(e)
+            den *= math.prod(math.factorial(cj * l - e) for cj in c)
+            terms[(N + 1) * l - r * e].append((num, den))
         l += 1
-    return tuple(raw)
+    zero = Fraction(0)
+    return tuple(_integer_sum(degree) if degree else zero for degree in terms)
+
+
+def _integer_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """sum num / den over the terms, as integers over their lcm: one Fraction."""
+    lcm = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (lcm // den) for num, den in terms), lcm)
 
 
 def _regularise(raw: list[Fraction]) -> tuple[Fraction, ...]:

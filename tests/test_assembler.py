@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grperiod import assembler
 from grperiod.assembler import (
     Correction,
     CorrectionError,
@@ -462,6 +463,29 @@ def test_r1_units_are_checked_against_the_oracle(monkeypatch):
         period_series(*model, 12, z=2)
 
 
+def test_r1_oracle_mismatch_names_the_e_to_the_x_product(monkeypatch):
+    # at r = 1 the expected units are e^x times the Euler-sequence sum, and
+    # the message says so; at r >= 2 they are the sum itself
+    original = assembler._unit
+    monkeypatch.setattr(assembler, "_unit", lambda pairs, ctx: 2 * original(pairs, ctx))
+    with pytest.raises(
+        OracleMismatchError,
+        match=re.escape(
+            "degree 0: the engine gives 2, e^x times the Euler-sequence sum for "
+            "P^3 blown up in degrees (1, 2) gives 1"
+        ),
+    ):
+        period_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 4)
+    with pytest.raises(
+        OracleMismatchError,
+        match=re.escape(
+            "degree 0: the engine gives 2, the Euler-sequence sum for "
+            "P^4 blown up in degrees (1, 1, 2) gives 1"
+        ),
+    ):
+        period_series(*normalize_blowup(BlowUpSpec(4, (1, 1, 2))), 4)
+
+
 def test_z_dependent_degree_one_unit_raises_correction_error(monkeypatch):
     # twist rows one step too long: a degree-one class's orbit unit then
     # depends on z, which correction_C compares at z = 1 and z = 2
@@ -580,4 +604,11 @@ rationals = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9)
     st.one_of(st.just(Fraction(0)), st.integers(-5, -1).map(Fraction), rationals),
 )
 def test_corrected_series_matches_fraction_convolution(raw, C):
+    assert corrected_series(raw, C) == _fraction_correction(raw, C)
+
+
+@pytest.mark.parametrize("C", [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(0)])
+def test_corrected_series_matches_fraction_convolution_at_depth(C):
+    # deep-r1's own units through x^60, far past the property test's 14 terms
+    raw, _ = unit_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 60)
     assert corrected_series(raw, C) == _fraction_correction(raw, C)

@@ -16,8 +16,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from grperiod import assembler
 from grperiod.assembler import (
+    _listed,
     class_numerator,
+    class_points,
     correction_C,
     period_series,
     unit_coefficient,
@@ -122,6 +125,52 @@ def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
                     assert ctx.staircase(d, cls.D)[0] == 0, (base_dim, degrees, cls, d)
                     dropped += 1
     assert dropped > 0
+
+
+def _orbit_class_floor(target, cls):
+    """D times the sum of the r largest -e_j: below it, _listed skips the class."""
+    return cls.D * sum(sorted(-e for e in target.e_degrees)[-target.rank :])
+
+
+def test_orbit_class_skip_drops_no_point():
+    # _listed skips every class below the sum of lattice_range's per-root
+    # orbit floors without calling class_points; each of them has no point
+    skipped = 0
+    for base_dim, degrees in FANO_BOX:
+        target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        ctx = SummandContext(target, twist, orbit=True)
+        unskipped = []
+        for x_deg in range(13):
+            pairs = []
+            for cls in class_enumeration(target, twist, x_deg):
+                points = class_points(cls, ctx)
+                if cls.k < _orbit_class_floor(target, cls):
+                    assert points == [], (base_dim, degrees, cls)
+                    skipped += 1
+                pairs.extend((d, cls) for d in points)
+            unskipped.append(pairs)
+        assert _listed(ctx, 12, None, False) == unskipped, (base_dim, degrees)
+    assert skipped > 0
+
+
+def test_orbit_class_skip_calls_class_points_only_above_the_floor(monkeypatch):
+    # P^3 in (1,2) through x^60, deep-r1's model: 961 classes, 651 listed
+    target, twist = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    classes = [cls for x_deg in range(61) for cls in class_enumeration(target, twist, x_deg)]
+    assert len(classes) == 961
+    assert sum(cls.k >= _orbit_class_floor(target, cls) for cls in classes) == 651
+    calls = []
+
+    def counted(cls, ctx, skip_nonconvex=False):
+        calls.append(cls)
+        return class_points(cls, ctx, skip_nonconvex)
+
+    monkeypatch.setattr(assembler, "class_points", counted)
+    _listed(SummandContext(target, twist, orbit=True), 60, None, False)
+    assert len(calls) == 651
+    calls.clear()
+    period_series(target, twist, 60)
+    assert len(calls) == 653  # correction_C reads its one degree-one class at z = 1 and 2
 
 
 def test_p4_122_at_twist_level_3_raises():

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,6 +194,42 @@ def test_oracle_blowup_needs_no_engine_module(monkeypatch):
     assert standalone.oracle_blowup(4, (1, 2, 2), 9) == oracle_blowup(4, (1, 2, 2), 9)
     raw = standalone.oracle_blowup_raw(8, (1, 1, 1, 1, 2), 11)
     assert raw == oracle_blowup_raw(8, (1, 1, 1, 1, 2), 11)
+
+
+def _termwise_blowup_raw(base_dim, center_degrees, dmax):
+    """The Euler-sequence sum of oracle_blowup_raw, one Fraction added per term."""
+    c, N = tuple(center_degrees), base_dim
+    r = len(c) - 1
+    raw = [Fraction(0)] * (dmax + 1)
+    l = 0
+    while (N + 1 - r * min(c)) * l <= dmax:
+        num = math.prod(math.factorial(cj * l) for cj in c)
+        base = math.factorial(l) ** (N + 1)
+        for e in range(l * min(c) + 1):
+            deg = (N + 1) * l - r * e
+            if deg <= dmax:
+                den = base * math.factorial(e)
+                den *= math.prod(math.factorial(cj * l - e) for cj in c)
+                raw[deg] += Fraction(num, den)
+        l += 1
+    return tuple(raw)
+
+
+def test_oracle_blowup_raw_equals_the_termwise_sum():
+    # the Fano box of tests/test_fano_box.py, then deeper and wider specs
+    box = [
+        (N, c)
+        for N in range(2, 9)
+        for r in range(1, 4)
+        for c in combinations_with_replacement((1, 2, 3), r + 1)
+        if r + 1 <= N and N + 1 > r * max(c)
+    ]
+    assert len(box) == 95
+    cases = [(N, c, 14) for N, c in box]
+    cases += [(3, (1, 2), 60), (4, (4, 4), 40), (24, (1,) * 12 + (2,), 40)]
+    for base_dim, degrees, dmax in cases:
+        expected = _termwise_blowup_raw(base_dim, degrees, dmax)
+        assert oracle_blowup_raw(base_dim, degrees, dmax) == expected, (base_dim, degrees)
 
 
 def test_oracle_blowup_matches_the_other_oracles():
