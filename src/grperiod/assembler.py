@@ -15,10 +15,11 @@ Four structural facts keep this cheap and are relied on throughout:
   Schubert-basis expansion needed.
 
 * The working cap is deg Delta, so the aggregate divides exactly when it is
-  c * Delta for a rational c, and c is the quotient.  `unit_from_numerator`
+  c * Delta for a rational c, and c is the quotient.  `PackedRing.weyl_unit`
   reads c off the staircase monomial and checks the whole equation, which
   is the same check as the sequential linear division `ring.vandermonde_divide`
-  (still used by `grperiod validate` to cross-check it).
+  (still used by `grperiod validate` to cross-check it).  Each kernel builds
+  its Delta once, so nothing outlives the context or call that made it.
 
 * Points below the lattice floor are never generated (their slot factors
   carry the full Chern relation of E and vanish in cohomology, but not in
@@ -47,7 +48,6 @@ too, and must sum to the checked unit u_1, or CorrectionError is raised.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +59,6 @@ from .targets import (
     DivisorData,
     FlagTarget,
     TwistSpec,
-    all_weyl_pairs,
     anticanonical,
     class_enumeration,
     lattice_range,
@@ -187,22 +186,16 @@ def degree_numerator(
     return ctx.kernel.add_all(class_numerator(cls, ctx, skip_nonconvex) for cls in classes)
 
 
-@functools.lru_cache(maxsize=32)
-def _weyl_kernel(nvars: int, cap: int) -> PackedRing:
-    """One kernel per ring shape, so its Weyl denominator is packed once."""
-    return PackedRing(nvars, cap)
-
-
 def unit_from_numerator(numerator: tuple[list, int], target: FlagTarget) -> Fraction:
     """Unit coefficient c of a packed aggregate numerator = c * Delta.
 
-    The numerator lives in PackedRing(target.nvars, target.omega_degree),
-    the ring of a default SummandContext.  Raises NotDivisibleError, with
+    The numerator lives in PackedRing(target.nvars, target.omega_degree), the
+    ring of a default SummandContext; a kernel made for the call reads it.
+    Raises NotDivisibleError, with
     numerator - c * Delta as its remainder, when the aggregate is not a
     multiple of the Weyl denominator.
     """
-    kernel = _weyl_kernel(target.nvars, target.omega_degree)
-    return kernel.weyl_unit(numerator, all_weyl_pairs(target))
+    return PackedRing(target.nvars, target.omega_degree).weyl_unit(numerator)
 
 
 def unit_coefficient(
@@ -365,8 +358,8 @@ def _point_count(pairs: list, ctx: SummandContext) -> int:
 def _unit(pairs: list, ctx: SummandContext) -> Fraction:
     """Unit coefficient of the sum over (point, class) pairs: one degree or one class.
 
-    Off an orbit context the summands are added in ctx.kernel, and
-    unit_from_numerator reads the unit with its c * Delta check.  An orbit
+    Off an orbit context the summands are added in ctx.kernel, which reads the
+    unit with its c * Delta check and builds Delta once per context.  An orbit
     context takes weakly increasing points: on a model that orbit_degrees
     accepts, the aggregate is sum over representatives of sum over sigma in
     S_r / Stab of sgn(sigma) sigma(S_rep), and its unit is its staircase
@@ -377,7 +370,7 @@ def _unit(pairs: list, ctx: SummandContext) -> Fraction:
     """
     if not ctx.orbit:
         numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
-        return unit_from_numerator(numerator, ctx.target)
+        return ctx.kernel.weyl_unit(numerator)
     parts = []
     for d, cls in pairs:
         num, den = oh_summand(d, cls, ctx)

@@ -196,7 +196,9 @@ def work_budget() -> int | None:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
-    return None if value <= 0 else value
+    if value < 0:
+        raise ConfigError(f"{WORK_BUDGET_ENV} must be 0 (no guard) or positive, got {raw!r}")
+    return value or None
 
 
 def fraction_str(value: Fraction) -> str:

@@ -307,18 +307,18 @@ class PackedRing:
 
     Generators 1..nvars-1 are the Chern roots x_i.  Generator 0 is the
     hyperplane class h, which the summands never carry: they are evaluated
-    at h = 0, so every key has a zero h digit.
+    at h = 0, so every key has a zero h digit.  A kernel builds the Weyl
+    denominator of the roots on its first `weyl_unit` call and keeps it.
     """
 
-    __slots__ = ("nvars", "cap", "radix", "limit", "_expos", "_weyl")
+    __slots__ = ("nvars", "cap", "radix", "limit", "_weyl")
 
     def __init__(self, nvars: int, cap: int):
         self.nvars = nvars
         self.cap = cap
         self.radix = cap + 1
         self.limit = (cap + 1) * self.radix**nvars
-        self._expos: dict[int, tuple] = {}
-        self._weyl: dict[tuple, tuple[int, list]] = {}
+        self._weyl: tuple[int, list] | None = None
 
     def key(self, expo: Iterable[int]) -> int:
         expo = tuple(expo)
@@ -364,22 +364,20 @@ class PackedRing:
                 acc[k] = get(k, 0) + c * f
         return [(k, c) for k, c in acc.items() if c], den
 
-    def weyl_unit(self, value: tuple[list, int], pairs: Iterable[tuple[int, int]]) -> Fraction:
-        """The c with value = c * Delta, Delta = prod over pairs of (g_i - g_j).
+    def weyl_unit(self, value: tuple[list, int]) -> Fraction:
+        """The c with value = c * Delta, Delta = prod_{1 <= i < j < nvars} (g_i - g_j).
 
-        The pairs must satisfy i < j, and the cap must equal their number.
-        Then `vandermonde_divide(self.to_graded(value), pairs)` succeeds
-        exactly when value is such a multiple, and its constant term is c; this
-        checks the same equation on the integer numerators.  c is read off
-        the staircase monomial prod_i g_i^(number of pairs (i, _)), which
-        only the all-first choice reaches, so its coefficient in Delta is 1.
-        Raises NotDivisibleError carrying value - c * Delta otherwise.
+        Delta is the Weyl denominator of the roots; the cap must be its
+        degree.  Then `vandermonde_divide(self.to_graded(value), pairs)`, over
+        those root pairs, succeeds exactly when value is such a multiple, and
+        its constant term is c; this checks the same equation on the integer
+        numerators.  c is read off the staircase monomial prod_i g_i^(nvars-1-i),
+        which only the all-first choice reaches, so its coefficient in Delta
+        is 1.  Raises NotDivisibleError carrying value - c * Delta otherwise.
         """
-        pairs = tuple(pairs)
-        weyl = self._weyl.get(pairs)
-        if weyl is None:
-            weyl = self._weyl[pairs] = self._weyl_denominator(pairs)
-        staircase, delta = weyl
+        if self._weyl is None:
+            self._weyl = self._weyl_denominator()
+        staircase, delta = self._weyl
         terms, den = value
         numerators = dict(terms)
         c = numerators.get(staircase, 0)
@@ -389,42 +387,34 @@ class PackedRing:
                 numerators[k] = numerators.get(k, 0) - s
             remainder = [(k, n) for k, n in numerators.items() if n]
             raise NotDivisibleError(
-                f"not a multiple of the Weyl denominator over {len(pairs)} pairs",
+                f"not a multiple of the Weyl denominator of {self.nvars - 1} roots",
                 self.to_graded((remainder, den)),
             )
         return Fraction(c, den)
 
-    def _weyl_denominator(self, pairs: tuple) -> tuple[int, list]:
+    def _weyl_denominator(self) -> tuple[int, list]:
         """Staircase key and packed terms of Delta (denominator 1)."""
-        if any(i >= j for i, j in pairs):
-            raise RingUsageError(f"Weyl pairs must be (i, j) with i < j, got {pairs}")
-        if self.cap != len(pairs):
-            raise RingUsageError(f"cap {self.cap} is not the Weyl degree {len(pairs)}")
+        roots = range(1, self.nvars)
+        degree = len(roots) * (len(roots) - 1) // 2
+        if self.cap != degree:
+            raise RingUsageError(f"cap {self.cap} is not the Weyl degree {degree}")
         delta = ([(0, 1)], 1)
-        staircase = [0] * self.nvars
-        for i, j in pairs:
-            staircase[i] += 1
-            gi, gj = [0] * self.nvars, [0] * self.nvars
-            gi[i] = gj[j] = 1
-            delta = self.product(delta, self.pack({tuple(gi): 1, tuple(gj): -1}))
-        return self.key(staircase), delta[0]
+        for i in roots:
+            for j in range(i + 1, self.nvars):
+                gi, gj = [0] * self.nvars, [0] * self.nvars
+                gi[i] = gj[j] = 1
+                delta = self.product(delta, self.pack({tuple(gi): 1, tuple(gj): -1}))
+        return self.key([0] + [self.nvars - 1 - i for i in roots]), delta[0]
 
     def to_graded(self, value: tuple[list, int]) -> GradedPoly:
         """The GradedPoly of value."""
         terms, den = value
-        expos = self._expos
         out = GradedPoly(self.nvars, self.cap)
-        out.terms = {expos.get(k) or self._unpack(k): Fraction(c, den) for k, c in terms}
+        powers = [self.radix**i for i in range(self.nvars)]
+        out.terms = {
+            tuple(k // p % self.radix for p in powers): Fraction(c, den) for k, c in terms
+        }
         return out
-
-    def _unpack(self, key: int) -> tuple:
-        digits = []
-        rest = key
-        for _ in range(self.nvars):
-            rest, e = divmod(rest, self.radix)
-            digits.append(e)
-        expo = self._expos[key] = tuple(digits)
-        return expo
 
 
 def integer_det(rows: list[list[int]]) -> int:

@@ -534,6 +534,23 @@ def test_fano_blowups_never_build_the_weyl_denominator(monkeypatch):
     assert "product" in calls and "weyl_unit" in calls  # the packed path is counted
 
 
+def test_no_weyl_denominator_outlives_its_call(monkeypatch):
+    # each period_series call reads its units on its own context's kernel, so
+    # Delta is built once per call and never taken from an earlier one
+    built = []
+    original = PackedRing._weyl_denominator
+
+    def counted(self, *args):
+        built.append((self.nvars, self.cap))
+        return original(self, *args)
+
+    monkeypatch.setattr(PackedRing, "_weyl_denominator", counted)
+    target, twist, divisor = example3_verbatim_model()
+    for _ in range(2):
+        period_series(target, twist, 9, divisor=divisor, skip_nonconvex=True)
+    assert built == [(4, 3), (4, 3)]
+
+
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     degrees = []
 

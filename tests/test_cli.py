@@ -319,7 +319,10 @@ def test_validate_flip_b1_fails(capsys, monkeypatch):
     monkeypatch.setattr(validation, "bernoulli", flipped)
     rc, out, _ = run(capsys, ["validate"])
     assert rc == 1
-    assert any(line.startswith("FAIL gamma-identity") for line in out.splitlines())
+    lines = out.splitlines()
+    assert any(line.startswith("FAIL gamma-identity") for line in lines)
+    for upper in (-2, -1, 1, 2):
+        assert any(line.startswith(f"FAIL delta-m(upper={upper})") for line in lines), upper
 
 
 def test_validation_suite_names_are_stable():
@@ -371,10 +374,11 @@ def test_work_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "0")  # 0 disables the guard
     rc, out, _ = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
     assert rc == 0
-    monkeypatch.setenv("GRPERIOD_WORK_BUDGET", "abc")
-    rc, _, err = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
-    assert rc == 1
-    assert "GRPERIOD_WORK_BUDGET" in err
+    for raw in ("abc", "-1"):  # -1 must not turn the guard off silently
+        monkeypatch.setenv("GRPERIOD_WORK_BUDGET", raw)
+        rc, _, err = run(capsys, ["period", *P4_ARGS, "--dmax", "8"])
+        assert rc == 1
+        assert "GRPERIOD_WORK_BUDGET" in err
 
 
 def test_jreport_honours_the_work_budget(monkeypatch, capsys):

@@ -216,20 +216,18 @@ def test_weyl_unit_agrees_with_vandermonde_divide(case):
         quotient = vandermonde_divide(p, pairs)
     except NotDivisibleError:
         with pytest.raises(NotDivisibleError) as err:
-            ring.weyl_unit(ring.pack(p.terms), pairs)
+            ring.weyl_unit(ring.pack(p.terms))
         assert err.value.remainder == p - delta.scale(p.coefficient(staircase))
     else:
-        got = ring.weyl_unit(ring.pack(p.terms), pairs)
+        got = ring.weyl_unit(ring.pack(p.terms))
         assert got == quotient.constant_term() == p.coefficient(staircase)
         if p == delta.scale(c):
             assert got == c
 
 
-def test_weyl_unit_needs_the_weyl_cap_and_ordered_pairs():
+def test_weyl_unit_needs_the_weyl_cap():
     with pytest.raises(RingUsageError):
-        PackedRing(3, 2).weyl_unit(([], 1), [(1, 2)])
-    with pytest.raises(RingUsageError):
-        PackedRing(3, 1).weyl_unit(([], 1), [(2, 1)])
+        PackedRing(3, 2).weyl_unit(([], 1))
 
 
 @given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=5))

@@ -89,12 +89,6 @@ def test_formal_series_weight_truncation():
     assert fs.terms == {}
 
 
-def test_formal_series_exp_requires_s_factor():
-    fs = FormalSeries(2, {((0, 0), 1, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        fs.exp()
-
-
 def test_formal_series_first_difference():
     a = FormalSeries(1, {((1,), 0, 0): Fraction(1)})
     b = FormalSeries(1, {((1,), 0, 0): Fraction(2)})
@@ -120,6 +114,21 @@ def test_gamma_identity_pins_b1_sign(monkeypatch):
     result = check_gamma_identity()
     assert not result
     assert "mismatch" in result.detail
+
+
+def test_delta_m_sees_a_flipped_b1(monkeypatch):
+    values = [bernoulli(m) for m in range(6)]
+
+    def flipped(m):
+        return -values[m] if m == 1 else values[m]
+
+    monkeypatch.setattr("grperiod.validation.bernoulli", flipped)
+    for upper in (-2, -1, 1, 2):
+        result = check_delta_m(upper, 2)
+        assert not result, upper
+        assert "mismatch" in result.detail
+    # G(f, z) - G(f, z) is 0 whatever G is, and so is the empty log M_beta
+    assert check_delta_m(0, 2)
 
 
 def test_gamma_identity_trivial_at_order_zero():
