@@ -328,20 +328,15 @@ def _listed(
 
     The grading defaults to the anticanonical class of the zero locus, as
     in class_enumeration, and is resolved once for every degree.  On an
-    orbit context a class with k below D times the r largest -e_j is
-    skipped unlisted: that is the sum of the per-root floors of
-    lattice_range(orbit=True), so it has no points (P^3 blown up in (1,2)
-    through x^60: 651 of 961 classes are listed).
+    orbit context only the classes above the orbit floor are enumerated
+    (class_enumeration with orbit): the others have no points.
     """
     if divisor is None:
         divisor = anticanonical(ctx.target, ctx.twist)[1]
-    target = ctx.target
-    rate = sum(sorted(-e for e in target.e_degrees)[-target.rank :]) if ctx.orbit else None
     return [
         [
             (d, cls)
-            for cls in class_enumeration(target, ctx.twist, x_deg, divisor)
-            if rate is None or cls.k >= rate * cls.D
+            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor, ctx.orbit)
             for d in class_points(cls, ctx, skip_nonconvex)
         ]
         for x_deg in range(dmax + 1)
@@ -392,8 +387,11 @@ def _check_against_oracle(
     if len(degrees) == 2:
         expected = corrected_series(list(expected), Fraction(-1))[0]
         source = "e^x times " + source
+    p, q = z.numerator, z.denominator
     for d, (u, e) in enumerate(zip(raw, expected)):
-        if u * z ** (d - 1) != e:
+        # u z^(d-1) = e, cross-multiplied: z^(d-1) is p^(d-1) / q^(d-1), or q / p at d = 0
+        up, down = (p ** (d - 1), q ** (d - 1)) if d else (q, p)
+        if u.numerator * up * e.denominator != e.numerator * u.denominator * down:
             raise OracleMismatchError(
                 f"degree {d}: the engine gives {u * z ** (d - 1)}, {source} "
                 f"for P^{base_dim} blown up in degrees {degrees} gives {e}"

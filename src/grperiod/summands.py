@@ -19,8 +19,10 @@ shared by the points, classes and degrees of one computation:
 
 * every slot ratio and the numerator of a twist row local to one root is
   a univariate series in its (nilpotent, linear) class, depending only on
-  its upper limit: cached by that limit;
-* the base constant slot_series(D)[0]^(N+1): cached by D;
+  its upper limit: cached by that limit, as integer numerators over one
+  positive denominator, reduced by their gcd;
+* the base constant slot_series(D)[0]^(N+1), as a reduced (num, den):
+  cached by D;
 * the factor of one root, its slot ratios times its own twist rows, as
   integer coefficients of x^0..x^(length-1) over one denominator: cached
   by (the root's twist rows, d_a, D) and shared by every root with those
@@ -34,7 +36,8 @@ shared by the points, classes and degrees of one computation:
 
 Every factor series has the context's `length`: cap + 1 coefficients on a
 packed context, which multiplies them out through degree cap, and r on an
-orbit context, whose tables read no more.
+orbit context, whose tables read no more.  z = p/q enters the series as
+the integers p and q, so no part of a summand is a Fraction.
 
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
@@ -59,6 +62,11 @@ from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, integer_det, poly_mul, unit_inverse
 from .targets import CurveClass, FlagTarget, TwistSpec, split_twist_rows
+
+
+# A factor series as (nums, den): nums[k] / den is the coefficient of l^k,
+# den > 0 and gcd(den, *nums) = 1.
+Series = tuple[tuple[int, ...], int]
 
 
 class SingularFactorError(ZeroDivisionError):
@@ -95,12 +103,13 @@ class SummandContext:
         self.z = Fraction(z)
         if self.z == 0:
             raise SingularFactorError("z = 0 makes every shifted factor singular")
+        self.p, self.q = self.z.numerator, self.z.denominator
         self.target, self.twist, self.orbit = target, twist, orbit
         self.cap = target.omega_degree if cap is None else cap
         self.kernel = PackedRing(target.nvars, self.cap)
         # twist rows by the one root they involve (weights), and the rest (indices)
         self.local_rows, self.general_rows = split_twist_rows(twist, target.rank)
-        unit = (Fraction(1),) + (Fraction(0),) * (self.length - 1)
+        unit = (1,) + (0,) * (self.length - 1), 1
         self._slots, self._twists = {0: unit}, {0: unit}
         self._base_constants, self._roots, self._factors = {}, {}, {}
         self._weyls, self._rows, self._tables = {}, {}, {}
@@ -122,13 +131,13 @@ class SummandContext:
 
     # -- cached parts of oh_summand -----------------------------------------
 
-    def slot_series(self, upper: int) -> tuple[Fraction, ...]:
+    def slot_series(self, upper: int) -> Series:
         """Coefficients of l^0..l^(length-1) in the ratio with upper limit `upper`.
 
         Built from the neighbouring limit: dividing by (l + upper z) going
         up, multiplying by (l + (upper + 1) z) going down.
         """
-        cache, z = self._slots, self.z
+        cache, p, q = self._slots, self.p, self.q
         step = 1 if upper > 0 else -1
         t = upper
         while t not in cache:
@@ -136,10 +145,13 @@ class SummandContext:
         while t != upper:
             t += step
             prev = cache[t - step]
-            cache[t] = _over_linear(prev, t * z) if step > 0 else _times_linear(prev, (t + 1) * z)
+            if step > 0:
+                cache[t] = _over_linear(prev, t * p, q)
+            else:
+                cache[t] = _times_linear(prev, (t + 1) * p, q)
         return cache[upper]
 
-    def twist_series(self, upper: int) -> tuple[Fraction, ...]:
+    def twist_series(self, upper: int) -> Series:
         """Coefficients of l^0..l^(length-1) in prod_{m=1}^{upper} (l + m z), upper >= 0."""
         if upper < 0:
             raise TwistRangeError(f"twist range negative: upper limit {upper}")
@@ -149,17 +161,20 @@ class SummandContext:
             t -= 1
         while t != upper:
             t += 1
-            cache[t] = _times_linear(cache[t - 1], t * self.z)
+            cache[t] = _times_linear(cache[t - 1], t * self.p, self.q)
         return cache[upper]
 
-    def base_constant(self, D: int) -> Fraction:
-        """Base factor at h = 0, slot_series(D)[0]^(N+1), cached by D."""
+    def base_constant(self, D: int) -> tuple[int, int]:
+        """Base factor at h = 0, slot_series(D)[0]^(N+1), as reduced (num, den), cached by D."""
         out = self._base_constants.get(D)
         if out is None:
-            out = self._base_constants[D] = self.slot_series(D)[0] ** (self.target.base_dim + 1)
+            nums, den = self.slot_series(D)
+            g = math.gcd(nums[0], den)
+            power = self.target.base_dim + 1
+            out = self._base_constants[D] = (nums[0] // g) ** power, (den // g) ** power
         return out
 
-    def root_series(self, rows: tuple, da: int, D: int) -> list[tuple[Fraction, ...]]:
+    def root_series(self, rows: tuple, da: int, D: int) -> list[Series]:
         """Factor series of a root at (d_a, D) with local twist rows `rows`, in its x.
 
         The slot ratios at d_a + e D, one per e in e_degrees, then one twist
@@ -170,7 +185,10 @@ class SummandContext:
         series = [self.slot_series(da + e * D) for e in self.target.e_degrees]
         for f in rows:
             twist = self.twist_series(f * da + self.twist.rho * D)
-            series.append(twist if f == 1 else tuple(c * f**k for k, c in enumerate(twist)))
+            if f != 1:
+                nums, den = twist
+                twist = _reduced([c * f**k for k, c in enumerate(nums)], den)
+            series.append(twist)
         return series
 
     def root_poly(self, rows: tuple, da: int, D: int) -> tuple[list, int]:
@@ -186,9 +204,7 @@ class SummandContext:
         if out is None:
             length = self.length
             poly, den = [1] + [0] * (length - 1), 1
-            for series in self.root_series(rows, da, D):
-                q = math.lcm(*(c.denominator for c in series))
-                nums = [c.numerator * (q // c.denominator) for c in series]
+            for nums, q in self.root_series(rows, da, D):
                 poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(length)]
                 den *= q
             out = self._roots[key] = poly, den
@@ -202,12 +218,10 @@ class SummandContext:
         `staircase` gives the same value with 1 x 1 tables, in about twice
         the time on P^3 blown up in (1,2) through x^60.
         """
-        base = self.base_constant(D)
-        num, den = base.numerator, base.denominator
-        for series in self.root_series(self.local_rows[0], d[0], D):
-            c = series[0]
-            num *= c.numerator
-            den *= c.denominator
+        num, den = self.base_constant(D)
+        for nums, q in self.root_series(self.local_rows[0], d[0], D):
+            num *= nums[0]
+            den *= q
         return num, den
 
     def root_factor(self, i: int, di: int, D: int):
@@ -225,26 +239,32 @@ class SummandContext:
             out = self._factors[key] = [(k * step, c) for k, c in enumerate(nums) if c], den
         return out
 
-    def shift(self, d: int) -> Fraction:
-        """d z, the shift of a root at fibre degree d in the Weyl factors."""
-        return d * self.z
+    def shift(self, d: int) -> tuple[int, int]:
+        """d z as reduced (num, den), the shift of a root at fibre degree d in the Weyl factors."""
+        num = d * self.p
+        g = math.gcd(num, self.q)
+        return num // g, self.q // g
 
-    def _linear(self, weights, constant) -> tuple[list, int]:
-        """Packed sum f x_(i+1) over (i, f) in weights (roots 0-based), plus constant."""
-        terms = {}
-        for i, f in weights:
-            expo = [0] * self.target.nvars
-            expo[i + 1] = 1
-            terms[tuple(expo)] = f
-        terms[(0,) * self.target.nvars] = constant
-        return self.kernel.pack(terms)
+    def _linear(self, weights, num: int, den: int) -> tuple[list, int]:
+        """Packed sum f x_(i+1) over (i, f) in weights, plus num / den (den > 0).
+
+        The roots i (0-based) are distinct.  The terms are sorted by key and
+        reduced with den by their gcd; at cap 0 only the constant is kept.
+        """
+        kernel = self.kernel
+        terms = [(0, num)] if num else []
+        if kernel.cap:
+            top = kernel.radix**self.target.nvars
+            terms += [(kernel.radix ** (i + 1) + top, f * den) for i, f in weights if f]
+        g = math.gcd(den, *(c for _, c in terms))
+        return sorted((k, c // g) for k, c in terms), den // g
 
     def weyl_factor(self, a: int, b: int, diff: int):
         """Packed x_a - x_b + diff z (roots 0-based), cached by (a, b, diff)."""
         key = (a, b, diff)
         out = self._weyls.get(key)
         if out is None:
-            out = self._weyls[key] = self._linear(((a, 1), (b, -1)), self.shift(diff))
+            out = self._weyls[key] = self._linear(((a, 1), (b, -1)), *self.shift(diff))
         return out
 
     def row_factor(self, s: int, upper: int):
@@ -265,7 +285,7 @@ class SummandContext:
         row = tuple(enumerate(self.twist.weight_vectors[s][: self.target.rank]))
         while t < upper:
             t += 1
-            terms, den = self.kernel.product(out, self._linear(row, t * self.z))
+            terms, den = self.kernel.product(out, self._linear(row, t * self.p, self.q))
             out = cache[s, t] = sorted(terms), den
         return out
 
@@ -279,7 +299,7 @@ class SummandContext:
         if out is None:
             r = self.target.rank
             poly, den = self.root_poly(self.local_rows[0], da, D)
-            p, q = self.shift(da).as_integer_ratio()
+            p, q = self.shift(da)
             cols = []  # cols[m] = R(x) (q x + p)^m q^(r-1-m), over den q^(r-1)
             for m in range(r):
                 cols.append([c * q ** (r - 1 - m) for c in poly])
@@ -326,23 +346,43 @@ class SummandContext:
             sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, scaled[j])])
             weight = math.prod(math.comb(m, s) for m, s in zip(mult, counts))
             total += (-1) ** (r - sum(counts)) * weight * integer_det(sums[index])
-        base = self.base_constant(D)
-        return total * base.numerator, den**r * base.denominator
+        num, base_den = self.base_constant(D)
+        return total * num, den**r * base_den
 
 
-def _times_linear(series: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
-    """series * (l + c), truncated to the same length."""
-    return tuple(c * s + (series[k - 1] if k else 0) for k, s in enumerate(series))
+def _reduced(nums: list[int], den: int) -> Series:
+    """(nums, den) over gcd(den, *nums), with the sign moved so that den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(n // g for n in nums), den // g
 
 
-def _over_linear(series: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
-    """series / (l + c) for c != 0, truncated to the same length."""
-    out = []
-    prev = Fraction(0)
-    for s in series:
-        prev = (s - prev) / c
-        out.append(prev)
-    return tuple(out)
+def _times_linear(series: Series, a: int, q: int) -> Series:
+    """series * (l + a/q), q > 0, truncated to the same length.
+
+    With series = N / den: coefficient k is (a N_k + q N_(k-1)) / (den q).
+    """
+    nums, den = series
+    return _reduced([a * n + q * (nums[k - 1] if k else 0) for k, n in enumerate(nums)], den * q)
+
+
+def _over_linear(series: Series, a: int, q: int) -> Series:
+    """series / (l + a/q), a != 0 and q > 0, truncated to the same length.
+
+    With series = N / den, coefficient k is (N_k / den - coefficient k-1) q/a,
+    which is M_k / (den a^(k+1)) for M_0 = q N_0, M_k = q (N_k a^k - M_(k-1)):
+    M_k a^(L-1-k) over den a^L for length L.  a < 0 makes den a^L negative
+    for odd L, and _reduced moves that sign into the numerators.
+    """
+    nums, den = series
+    out, m, power = [], 0, 1  # power = a^k
+    for n in nums:
+        m = q * (n * power - m)
+        out.append(m)
+        power *= a
+    last = len(nums) - 1
+    return _reduced([m * a ** (last - k) for k, m in enumerate(out)], den * power)
 
 
 def factor_ratio(cls: GradedPoly, upper: int, z: Fraction | int) -> GradedPoly:
@@ -459,12 +499,12 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
     # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
-    # the first of a pair and a times as the second
+    # the first of a pair and a times as the second; sign * z = p / q
     exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))
-    z = -ctx.z if exponent % 2 else ctx.z
+    p = -ctx.p if exponent % 2 else ctx.p
     if ctx.orbit:
         num, den = ctx.staircase(d, D) if r >= 2 else ctx.constant(d, D)
-        return num * z.numerator, den * z.denominator
+        return num * p, den * ctx.q
     out = ctx.root_factor(0, d[0], D)
     for j in range(1, r):
         out = kernel.product(out, ctx.root_factor(j, d[j], D))
@@ -475,6 +515,6 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
         upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
         out = kernel.product(out, ctx.row_factor(s, upper))
     terms, den = out
-    base = ctx.base_constant(D)
-    num = base.numerator * z.numerator
-    return [(k, c * num) for k, c in terms], den * base.denominator * z.denominator
+    num, base_den = ctx.base_constant(D)
+    num *= p
+    return [(k, c * num) for k, c in terms], den * base_den * ctx.q

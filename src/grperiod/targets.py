@@ -338,6 +338,7 @@ def class_enumeration(
     twist: TwistSpec,
     x_deg: int,
     divisor: DivisorData | None = None,
+    orbit: bool = False,
 ) -> list[CurveClass]:
     """All curve classes of the given degree under the divisor grading.
 
@@ -346,14 +347,21 @@ def class_enumeration(
     when enumeration cannot terminate, and when the literal lattice floors
     do not bound the degree and every e_j > 0: there nothing forces a point
     with negative fiber degrees to vanish, so no finite set of classes is
-    known to hold every contributing point.
+    known to hold every contributing point.  With orbit, only the classes
+    in which lattice_range(orbit=True) can yield a point: k at least D
+    times the r largest -e_j, the sum of its per-root floors (P^3 blown up
+    in (1,2) through x^60: 651 of 961 classes).
     """
     if divisor is None:
         _, divisor = anticanonical(target, twist)
     a, b = divisor.a, divisor.b
     slope = a + b * _fiber_rate(target, divisor)
-    # k >= r * lattice_floor(D), which is k_rate * D for D >= 0
-    k_rate = target.rank * lattice_floor(target, 1)
+    # k >= the sum of lattice_range's per-root floors, which is k_rate * D
+    # for D >= 0: r * lattice_floor(D), or on the orbit path the r largest -e_j D
+    if orbit:
+        k_rate = sum(sorted(-e for e in target.e_degrees)[-target.rank :])
+    else:
+        k_rate = target.rank * lattice_floor(target, 1)
     out = []
     for D in range(x_deg // slope + 1):
         k, rest = divmod(x_deg - a * D, b)

@@ -113,13 +113,6 @@ class FormalSeries:
                 out._add_term(key, coeff)
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSeries)
-            and self.s_order == other.s_order
-            and self.terms == other.terms
-        )
-
     def first_difference(self, other: "FormalSeries"):
         keys = sorted(set(self.terms) | set(other.terms))
         for key in keys:

@@ -128,27 +128,31 @@ def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
 
 
 def _orbit_class_floor(target, cls):
-    """D times the sum of the r largest -e_j: below it, _listed skips the class."""
+    """D times the sum of the r largest -e_j: below it, the orbit path lists no class."""
     return cls.D * sum(sorted(-e for e in target.e_degrees)[-target.rank :])
 
 
 def test_orbit_class_skip_drops_no_point():
-    # _listed skips every class below the sum of lattice_range's per-root
-    # orbit floors without calling class_points; each of them has no point
+    # class_enumeration(orbit=True) leaves out every class below the sum of
+    # lattice_range's per-root orbit floors, so _listed never asks for its
+    # points; each of them has no point
     skipped = 0
     for base_dim, degrees in FANO_BOX:
         target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
         ctx = SummandContext(target, twist, orbit=True)
         unskipped = []
         for x_deg in range(13):
-            pairs = []
+            pairs, above = [], []
             for cls in class_enumeration(target, twist, x_deg):
                 points = class_points(cls, ctx)
                 if cls.k < _orbit_class_floor(target, cls):
                     assert points == [], (base_dim, degrees, cls)
                     skipped += 1
+                else:
+                    above.append(cls)
                 pairs.extend((d, cls) for d in points)
             unskipped.append(pairs)
+            assert class_enumeration(target, twist, x_deg, orbit=True) == above, (base_dim, degrees)
         assert _listed(ctx, 12, None, False) == unskipped, (base_dim, degrees)
     assert skipped > 0
 

@@ -347,15 +347,49 @@ def test_factor_series_are_as_long_as_their_path_reads(orbit, length):
     target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
     ctx = SummandContext(target, twist, orbit=orbit)
     assert (target.rank, ctx.cap) == (4, 6)
-    assert len(ctx.slot_series(3)) == len(ctx.twist_series(3)) == length
+    assert len(ctx.slot_series(3)[0]) == len(ctx.twist_series(3)[0]) == length
 
 
 def test_slot_series_matches_factor_ratio(p4_112):
     ctx = p4_ctx(p4_112, cap=3, z=Fraction(3, 2))
     h = GradedPoly.generator(0, 1, 3)
     for upper in (3, -2, 1, 0, -4, 5):
-        series = GradedPoly(1, 3, {(k,): c for k, c in enumerate(ctx.slot_series(upper))})
+        nums, den = ctx.slot_series(upper)
+        series = GradedPoly(1, 3, {(k,): Fraction(c, den) for k, c in enumerate(nums)})
         assert series == factor_ratio(h, upper, ctx.z)
+
+
+@pytest.mark.parametrize("orbit", [False, True])
+@pytest.mark.parametrize(
+    "z", [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)]
+)
+def test_factor_series_are_reduced_integers_over_a_positive_denominator(orbit, z):
+    # P^8 in (1,1,1,1,2): 7 coefficients on the packed context, 4 on the
+    # orbit one; z < 0 puts negative factors into the division recurrence
+    target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    ctx = SummandContext(target, twist, z=z, orbit=orbit)
+    length = ctx.length
+    for upper in range(-6, 9):
+        ctx.slot_series(upper)
+        if upper >= 0:
+            ctx.twist_series(upper)
+            ctx.base_constant(upper)
+    l = GradedPoly.generator(0, 1, length - 1)
+    twists = {0: const(1, 1, length - 1)}
+    for m in range(1, 9):
+        twists[m] = poly_mul(twists[m - 1], l + m * z)
+    caches = [(ctx._slots, lambda u: factor_ratio(l, u, z)), (ctx._twists, twists.get)]
+    assert set(ctx._slots) == set(range(-6, 9)) and set(ctx._twists) == set(range(9))
+    for cache, reference in caches:
+        for upper, (nums, den) in cache.items():
+            assert len(nums) == length and den > 0 and math.gcd(den, *nums) == 1, upper
+            got = GradedPoly(1, length - 1, {(k,): Fraction(c, den) for k, c in enumerate(nums)})
+            assert got == reference(upper), upper
+    assert set(ctx._base_constants) == set(range(9))
+    for D, (num, den) in ctx._base_constants.items():
+        assert den > 0 and math.gcd(num, den) == 1, D
+        expected = factor_ratio(l, D, z).constant_term() ** (target.base_dim + 1)
+        assert Fraction(num, den) == expected, D
 
 
 R1_FANO = [(3, (1, 2)), (2, (1, 1)), (4, (4, 4))]
@@ -421,7 +455,7 @@ def test_cap0_zero_slot_still_reads_every_twist_row():
     target, twist = normalize_blowup(BlowUpSpec(3, (1, 2)))
     for orbit in (False, True):
         ctx = SummandContext(target, twist, orbit=orbit)
-        assert ctx.slot_series(-1)[0] == 0
+        assert ctx.slot_series(-1)[0][0] == 0
         with pytest.raises(TwistRangeError):
             oh_summand((-1,), CurveClass(D=0, k=-1), ctx)
     target = FlagTarget(base_dim=2, e_degrees=(0, 0), rank=2)
@@ -459,8 +493,8 @@ def _subset_staircase(ctx, d, D):
                 for i in range(r)
             ]
             total += (-1) ** (r - size) * integer_det(rows)
-    base = ctx.base_constant(D)
-    return total * base.numerator, den**r * base.denominator
+    num, base_den = ctx.base_constant(D)
+    return total * num, den**r * base_den
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])

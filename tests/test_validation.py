@@ -145,8 +145,12 @@ def test_delta_m_higher_order():
 
 
 def test_modification_log_ranges():
-    assert modification_log_formal(1, 2) == s_series(-1, 2)
-    assert modification_log_formal(-1, 2) == s_series(0, 2).scale(-1)
+    for got, expected in (
+        (modification_log_formal(1, 2), s_series(-1, 2)),
+        (modification_log_formal(-1, 2), s_series(0, 2).scale(-1)),
+    ):
+        assert got.s_order == expected.s_order == 2
+        assert got.first_difference(expected) is None
     assert modification_log_formal(0, 2).terms == {}
 
 
