@@ -33,14 +33,14 @@ Four structural facts keep this cheap and are relied on throughout:
   representative per S_r orbit and the budget counts every point of each
   orbit (P^8 blown up in (1,1,1,1,2) through x^11: 8 listed, 33 counted).
 
-* Fano blow-up models (`orbit_degrees`), r = 1 included, are
+* Standard-row models (`sums_by_orbits`), r = 1 included, are
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
   one summand per orbit is evaluated, as a scalar, and each degree's unit
-  is read off those (`_unit`); every unit is checked against the
-  Euler-sequence sum `validation.oracle_blowup_raw`, since the c * Delta
-  check says nothing about an antisymmetrised sum (nor about anything at
-  r = 1, where Delta = 1).  Every other model sums its points in the
-  packed ring of the Chern roots, at h = 0, with the c * Delta check.
+  is read off those (`_unit`).  The c * Delta check says nothing about an
+  antisymmetrised sum (nor at r = 1, where Delta = 1), so none runs; a Fano
+  blow-up has its units checked against the Euler-sequence sum
+  `validation.oracle_blowup_raw` instead.  Every other model sums its
+  points in the packed ring of the Chern roots, at h = 0, with the check.
 
 The degree-one counts of the correction are read class by class, by `_unit`
 too, and must sum to the checked unit u_1, or CorrectionError is raised.
@@ -225,10 +225,10 @@ def correction_C(
     """n_beta for every degree-one curve class.
 
     Each class's unit is read by `_unit` on the path unit_series takes for
-    the model, so a Fano blow-up never builds Delta.  Each n_beta is
+    the model, so a standard-row model never builds Delta.  Each n_beta is
     z-independent (its z-power is 0); this is verified at two different z.
     """
-    orbit = orbit_degrees(target, twist, divisor) is not None
+    orbit = sums_by_orbits(target, twist, skip_nonconvex)
     contexts = [SummandContext(target, twist, z, orbit=orbit) for z in (1, 2)]
     if divisor is None:
         divisor = anticanonical(target, twist)[1]
@@ -246,6 +246,20 @@ def correction_C(
     return Correction(entries=tuple(entries))
 
 
+def sums_by_orbits(target: FlagTarget, twist: TwistSpec | None, skip_nonconvex: bool) -> bool:
+    """Whether unit_series sums the model by S_r orbits: a standard-row model.
+
+    Its twist rows are standard_basis(r), F = S^v(rho), which makes
+    summand(sigma d) = sgn(sigma) sigma(summand(d)).  It must keep no
+    negative twist range, which the orbit floor could drop instead of
+    raising TwistRangeError: nonconvex points are skipped, or rho >= max
+    e_j, since every listed d_a >= -max(e_j) D.
+    """
+    if twist is None or twist.weight_vectors != standard_basis(target.rank):
+        return False
+    return skip_nonconvex or twist.rho >= max(target.e_degrees)
+
+
 def fano_degrees(
     target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
 ) -> tuple[int, ...] | None:
@@ -257,9 +271,8 @@ def fano_degrees(
     A model of that shape with N + 1 <= r max c raises NotFanoError.
     """
     r = target.rank
-    if twist is None or len(target.e_degrees) != r + 1:
-        return None
-    if twist.weight_vectors != standard_basis(r):
+    # skip_nonconvex makes sums_by_orbits the row test alone
+    if len(target.e_degrees) != r + 1 or not sums_by_orbits(target, twist, True):
         return None
     c = tuple(twist.rho - e for e in target.e_degrees)
     if min(c) < 1 or len(c) > target.base_dim:
@@ -272,22 +285,6 @@ def fano_degrees(
             f"N + 1 = {target.base_dim + 1} <= r max c = {r * max(c)}"
         )
     return c
-
-
-def orbit_degrees(
-    target: FlagTarget, twist: TwistSpec | None, divisor: DivisorData | None = None
-) -> tuple[int, ...] | None:
-    """Centre degrees c of a model that period_series sums by S_r orbits, else None.
-
-    That is a Fano blow-up: fano_degrees, with a non-Fano blow-up read as
-    None.  Its summands satisfy summand(sigma d) = sgn(sigma)
-    sigma(summand(d)), and `validation.oracle_blowup_raw` gives its unit
-    coefficients.
-    """
-    try:
-        return fano_degrees(target, twist, divisor)
-    except NotFanoError:
-        return None
 
 
 def _stabiliser_order(d: tuple[int, ...]) -> int:
@@ -308,13 +305,13 @@ def estimate_points(
     """Lattice points period_series sums for degrees 0..dmax.
 
     Exact when nonconvex points are kept, and an upper bound when they are
-    skipped.  A model summed by orbits (orbit_degrees) counts each orbit
-    it lists by its size r!/|Stab|, though it evaluates one summand per
-    orbit.  It lists no orbit whose staircase is zero, so its count can be
-    below the number of points the per-point path sums for the same series.
+    skipped.  A standard-row model with rho >= max e_j (sums_by_orbits with
+    nonconvex points kept) counts each orbit it lists by its size
+    r!/|Stab|, though it evaluates one summand per orbit.  It lists no
+    orbit whose staircase is zero, so its count can be below the number of
+    points the per-point path sums for the same series.
     """
-    orbit = orbit_degrees(target, twist, divisor) is not None
-    ctx = SummandContext(target, twist, orbit=orbit)
+    ctx = SummandContext(target, twist, orbit=sums_by_orbits(target, twist, False))
     return sum(_point_count(pairs, ctx) for pairs in _listed(ctx, dmax, divisor, False))
 
 
@@ -355,13 +352,12 @@ def _unit(pairs: list, ctx: SummandContext) -> Fraction:
 
     Off an orbit context the summands are added in ctx.kernel, which reads the
     unit with its c * Delta check and builds Delta once per context.  An orbit
-    context takes weakly increasing points: on a model that orbit_degrees
-    accepts, the aggregate is sum over representatives of sum over sigma in
-    S_r / Stab of sgn(sigma) sigma(S_rep), and its unit is its staircase
-    coefficient, so each representative adds its oh_summand value,
-    sum_pi sgn(pi) S_rep[h^0 x^(delta o pi)], over |Stab(rep)|.  Nothing
-    checks c * Delta, which an antisymmetrised sum satisfies whatever its
-    summands; unit_series checks its units against the Euler-sequence sum.
+    context takes weakly increasing points: on a standard-row model the
+    aggregate is sum over representatives of sum over sigma in S_r / Stab
+    of sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient,
+    so each representative adds its oh_summand value, sum_pi sgn(pi)
+    S_rep[h^0 x^(delta o pi)], over |Stab(rep)|.  Nothing checks c * Delta,
+    which an antisymmetrised sum satisfies whatever its summands.
     """
     if not ctx.orbit:
         numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
@@ -433,18 +429,17 @@ def unit_series(
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
     Refuses with WorkBudgetError when more than budget points are listed.
-    A model that orbit_degrees accepts, r = 1 included, lists one point per
-    S_r orbit and raises OracleMismatchError unless the units equal the
-    Euler-sequence sum.  Every other model sums every point in the packed
-    ring and checks that each degree's aggregate is c * Delta (`_unit`).
-    The degree-one counts, read on the same path, must sum to u_1, or
-    CorrectionError is raised.
+    A standard-row model (sums_by_orbits), r = 1 included, lists one point
+    per S_r orbit; if it is a Fano blow-up (fano_degrees), OracleMismatchError
+    is raised unless the units equal the Euler-sequence sum.  Every other
+    model sums every point in the packed ring and checks that each degree's
+    aggregate is c * Delta (`_unit`).  The degree-one counts, read on the
+    same path, must sum to u_1, or CorrectionError is raised.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    degrees = orbit_degrees(target, twist, divisor)
     # one context, so its factor caches are shared by every degree
-    ctx = SummandContext(target, twist, z, orbit=degrees is not None)
+    ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
     listed = _listed(ctx, dmax, divisor, skip_nonconvex)
     if budget is not None:
         counts = [_point_count(pairs, ctx) for pairs in listed]
@@ -457,7 +452,11 @@ def unit_series(
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     raw = [_unit(pairs, ctx) for pairs in listed]
-    if ctx.orbit:
+    try:
+        degrees = fano_degrees(target, twist, divisor)
+    except NotFanoError:  # its units stand, with no oracle to check them
+        degrees = None
+    if degrees is not None:
         _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
     # u_1 has z-power 0, so it is the counts' total at any z
     if dmax >= 1 and correction.total != raw[1]:

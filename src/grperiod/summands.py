@@ -42,7 +42,7 @@ the integers p and q, so no part of a summand is a Fraction.
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
 assembler.  A context made with orbit=True, for the S_r-orbit path of a
-Fano blow-up, multiplies nothing out: it reads the staircase coefficients
+standard-row model, multiplies nothing out: it reads the staircase coefficients
 off r x r integer determinants (`staircase`): one table per distinct
 root degree d_a, built from the r coefficients of `root_poly`, and one
 determinant per count vector of those values, weighted by binomials, in
@@ -211,7 +211,7 @@ class SummandContext:
         return out
 
     def constant(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
-        """(numerator, den) of the summand of a rank-1 blow-up at (d, D), before z.
+        """(numerator, den) of the summand of a rank-1 standard-row model at (d, D), before z.
 
         At r = 1 the cap is 0, so the summand is base_constant(D) times the
         constant terms of the root's factor series (`root_series`).
@@ -292,8 +292,8 @@ class SummandContext:
     def root_table(self, da: int, D: int) -> tuple[list, int]:
         """(M, den): M[i][b] / den = [x^(r-1-i)] R(x) (x + shift(d_a))^(r-1-b).
 
-        R is the factor at h = 0 of a root at (d_a, D) of a blow-up model,
-        whose roots all carry the one standard twist row (`root_poly`).
+        R is the factor at h = 0 of a root at (d_a, D) of a standard-row
+        model, whose roots all carry the one standard twist row (`root_poly`).
         """
         out = self._tables.get((da, D))
         if out is None:

@@ -220,7 +220,7 @@ def lattice_range(
     value starts at the previous one and is at most the total still to
     place over the roots left) whose sorted slot counts have f_(i) <= i.
 
-    That last cut is exact for the staircase of a Fano blow-up model
+    That last cut is exact for the staircase of a standard-row model
     (`summands.SummandContext.staircase`): a root's factor R_a is divisible
     by x_a^(f_a), and the staircase reads exponents that are a permutation
     of 0..r-1, so some exponent reaches every f_a only when f_(i) <= i.  On

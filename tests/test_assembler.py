@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -19,8 +20,8 @@ from grperiod.assembler import (
     degree_numerator,
     estimate_points,
     fano_degrees,
-    orbit_degrees,
     period_series,
+    sums_by_orbits,
     unit_coefficient,
     unit_from_numerator,
     unit_series,
@@ -33,6 +34,7 @@ from grperiod.targets import (
     CurveClass,
     DivisorData,
     FlagTarget,
+    GradingError,
     TwistSpec,
     all_weyl_pairs,
     class_enumeration,
@@ -225,12 +227,13 @@ def test_budget_error_names_the_estimate_per_degree(p4_112):
 
 
 def test_budget_counts_the_points_that_are_summed():
-    # through x^20 the pinned model sums 219 points; with nonconvex points
-    # kept the generator yields 615
+    # through x^20 the pinned model sums 36 orbit representatives, counted
+    # as 123 points; with nonconvex points kept (rho = 1 < max e_j = 2) it
+    # stays on the per-point path, and the generator yields 615
     target, twist, divisor = example3_verbatim_model()
-    period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=219)
-    with pytest.raises(WorkBudgetError, match="estimated 219 lattice points"):
-        period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=218)
+    period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=123)
+    with pytest.raises(WorkBudgetError, match="estimated 123 lattice points"):
+        period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=122)
     assert estimate_points(target, twist, 20, divisor) == 615
     # the orbit path counts each orbit's r!/|Stab| points: 45 before the
     # staircase floor, less 4!/(2! 2!) for each (0,0,1,1) it drops, at D = 2
@@ -247,7 +250,7 @@ def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
     # the orbit path of period_series, whose staircase determinants are
     # r x r, against the per-point units in the full ring
     model = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    assert orbit_degrees(*model) == degrees
+    assert fano_degrees(*model) == degrees
     ps = period_series(*model, 8, z=Fraction(1, 2))
     assert ps.raw == tuple(unit_coefficient(*model, d, Fraction(1, 2)) for d in range(9))
 
@@ -264,16 +267,70 @@ def test_orbit_path_equals_the_oracle_at_ranks_6_and_7(r, dmax):
 
 
 def test_orbit_path_is_chosen_from_the_model():
+    # standard twist rows, and no negative twist range kept: nonconvex
+    # points skipped, or rho >= max e_j; the grading and the Fano test play
+    # no part
     target, twist = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2)), twist_k=2)
-    assert orbit_degrees(target, twist) == (1, 1, 1, 2)
-    assert orbit_degrees(*example3_normalized_model()) == (1, 1, 1, 2)  # explicit -K
-    assert orbit_degrees(*example3_verbatim_model()) is None  # not the -K grading
-    assert orbit_degrees(target, twist, DivisorData(1, 4)) is None
-    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)  # r = 1
-    assert orbit_degrees(*normalize_blowup(BlowUpSpec(6, (1, 1, 1, 3)), 1)) is None  # not Fano
-    general = TwistSpec(((1, 0, 0), (0, 1, 0), (1, 0, 1)), rho=1)
-    assert orbit_degrees(target, general) is None
-    assert orbit_degrees(FlagTarget(6, (1, 1, 1, 0, 0), 3), twist) is None  # rank E != r + 1
+    for skip in (False, True):
+        assert sums_by_orbits(target, twist, skip)
+        assert sums_by_orbits(*normalize_blowup(BlowUpSpec(3, (1, 2))), skip)  # r = 1
+        assert sums_by_orbits(*normalize_blowup(BlowUpSpec(6, (1, 1, 1, 3)), 1), skip)  # not Fano
+        assert sums_by_orbits(FlagTarget(6, (1, 1, 1, 0, 0), 3), twist, skip)  # rank E != r + 1
+        assert not sums_by_orbits(target, None, skip)
+        general = TwistSpec(((1, 0, 0), (0, 1, 0), (1, 0, 1)), rho=1)
+        assert not sums_by_orbits(target, general, skip)
+        assert not sums_by_orbits(target, TwistSpec(((2, 0, 0), (0, 2, 0), (0, 0, 2)), 2), skip)
+    # the pinned model: e = (0, 0, 0, 2) and rho = 1, so only with nonconvex
+    # points skipped, as its period is taken
+    pinned, pinned_twist, _ = example3_verbatim_model()
+    assert sums_by_orbits(pinned, pinned_twist, True)
+    assert not sums_by_orbits(pinned, pinned_twist, False)
+    assert sums_by_orbits(pinned, TwistSpec(pinned_twist.weight_vectors, 2), False)
+
+
+def _units_through_x6(target, twist, divisor, skip, orbit):
+    """_unit over _listed through x^6 on an orbit or a packed context, or the error raised."""
+    ctx = SummandContext(target, twist, orbit=orbit)
+    try:
+        return [assembler._unit(pairs, ctx) for pairs in assembler._listed(ctx, 6, divisor, skip)]
+    except (GradingError, TwistRangeError, NotDivisibleError) as exc:
+        return type(exc)
+
+
+def test_orbit_and_packed_paths_agree_on_the_models_summed_by_orbits():
+    # every model of a box that the rule sends to orbits: P^3, r <= 3, rank
+    # E = r + 1, e_j in [-2, 2] in increasing order (at r = 3 only e_0 = -2,
+    # to keep to a few seconds), rho in [-1, 2], the gradings -K, 4h + det
+    # and 2h + r det, nonconvex points kept and skipped.  Both paths give the
+    # same units, or raise the same exception
+    seen, compared = set(), 0
+    for r in (1, 2, 3):
+        for e_degrees in itertools.product(range(-2, 3), repeat=r + 1):
+            if list(e_degrees) != sorted(e_degrees) or (r == 3 and e_degrees[0] != -2):
+                continue
+            target = FlagTarget(3, e_degrees, r)
+            gradings = (None, DivisorData(4, 1), DivisorData(2, r))
+            for rho, divisor, skip in itertools.product(range(-1, 3), gradings, (False, True)):
+                twist = TwistSpec(standard_basis(r), rho)
+                if not sums_by_orbits(target, twist, skip):
+                    continue
+                got = _units_through_x6(target, twist, divisor, skip, orbit=True)
+                assert got == _units_through_x6(target, twist, divisor, skip, orbit=False), (
+                    e_degrees, rho, divisor, skip
+                )
+                seen.add(got if isinstance(got, type) else list)
+                compared += 1
+    assert list in seen and GradingError in seen and compared > 1000
+
+
+def test_negative_twist_ranges_kept_stay_on_the_packed_path():
+    # rho = 1 < max e_j = 2 with nonconvex points kept: a point of degree 7
+    # has a negative twist range, which the orbit floor would drop
+    target = FlagTarget(3, (-2, -2, -2, 2), 3)
+    twist = TwistSpec(standard_basis(3), 1)
+    assert not sums_by_orbits(target, twist, False)
+    with pytest.raises(TwistRangeError):
+        unit_series(target, twist, 7, divisor=DivisorData(4, 1))
 
 
 NON_FANO = [(3, (3, 4)), (3, (2, 4)), (3, (2, 5)), (4, (1, 5)), (4, (1, 3, 3))]
@@ -283,7 +340,7 @@ NON_FANO = [(3, (3, 4)), (3, (2, 4)), (3, (2, 5)), (4, (1, 5)), (4, (1, 3, 3))]
 def test_non_fano_blowups_are_refused(base_dim, degrees):
     # N + 1 <= r max c: the units are still computed, but no period is made
     model = normalize_blowup(BlowUpSpec(base_dim, degrees))
-    assert orbit_degrees(*model) is None
+    assert sums_by_orbits(*model, False)
     message = f"P\\^{base_dim} blown up in degrees {re.escape(str(degrees))} is not Fano"
     with pytest.raises(NotFanoError, match=message):
         fano_degrees(*model)
@@ -295,7 +352,7 @@ def test_non_fano_blowups_are_refused(base_dim, degrees):
 
 
 # Units u_0..u_10 at z = 1 of the non-Fano P^4 blown up in (2,2,3), r = 2,
-# which is summed in the packed kernel with the c * Delta check
+# which is summed by S_2 orbits, with no oracle to check it
 P4_223_UNITS = (
     1, 12, 270, 5612, Fraction(202845, 2), Fraction(7987943, 5), Fraction(221749587, 10),
     Fraction(1920802998, 7), Fraction(3426238610239, 1120), Fraction(46883696467859, 1512),
@@ -305,7 +362,7 @@ P4_223_UNITS = (
 
 def test_non_fano_rank2_units_are_pinned():
     model = normalize_blowup(BlowUpSpec(4, (2, 2, 3)))
-    assert orbit_degrees(*model) is None
+    assert sums_by_orbits(*model, False)
     raw, correction = unit_series(*model, 10)
     assert tuple(raw) == P4_223_UNITS
     assert correction == Correction(((CurveClass(D=1, k=-1), Fraction(12)),))
@@ -324,6 +381,13 @@ def test_rank4_general_row_units_are_pinned():
     raw, correction = unit_series(target, twist, 12, skip_nonconvex=True)
     assert tuple(raw) == R4_GENERAL_ROW_UNITS
     assert correction == Correction(())
+
+
+# CI's rank-4 config: its general row keeps it on the packed path
+RANK4_GENERAL_ROW_MODEL = (
+    FlagTarget(5, (0, 0, 0, 0, 1), 4),
+    TwistSpec(standard_basis(4) + ((1, 1, 1, 1),), 1),
+)
 
 
 # Target models (r = 2, 3) with standard, per-root, general and unbalanced
@@ -402,9 +466,10 @@ def test_unit_at_h_zero_fails_exactly_where_the_full_ring_quotient_fails(
 
 def test_blowup_shape_is_one_test_for_both_paths():
     target, twist = normalize_blowup(BlowUpSpec(6, (1, 1, 1, 2)))
-    assert fano_degrees(target, twist) == orbit_degrees(target, twist) == (1, 1, 1, 2)
+    assert fano_degrees(target, twist) == (1, 1, 1, 2)
+    assert sums_by_orbits(target, twist, False)
     assert fano_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)  # r = 1
-    assert orbit_degrees(*normalize_blowup(BlowUpSpec(3, (1, 2)))) == (1, 2)
+    assert sums_by_orbits(*normalize_blowup(BlowUpSpec(3, (1, 2))), False)
     # other shapes are neither refused nor summed by orbits
     assert fano_degrees(*example3_verbatim_model()) is None  # not the -K grading
     assert fano_degrees(target, twist, DivisorData(1, 4)) is None
@@ -516,8 +581,9 @@ def test_correction_is_tied_to_the_checked_unit(monkeypatch):
 
 
 def test_fano_blowups_never_build_the_weyl_denominator(monkeypatch):
-    # every unit of a Fano blow-up, its degree-one counts included, is an
-    # orbit scalar: nothing is multiplied out in the packed ring of the roots
+    # every unit of a standard-row model summed by orbits, its degree-one
+    # counts included, is an orbit scalar: Fano blow-ups, non-Fano ones and
+    # the pinned model multiply nothing out in the packed ring of the roots
     calls = []
     for name in ("product", "weyl_unit"):
         original = getattr(PackedRing, name)
@@ -530,8 +596,13 @@ def test_fano_blowups_never_build_the_weyl_denominator(monkeypatch):
     for base_dim, degrees in ((4, (4, 4)), (4, (1, 1, 2)), (8, (1, 1, 1, 1, 2))):
         period_series(*normalize_blowup(BlowUpSpec(base_dim, degrees)), 10)
         assert calls == [], (base_dim, degrees)
+    for base_dim, degrees in ((3, (3, 4)), (4, (2, 2, 3))):
+        unit_series(*normalize_blowup(BlowUpSpec(base_dim, degrees)), 8)
+        assert calls == [], (base_dim, degrees)
     target, twist, divisor = example3_verbatim_model()
-    period_series(target, twist, 9, divisor=divisor, skip_nonconvex=True)
+    period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True)
+    assert calls == []
+    unit_series(*RANK4_GENERAL_ROW_MODEL, 10, skip_nonconvex=True)
     assert "product" in calls and "weyl_unit" in calls  # the packed path is counted
 
 
@@ -546,10 +617,9 @@ def test_no_weyl_denominator_outlives_its_call(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(PackedRing, "_weyl_denominator", counted)
-    target, twist, divisor = example3_verbatim_model()
     for _ in range(2):
-        period_series(target, twist, 9, divisor=divisor, skip_nonconvex=True)
-    assert built == [(4, 3), (4, 3)]
+        period_series(*RANK4_GENERAL_ROW_MODEL, 9, skip_nonconvex=True)
+    assert built == [(5, 6), (5, 6)]
 
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
