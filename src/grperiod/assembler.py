@@ -61,6 +61,7 @@ from .targets import (
     TwistSpec,
     anticanonical,
     class_enumeration,
+    class_walk,
     lattice_range,
     slot_count,
     standard_basis,
@@ -230,8 +231,6 @@ def correction_C(
     """
     orbit = sums_by_orbits(target, twist, skip_nonconvex)
     contexts = [SummandContext(target, twist, z, orbit=orbit) for z in (1, 2)]
-    if divisor is None:
-        divisor = anticanonical(target, twist)[1]
     entries = []
     for cls in class_enumeration(target, twist, 1, divisor):
         values = [
@@ -323,21 +322,15 @@ def _listed(
 ) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
     """The (point, class) pairs summed in each degree 0..dmax.
 
-    The grading defaults to the anticanonical class of the zero locus, as
-    in class_enumeration, and is resolved once for every degree.  On an
-    orbit context only the classes above the orbit floor are enumerated
-    (class_enumeration with orbit): the others have no points.
+    One class_walk lists the classes of every degree, base degree D first;
+    each degree gets class_enumeration's classes, in its order.  On an orbit
+    context only the classes above the orbit floor are walked.
     """
-    if divisor is None:
-        divisor = anticanonical(ctx.target, ctx.twist)[1]
-    return [
-        [
-            (d, cls)
-            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor, ctx.orbit)
-            for d in class_points(cls, ctx, skip_nonconvex)
-        ]
-        for x_deg in range(dmax + 1)
-    ]
+    listed: list[list] = [[] for _ in range(dmax + 1)]
+    for x_deg, cls in class_walk(ctx.target, ctx.twist, dmax, divisor, ctx.orbit):
+        for d in class_points(cls, ctx, skip_nonconvex):
+            listed[x_deg].append((d, cls))
+    return listed
 
 
 def _point_count(pairs: list, ctx: SummandContext) -> int:
@@ -376,21 +369,24 @@ def _check_against_oracle(
     """Raise OracleMismatchError unless raw[d] z^(d-1) is the Euler-sequence sum's u_d.
 
     At r = 1 the points (k,) at D = 0 add 1/k! each, which the sum leaves
-    out: there the units are e^x times it, sum_t u_(d-t) / t!.
+    out: there the units are e^x times it, sum_t u_(d-t) / t!, built in
+    integers by `_pascal` at C = -1 and compared by cross-multiplying.
     """
     expected = oracle_blowup_raw(base_dim, degrees, len(raw) - 1)
     source = "the Euler-sequence sum"
-    if len(degrees) == 2:
-        expected = corrected_series(list(expected), Fraction(-1))[0]
+    if len(degrees) == 2:  # _pascal gives d! times the x^d coefficient of e^x times the sum
+        rows = [(n, den * math.factorial(d)) for d, (n, den) in enumerate(_pascal(expected, -1))]
         source = "e^x times " + source
+    else:
+        rows = [(e.numerator, e.denominator) for e in expected]
     p, q = z.numerator, z.denominator
-    for d, (u, e) in enumerate(zip(raw, expected)):
-        # u z^(d-1) = e, cross-multiplied: z^(d-1) is p^(d-1) / q^(d-1), or q / p at d = 0
+    for d, (u, (en, ed)) in enumerate(zip(raw, rows)):
+        # u z^(d-1) = en / ed, cross-multiplied: z^(d-1) is p^(d-1) / q^(d-1), or q / p at d = 0
         up, down = (p ** (d - 1), q ** (d - 1)) if d else (q, p)
-        if u.numerator * up * e.denominator != e.numerator * u.denominator * down:
+        if u.numerator * up * ed != en * u.denominator * down:
             raise OracleMismatchError(
                 f"degree {d}: the engine gives {u * z ** (d - 1)}, {source} "
-                f"for P^{base_dim} blown up in degrees {degrees} gives {e}"
+                f"for P^{base_dim} blown up in degrees {degrees} gives {Fraction(en, ed)}"
             )
 
 
@@ -472,6 +468,18 @@ def corrected_series(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """G = e^(-C x) * sum_d u_d x^d and its regularised d! G_d, for raw u_d.
 
+    One Fraction per degree and per series, from the integers of `_pascal`.
+    """
+    coeffs, regularised = [], []
+    for d, (num, den) in enumerate(_pascal(raw, C)):
+        regularised.append(Fraction(num, den))
+        coeffs.append(Fraction(num, den * math.factorial(d)))
+    return tuple(coeffs), tuple(regularised)
+
+
+def _pascal(raw: list[Fraction], C: Fraction | int) -> list[tuple[int, int]]:
+    """d! G_d as an unreduced (numerator, den) for each d, G = e^(-C x) * sum_d u_d x^d.
+
     d! G_d = sum_t C(d, t) (-C)^t (d - t)! u_(d-t), built in integers from
     a Pascal triangle.  Every m! u_m is written once as A_m / L over one
     common denominator L.  With C = p/q, row 0 is A_0, A_1, ... and
@@ -479,21 +487,18 @@ def corrected_series(
         row_(k+1)[m] = q row_k[m + 1] - p row_k[m],
 
     so row_k[m] = sum_t C(k, t) (-p)^t q^(k-t) A_(m+k-t), and d! G_d is
-    row_d[0] / (L q^d): one multiply-subtract per (d, t) and one Fraction
-    per degree and per series.
+    row_d[0] / (L q^d): one multiply-subtract per (d, t).
     """
     p, q = C.numerator, C.denominator
     scaled = [u * math.factorial(m) for m, u in enumerate(raw)]
     den = math.lcm(*(v.denominator for v in scaled))
     row = [v.numerator * (den // v.denominator) for v in scaled]
-    coeffs, regularised = [], []
-    for d in range(len(raw)):
-        if d:
-            den *= q
-            row = [q * b - p * a for a, b in zip(row, row[1:])]
-        regularised.append(Fraction(row[0], den))
-        coeffs.append(Fraction(row[0], den * math.factorial(d)))
-    return tuple(coeffs), tuple(regularised)
+    out = [(row[0], den)]
+    for _ in raw[1:]:
+        den *= q
+        row = [q * b - p * a for a, b in zip(row, row[1:])]
+        out.append((row[0], den))
+    return out
 
 
 def z_scaling_failures(

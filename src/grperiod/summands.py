@@ -174,37 +174,30 @@ class SummandContext:
             out = self._base_constants[D] = (nums[0] // g) ** power, (den // g) ** power
         return out
 
-    def root_series(self, rows: tuple, da: int, D: int) -> list[Series]:
-        """Factor series of a root at (d_a, D) with local twist rows `rows`, in its x.
-
-        The slot ratios at d_a + e D, one per e in e_degrees, then one twist
-        series per weight f in rows, read at f d_a + rho D with x^k scaled
-        by f^k (skipped for f = 1).  Every twist row is read even where a
-        slot series vanishes, so a negative range raises TwistRangeError.
-        """
-        series = [self.slot_series(da + e * D) for e in self.target.e_degrees]
-        for f in rows:
-            twist = self.twist_series(f * da + self.twist.rho * D)
-            if f != 1:
-                nums, den = twist
-                twist = _reduced([c * f**k for k, c in enumerate(nums)], den)
-            series.append(twist)
-        return series
-
     def root_poly(self, rows: tuple, da: int, D: int) -> tuple[list, int]:
         """(nums, den): nums[k] / den = [x^k] R(x) for k < length.
 
         R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
-        with local twist rows `rows`: the product of its root_series.  It
+        with local twist rows `rows`: the product of the slot ratios at
+        d_a + e D, one per e in e_degrees, and of one twist series per
+        weight f in rows, read at f d_a + rho D with x^k scaled by f^k.  It
         is cached by (rows, d_a, D), so every root with the same rows
-        shares one build.
+        shares one build.  Every twist row is read even where a slot series
+        vanishes, so a negative range raises TwistRangeError.
         """
         key = (rows, da, D)
         out = self._roots.get(key)
         if out is None:
             length = self.length
+            series = [self.slot_series(da + e * D) for e in self.target.e_degrees]
+            for f in rows:
+                twist = self.twist_series(f * da + self.twist.rho * D)
+                if f != 1:
+                    nums, q = twist
+                    twist = _reduced([c * f**k for k, c in enumerate(nums)], q)
+                series.append(twist)
             poly, den = [1] + [0] * (length - 1), 1
-            for nums, q in self.root_series(rows, da, D):
+            for nums, q in series:
                 poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(length)]
                 den *= q
             out = self._roots[key] = poly, den
@@ -214,12 +207,19 @@ class SummandContext:
         """(numerator, den) of the summand of a rank-1 standard-row model at (d, D), before z.
 
         At r = 1 the cap is 0, so the summand is base_constant(D) times the
-        constant terms of the root's factor series (`root_series`).
-        `staircase` gives the same value with 1 x 1 tables, in about twice
-        the time on P^3 blown up in (1,2) through x^60.
+        constant terms of the root's factor series: its slot series at
+        d_a + e D and its twist series at f d_a + rho D, which no f^k
+        scaling moves.  Every twist row is read, as in root_poly.
         """
         num, den = self.base_constant(D)
-        for nums, q in self.root_series(self.local_rows[0], d[0], D):
+        da = d[0]
+        for e in self.target.e_degrees:
+            nums, q = self.slot_series(da + e * D)
+            num *= nums[0]
+            den *= q
+        rho_D = self.twist.rho * D
+        for f in self.local_rows[0]:
+            nums, q = self.twist_series(f * da + rho_D)
             num *= nums[0]
             den *= q
         return num, den
@@ -480,6 +480,13 @@ def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> Gr
     return out
 
 
+def weyl_sign(d: tuple[int, ...]) -> int:
+    """(-1)^(sum_{a<b} (d_a - d_b)) = (-1)^((r - 1) sum(d)): root a enters
+    r - 1 - a times as the first of a pair and a times as the second.
+    """
+    return -1 if (len(d) - 1) * sum(d) % 2 else 1
+
+
 def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     """Full numerator contribution of one lattice point, sign folded in.
 
@@ -498,10 +505,7 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     raises TwistRangeError from the factor of its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
-    # sign (-1)^(sum_{a<b} (d_a - d_b)); root a enters r - 1 - a times as
-    # the first of a pair and a times as the second; sign * z = p / q
-    exponent = sum((r - 1 - 2 * a) * da for a, da in enumerate(d))
-    p = -ctx.p if exponent % 2 else ctx.p
+    p = weyl_sign(d) * ctx.p  # sign * z = p / q
     if ctx.orbit:
         num, den = ctx.staircase(d, D) if r >= 2 else ctx.constant(d, D)
         return num * p, den * ctx.q

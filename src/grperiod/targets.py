@@ -240,13 +240,14 @@ def lattice_range(
     have no completion at all, so they stay exact on the orbit points.
     """
     r, D, k = target.rank, cls.D, cls.k
-    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
-    lo = thresholds[0]  # lattice_floor(target, D)
     if r == 1 and twist is None:  # the class is the single point (k,)
-        floor = thresholds[-1] if orbit else lo  # the orbit floor below, at r = 1
+        lows = [-e * D for e in target.e_degrees]
+        floor = max(lows) if orbit else min(lows)  # the orbit floor below, at r = 1
         if k >= floor and (cap is None or slot_count(target, k, D) <= cap):
             yield (k,)
         return
+    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
+    lo = thresholds[0]  # lattice_floor(target, D)
     # on the orbit path root i forces at most r - 1 - i slots (rank E >= r)
     low = thresholds[len(thresholds) - r :] if orbit else [lo] * r
     high = [k - lo * (r - 1)] * r
@@ -333,6 +334,41 @@ def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
     return n_neg * floor_rate
 
 
+def class_walk(
+    target: FlagTarget,
+    twist: TwistSpec,
+    dmax: int,
+    divisor: DivisorData | None = None,
+    orbit: bool = False,
+    dmin: int = 0,
+) -> Iterator[tuple[int, CurveClass]]:
+    """(degree, class) for every curve class of degree dmin..dmax, by increasing D.
+
+    The divisor defaults to the anticanonical class of the zero locus.
+    Requires a Fano-type grading (a > 0 or b > 0).  Raises GradingError
+    when enumeration cannot terminate, and when the literal lattice floors
+    do not bound the degree and every e_j > 0: there nothing forces a point
+    with negative fiber degrees to vanish, so no finite set of classes is
+    known to hold every contributing point.  A class of degree x has
+    D <= x // slope, slope = a + b * _fiber_rate, and k at least the sum of
+    lattice_range's per-root floors; with orbit, only the classes in which
+    lattice_range(orbit=True) can yield a point: k at least D times the r
+    largest -e_j (P^3 blown up in (1,2) through x^60: 651 of 961 classes).
+    """
+    if divisor is None:
+        _, divisor = anticanonical(target, twist)
+    a, b = divisor.a, divisor.b
+    slope = a + b * _fiber_rate(target, divisor)
+    # the per-root floors sum to k_rate * D for D >= 0: r times the least
+    # -e_j D (lattice_floor), or on the orbit path the r largest -e_j D
+    floors = sorted(-e for e in target.e_degrees)
+    k_rate = sum(floors[-target.rank :]) if orbit else target.rank * floors[0]
+    for D in range(dmax // slope + 1):
+        low = max(dmin, slope * D) - a * D  # b k must reach it
+        for k in range(max(k_rate * D, -(-low // b)), (dmax - a * D) // b + 1):
+            yield a * D + b * k, CurveClass(D, k)
+
+
 def class_enumeration(
     target: FlagTarget,
     twist: TwistSpec,
@@ -340,34 +376,8 @@ def class_enumeration(
     divisor: DivisorData | None = None,
     orbit: bool = False,
 ) -> list[CurveClass]:
-    """All curve classes of the given degree under the divisor grading.
-
-    The divisor defaults to the anticanonical class of the zero locus.
-    Requires a Fano-type grading (a > 0 or b > 0).  Raises GradingError
-    when enumeration cannot terminate, and when the literal lattice floors
-    do not bound the degree and every e_j > 0: there nothing forces a point
-    with negative fiber degrees to vanish, so no finite set of classes is
-    known to hold every contributing point.  With orbit, only the classes
-    in which lattice_range(orbit=True) can yield a point: k at least D
-    times the r largest -e_j, the sum of its per-root floors (P^3 blown up
-    in (1,2) through x^60: 651 of 961 classes).
-    """
-    if divisor is None:
-        _, divisor = anticanonical(target, twist)
-    a, b = divisor.a, divisor.b
-    slope = a + b * _fiber_rate(target, divisor)
-    # k >= the sum of lattice_range's per-root floors, which is k_rate * D
-    # for D >= 0: r * lattice_floor(D), or on the orbit path the r largest -e_j D
-    if orbit:
-        k_rate = sum(sorted(-e for e in target.e_degrees)[-target.rank :])
-    else:
-        k_rate = target.rank * lattice_floor(target, 1)
-    out = []
-    for D in range(x_deg // slope + 1):
-        k, rest = divmod(x_deg - a * D, b)
-        if not rest and k >= k_rate * D:
-            out.append(CurveClass(D=D, k=k))
-    return out
+    """All curve classes of the given degree: class_walk from x_deg to x_deg."""
+    return [cls for _, cls in class_walk(target, twist, x_deg, divisor, orbit, x_deg)]
 
 
 def all_weyl_pairs(target: FlagTarget) -> list[tuple[int, int]]:

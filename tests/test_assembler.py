@@ -13,6 +13,7 @@ from grperiod.assembler import (
     NotFanoError,
     OracleMismatchError,
     WorkBudgetError,
+    _pascal,
     class_numerator,
     class_points,
     correction_C,
@@ -38,6 +39,7 @@ from grperiod.targets import (
     TwistSpec,
     all_weyl_pairs,
     class_enumeration,
+    class_walk,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
@@ -623,16 +625,31 @@ def test_no_weyl_denominator_outlives_its_call(monkeypatch):
 
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
-    degrees = []
+    target, twist = p4_112
+    walked, degrees = [], []
+
+    def walk(*args):
+        for item in class_walk(*args):
+            walked.append(item)
+            yield item
 
     def counted(target, twist, x_deg, divisor=None, orbit=False):
         degrees.append(x_deg)
         return class_enumeration(target, twist, x_deg, divisor, orbit)
 
+    monkeypatch.setattr("grperiod.assembler.class_walk", walk)
     monkeypatch.setattr("grperiod.assembler.class_enumeration", counted)
-    period_series(*p4_112, 8)
-    # degrees 0..8 once for the budget estimate and the sum, and 1 for correction_C
-    assert sorted(degrees) == [0, 1, 1, 2, 3, 4, 5, 6, 7, 8]
+    period_series(target, twist, 8)
+    # one walk lists each class of degrees 0..8 once, for the budget
+    # estimate and the sum, and correction_C enumerates degree 1
+    expected = [
+        (x_deg, cls)
+        for x_deg in range(9)
+        for cls in class_enumeration(target, twist, x_deg, orbit=True)
+    ]
+    assert len(walked) == len(set(walked)) == len(expected)
+    assert sorted(walked, key=lambda item: item[0]) == expected
+    assert degrees == [1]
 
 
 def test_numerator_is_weyl_alternating(p4_112):
@@ -700,3 +717,13 @@ def test_corrected_series_matches_fraction_convolution_at_depth(C):
     # deep-r1's own units through x^60, far past the property test's 14 terms
     raw, _ = unit_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 60)
     assert corrected_series(raw, C) == _fraction_correction(raw, C)
+
+
+@pytest.mark.parametrize("C", [Fraction(-1), Fraction(3)])
+def test_pascal_rows_match_fraction_convolution_at_depth(C):
+    # the integer rows that corrected_series and the r = 1 oracle check
+    # share: d! G_d through x^60 for the e^x product (C = -1) and dP5's C = 3
+    raw, _ = unit_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 60)
+    rows = _pascal(raw, C)
+    assert len(rows) == 61
+    assert tuple(Fraction(num, den) for num, den in rows) == _fraction_correction(raw, C)[1]

@@ -11,6 +11,7 @@ against the oracle, so this keeps the per-point path compared.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -30,8 +31,14 @@ from grperiod.assembler import (
 from grperiod.summands import SummandContext
 from grperiod.targets import (
     BlowUpSpec,
+    CurveClass,
+    DivisorData,
     GradingError,
+    _fiber_rate,
+    anticanonical,
     class_enumeration,
+    class_walk,
+    example3_verbatim_model,
     lattice_range,
     normalize_blowup,
     slot_count,
@@ -181,3 +188,66 @@ def test_p4_122_at_twist_level_3_raises():
     # every e_j = 3 - c_j > 0 there, and that level used to give all zeros
     with pytest.raises(GradingError):
         _period(4, (1, 2, 2), 3)
+
+
+def _enumeration_reference(target, divisor, x_deg, orbit):
+    """The classes of one degree by increasing D, read degree by degree.
+
+    D runs up to x_deg // slope, slope = a + b * _fiber_rate, and k is at
+    least D times r lattice floors, or the r largest -e_j with orbit.
+    """
+    a, b = divisor.a, divisor.b
+    slope = a + b * _fiber_rate(target, divisor)
+    floors = sorted(-e for e in target.e_degrees)
+    k_rate = sum(floors[-target.rank :]) if orbit else target.rank * floors[0]
+    out = []
+    for D in range(x_deg // slope + 1):
+        k, rest = divmod(x_deg - a * D, b)
+        if not rest and k >= k_rate * D:
+            out.append(CurveClass(D=D, k=k))
+    return out
+
+
+def _walk_models():
+    """The Fano box at its default twist level and the pinned model, each under
+    its own grading, 4h + det and 2h + r det."""
+    models = [normalize_blowup(BlowUpSpec(base_dim, degrees)) for base_dim, degrees in FANO_BOX]
+    pinned, pinned_twist, pinned_divisor = example3_verbatim_model()
+    models.append((pinned, pinned_twist))
+    for target, twist in models:
+        own = pinned_divisor if target == pinned else anticanonical(target, twist)[1]
+        for divisor in (own, DivisorData(4, 1), DivisorData(2, target.rank)):
+            yield target, twist, divisor
+
+
+def test_class_walk_lists_each_degree_as_class_enumeration_does():
+    # one walk over degrees 0..12, base degree D first, must give each
+    # degree's classes in class_enumeration's order, and a grading that
+    # _fiber_rate refuses must raise its GradingError from both
+    walked = refused = 0
+    for target, twist, divisor in _walk_models():
+        try:
+            _fiber_rate(target, divisor)
+        except GradingError as exc:
+            message = re.escape(str(exc))
+            for orbit in (False, True):
+                with pytest.raises(GradingError, match=message):
+                    list(class_walk(target, twist, 12, divisor, orbit))
+                with pytest.raises(GradingError, match=message):
+                    class_enumeration(target, twist, 3, divisor, orbit)
+            refused += 1
+            continue
+        for orbit in (False, True):
+            per_degree = [[] for _ in range(13)]
+            base_degrees = []
+            for x_deg, cls in class_walk(target, twist, 12, divisor, orbit):
+                assert divisor.pairing(cls) == x_deg
+                per_degree[x_deg].append(cls)
+                base_degrees.append(cls.D)
+            assert base_degrees == sorted(base_degrees)
+            for x_deg, classes in enumerate(per_degree):
+                key = (target, divisor, x_deg, orbit)
+                assert classes == class_enumeration(target, twist, x_deg, divisor, orbit), key
+                assert classes == _enumeration_reference(target, divisor, x_deg, orbit), key
+            walked += sum(map(len, per_degree))
+    assert walked > 0 and refused > 0

@@ -20,6 +20,7 @@ from grperiod.summands import (
     twist_factor,
     twist_uppers,
     weyl_block,
+    weyl_sign,
 )
 from grperiod.assembler import class_points
 from grperiod.targets import (
@@ -144,6 +145,21 @@ def test_weyl_block_value_and_sign(p4_112):
 def test_weyl_sign_is_exact_int(p4_112):
     _, sign = weyl_block((0, 1), p4_ctx(p4_112))
     assert isinstance(sign, int)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=6))
+def test_weyl_sign_is_the_pairwise_sign(d):
+    # (-1)^((r - 1) sum(d)), which oh_summand uses on every path, against
+    # the pairwise exponent that weyl_block sums
+    d = tuple(d)
+    pairwise = sum(d[a] - d[b] for a, b in itertools.combinations(range(len(d)), 2))
+    assert weyl_sign(d) == (-1) ** (pairwise % 2)
+
+
+def test_weyl_sign_matches_weyl_block(p4_112):
+    ctx = p4_ctx(p4_112)
+    for d in itertools.product(range(-2, 3), repeat=2):
+        assert weyl_sign(d) == weyl_block(d, ctx)[1]
 
 
 def test_twist_uppers(p4_112, p6_122):
