@@ -28,19 +28,21 @@ Four structural facts keep this cheap and are relied on throughout:
   when nonconvex points are skipped, points outside the bounds of the local
   twist rows: `targets.lattice_range` prunes them while it builds each
   point.  `class_points` adds the one check the generator cannot make, on
-  the general twist rows, and its list is what is summed.  The work budget
-  counts it too, except on the orbit path below, where the list holds one
-  representative per S_r orbit and the budget counts every point of each
-  orbit (P^8 blown up in (1,1,1,1,2) through x^11: 8 listed, 33 counted).
+  the general twist rows, and its list is what is summed and what the work
+  budget counts.
 
 * Standard-row models (`sums_by_orbits`), r = 1 included, are
-  S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)).  There
-  one summand per orbit is evaluated, as a scalar, and each degree's unit
-  is read off those (`_unit`).  The c * Delta check says nothing about an
-  antisymmetrised sum (nor at r = 1, where Delta = 1), so none runs; a Fano
-  blow-up has its units checked against the Euler-sequence sum
-  `validation.oracle_blowup_raw` instead.  Every other model sums its
-  points in the packed ring of the Chern roots, at h = 0, with the check.
+  S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)), so each
+  class aggregate is antisymmetric, c * Delta, and c is its coefficient at
+  the staircase monomial x^delta.  There each point is evaluated as that
+  one scalar, and each degree's unit is their sum (`_unit`); a point whose
+  staircase row is zero is not listed (P^8 blown up in (1,1,1,1,2) through
+  x^11: 21 points).  The c * Delta check cannot run on these scalars (and
+  at r = 1, where Delta = 1, it would be empty); a Fano blow-up has its
+  units checked against the Euler-sequence sum `validation.oracle_blowup_raw`
+  instead.
+  Every other model sums its points in the packed ring of the Chern roots,
+  at h = 0, with the check.
 
 The degree-one counts of the correction are read class by class, by `_unit`
 too, and must sum to the checked unit u_1, or CorrectionError is raised.
@@ -76,7 +78,7 @@ class WorkBudgetError(RuntimeError):
 
 
 class OracleMismatchError(ArithmeticError):
-    """The orbit-summed series of a Fano blow-up differs from the Euler-sequence sum."""
+    """The orbit-path series of a Fano blow-up differs from the Euler-sequence sum."""
 
 
 class CorrectionError(ArithmeticError):
@@ -143,8 +145,8 @@ def class_points(
     The points `lattice_range` yields under ctx.cap, and with skip_nonconvex
     under the local twist rows too; with skip_nonconvex, a point at which a
     general twist row has a negative upper limit is then dropped.  On an
-    orbit context, one weakly increasing point per S_r orbit, and only
-    those whose staircase can be nonzero (lattice_range with orbit).
+    orbit context, only the points whose staircase can be nonzero
+    (lattice_range with orbit).
     """
     twist = ctx.twist if skip_nonconvex else None
     points = lattice_range(ctx.target, cls, ctx.cap, twist, ctx.orbit)
@@ -246,10 +248,11 @@ def correction_C(
 
 
 def sums_by_orbits(target: FlagTarget, twist: TwistSpec | None, skip_nonconvex: bool) -> bool:
-    """Whether unit_series sums the model by S_r orbits: a standard-row model.
+    """Whether unit_series takes the orbit path: a standard-row model.
 
     Its twist rows are standard_basis(r), F = S^v(rho), which makes
-    summand(sigma d) = sgn(sigma) sigma(summand(d)).  It must keep no
+    summand(sigma d) = sgn(sigma) sigma(summand(d)), so each class aggregate
+    is c * Delta and a point's staircase scalar suffices.  It must keep no
     negative twist range, which the orbit floor could drop instead of
     raising TwistRangeError: nonconvex points are skipped, or rho >= max
     e_j, since every listed d_a >= -max(e_j) D.
@@ -286,15 +289,6 @@ def fano_degrees(
     return c
 
 
-def _stabiliser_order(d: tuple[int, ...]) -> int:
-    """|Stab(d)| in S_r for a weakly increasing d: the product of its runs' factorials."""
-    order = run = 1
-    for a in range(1, len(d)):
-        run = run + 1 if d[a] == d[a - 1] else 1
-        order *= run
-    return order
-
-
 def estimate_points(
     target: FlagTarget,
     twist: TwistSpec | None,
@@ -305,13 +299,12 @@ def estimate_points(
 
     Exact when nonconvex points are kept, and an upper bound when they are
     skipped.  A standard-row model with rho >= max e_j (sums_by_orbits with
-    nonconvex points kept) counts each orbit it lists by its size
-    r!/|Stab|, though it evaluates one summand per orbit.  It lists no
-    orbit whose staircase is zero, so its count can be below the number of
-    points the per-point path sums for the same series.
+    nonconvex points kept) lists no point whose staircase is zero, so its
+    count can be below the number of points the packed path sums for the
+    same series.
     """
     ctx = SummandContext(target, twist, orbit=sums_by_orbits(target, twist, False))
-    return sum(_point_count(pairs, ctx) for pairs in _listed(ctx, dmax, divisor, False))
+    return sum(map(len, _listed(ctx, dmax, divisor, False)))
 
 
 def _listed(
@@ -333,32 +326,19 @@ def _listed(
     return listed
 
 
-def _point_count(pairs: list, ctx: SummandContext) -> int:
-    """Points of one degree's list, an orbit representative by its orbit size."""
-    if not ctx.orbit:
-        return len(pairs)
-    return sum(math.factorial(ctx.target.rank) // _stabiliser_order(d) for d, _ in pairs)
-
-
 def _unit(pairs: list, ctx: SummandContext) -> Fraction:
     """Unit coefficient of the sum over (point, class) pairs: one degree or one class.
 
     Off an orbit context the summands are added in ctx.kernel, which reads the
-    unit with its c * Delta check and builds Delta once per context.  An orbit
-    context takes weakly increasing points: on a standard-row model the
-    aggregate is sum over representatives of sum over sigma in S_r / Stab
-    of sgn(sigma) sigma(S_rep), and its unit is its staircase coefficient,
-    so each representative adds its oh_summand value, sum_pi sgn(pi)
-    S_rep[h^0 x^(delta o pi)], over |Stab(rep)|.  Nothing checks c * Delta,
-    which an antisymmetrised sum satisfies whatever its summands.
+    unit with its c * Delta check and builds Delta once per context.  On an
+    orbit context each point's oh_summand is its scalar S[h^0 x^delta]: a
+    standard-row model's aggregate is c * Delta, and Delta[x^delta] = 1, so
+    the unit is their sum.  The c * Delta check cannot run on these scalars.
     """
     if not ctx.orbit:
         numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
         return ctx.kernel.weyl_unit(numerator)
-    parts = []
-    for d, cls in pairs:
-        num, den = oh_summand(d, cls, ctx)
-        parts.append((num, den * _stabiliser_order(d)))
+    parts = [oh_summand(d, cls, ctx) for d, cls in pairs]
     den = math.lcm(*(q for _, q in parts))
     return Fraction(sum(p * (den // q) for p, q in parts), den)
 
@@ -425,12 +405,13 @@ def unit_series(
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
     Refuses with WorkBudgetError when more than budget points are listed.
-    A standard-row model (sums_by_orbits), r = 1 included, lists one point
-    per S_r orbit; if it is a Fano blow-up (fano_degrees), OracleMismatchError
-    is raised unless the units equal the Euler-sequence sum.  Every other
-    model sums every point in the packed ring and checks that each degree's
-    aggregate is c * Delta (`_unit`).  The degree-one counts, read on the
-    same path, must sum to u_1, or CorrectionError is raised.
+    A standard-row model (sums_by_orbits), r = 1 included, sums one
+    staircase scalar per point; if it is a Fano blow-up (fano_degrees),
+    OracleMismatchError is raised unless the units equal the Euler-sequence
+    sum.  Every other model sums every point in the packed ring and checks
+    that each degree's aggregate is c * Delta (`_unit`).  The degree-one
+    counts, read on the same path, must sum to u_1, or CorrectionError is
+    raised.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
@@ -438,7 +419,7 @@ def unit_series(
     ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
     listed = _listed(ctx, dmax, divisor, skip_nonconvex)
     if budget is not None:
-        counts = [_point_count(pairs, ctx) for pairs in listed]
+        counts = [len(pairs) for pairs in listed]
         estimate = sum(counts)
         if estimate > budget:
             per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))

@@ -10,7 +10,8 @@ geometric sum g_i^(e-1) + g_i^(e-2) g_j + ... + g_j^(e-1).  `PackedRing`
 works in the same ring with integer numerators over one common denominator:
 it builds the lattice-point summands, adds them up, and reads the unit
 coefficient off their sum with an exact Weyl-divisibility check.
-`integer_det` is the determinant the S_r-orbit path reads its units from.
+`integer_det` is the determinant the S_r-orbit path reads each point's
+staircase coefficient from.
 """
 
 from __future__ import annotations

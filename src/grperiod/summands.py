@@ -42,22 +42,19 @@ the integers p and q, so no part of a summand is a Fraction.
 The parts are multiplied in the integer kernel `ring.PackedRing`, and the
 summand stays a packed value of that kernel, ready to be added up by the
 assembler.  A context made with orbit=True, for the S_r-orbit path of a
-standard-row model, multiplies nothing out: it reads the staircase coefficients
-off r x r integer determinants (`staircase`): one table per distinct
-root degree d_a, built from the r coefficients of `root_poly`, and one
-determinant per count vector of those values, weighted by binomials, in
-place of one per subset of the roots.  At r = 1, where the cap
-is 0 and every orbit is one point, the summand is the product of its
-factors' constant terms (`constant`).  The GradedPoly helpers below
-(`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
-`twist_factor`) compute the same factors in the full ring, h included,
+standard-row model, multiplies nothing out: it reads each point's
+coefficient at the staircase monomial off one r x r integer determinant
+(`staircase`), whose row a comes from the table of d_a, built from the r
+coefficients of `root_poly`.  At r = 1, where the cap is 0, the summand
+is the product of its factors' constant terms (`constant`).  The
+GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
+`weyl_block`, `twist_factor`) compute the same factors in the full ring, h included,
 and serve as its reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, integer_det, poly_mul, unit_inverse
@@ -89,7 +86,7 @@ class SummandContext:
     exactly as long as the context: callers make one per target and z and
     share it across the points and degrees of one computation.  The cap
     defaults to target.omega_degree.  With orbit, oh_summand returns a
-    representative's staircase scalar (`staircase`).
+    point's staircase scalar (`staircase`).
     """
 
     def __init__(
@@ -309,45 +306,18 @@ class SummandContext:
         return out
 
     def staircase(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
-        """sum_pi sgn(pi) P[h^0 x^(delta o pi)] as (numerator, den), delta = (r-1, ..., 0).
+        """P[h^0 x^delta] as (numerator, den), delta = (r-1, ..., 0), before z and sign.
 
         At h = 0, P = base x prod_a R_a(x_a) x det[u_a^(r-1-b)], the Weyl
         product as a Vandermonde determinant in u_a = x_a + shift(d_a).  Its
-        row a depends on x_a alone, so P[x^alpha] is the determinant with
-        rows M_a[r-1-alpha_a] (root_table), and by multilinearity the sum is
-        sum over nonempty S of (-1)^(r-|S|) det(sum_{a in S} M_a).
-
-        Roots of equal d_a share one table, so that determinant depends only
-        on the count vector s, s_j the number of roots in S of the j-th
-        distinct value v_j, of multiplicity m_j.  The sum runs over the
-        nonzero s <= m, weighted (-1)^(r-|s|) prod_j C(m_j, s_j): prod_j
-        (m_j + 1) - 1 determinants, not 2^r - 1.  The vectors are counted
-        like an odometer, lowest value fastest, and each one's matrix is the
-        matrix of s less one v_j, j its lowest nonzero count, plus M_(v_j).
+        row a depends on x_a alone, so by multilinearity P[x^delta] is the
+        determinant whose row a is M_(d_a)[a] (root_table): one r x r
+        integer determinant per point.
         """
-        r = len(d)
-        groups = Counter(d)  # distinct d_a -> the number of roots that have it
-        tables = [self.root_table(v, D) for v in groups]
-        den = math.lcm(*(q for _, q in tables))
-        scaled = [[[c * (den // q) for c in row] for row in m] for m, q in tables]
-        mult = list(groups.values())
-        strides = [1]  # index of s = sum_j s_j strides[j]
-        for m in mult:
-            strides.append(strides[-1] * (m + 1))
-        counts = [0] * len(mult)
-        sums, total = [[[0] * r for _ in range(r)]], 0  # sums[index of s]
-        for index in range(1, strides[-1]):
-            j = 0
-            while counts[j] == mult[j]:
-                counts[j] = 0
-                j += 1
-            counts[j] += 1
-            rest = sums[index - strides[j]]  # s less one v_j
-            sums.append([[x + y for x, y in zip(u, v)] for u, v in zip(rest, scaled[j])])
-            weight = math.prod(math.comb(m, s) for m, s in zip(mult, counts))
-            total += (-1) ** (r - sum(counts)) * weight * integer_det(sums[index])
+        tables = [self.root_table(da, D) for da in d]
+        det = integer_det([m[a] for a, (m, _) in enumerate(tables)])
         num, base_den = self.base_constant(D)
-        return total * num, den**r * base_den
+        return det * num, math.prod(q for _, q in tables) * base_den
 
 
 def _reduced(nums: list[int], den: int) -> Series:

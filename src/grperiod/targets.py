@@ -215,19 +215,16 @@ def lattice_range(
     for each pair of equal fiber degrees -- is at most cap; truncation at
     the cap kills the rest.  With a twist, only the points at which every
     row local to a root i (split_twist_rows), of weight f, has
-    f * d_i + rho * D >= 0.  With orbit, only the orbit representatives
-    whose staircase can be nonzero: the weakly increasing points (each
-    value starts at the previous one and is at most the total still to
-    place over the roots left) whose sorted slot counts have f_(i) <= i.
+    f * d_i + rho * D >= 0.  With orbit, only the points whose staircase
+    can be nonzero: root i (0-based) forces at most r - 1 - i slots.
 
     That last cut is exact for the staircase of a standard-row model
     (`summands.SummandContext.staircase`): a root's factor R_a is divisible
-    by x_a^(f_a), and the staircase reads exponents that are a permutation
-    of 0..r-1, so some exponent reaches every f_a only when f_(i) <= i.  On
-    a weakly increasing point the counts fall as i grows, so the cut is a
-    floor per root: root i takes the smallest value that forces at most
-    r - 1 - i slots.  The floors sum to D times the r largest -e_j, so a
-    class below that total yields nothing.
+    by x_a^(f_a), and the staircase reads x_a^(r-1-a), so row a of its
+    determinant is zero when f_a > r - 1 - a.  The cut is a floor per root:
+    root i takes the smallest value that forces at most r - 1 - i slots.
+    The floors sum to D times the r largest -e_j, so a class below that
+    total yields nothing.
 
     The cap and orbit cuts are made while the point is built, and they are
     exact: a root value spends budget (cap at the start) on its forced slots
@@ -237,7 +234,7 @@ def lattice_range(
     value (one that forces no slot) and the budget left is below what the
     cheapest forced value costs.  A value outside a twist row's bound or
     below a root's floor is never tried.  These cuts only end branches that
-    have no completion at all, so they stay exact on the orbit points.
+    have no completion at all.
     """
     r, D, k = target.rank, cls.D, cls.k
     if r == 1 and twist is None:  # the class is the single point (k,)
@@ -268,20 +265,16 @@ def lattice_range(
         rest_low[i - 1] = rest_low[i] + low[i]
         rest_high[i - 1] = rest_high[i] + high[i]
         rest_free[i - 1] = rest_free[i] + max(free, low[i])
-    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest, orbit)
+    plan = (low, high, rest_low, rest_high, rest_free, thresholds, cheapest)
     yield from _completions((), k, cap, plan)
 
 
 def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterator[tuple[int, ...]]:
     """Points of lattice_range that start with head; the rest sums to total."""
-    low, high, rest_low, rest_high, rest_free, thresholds, cheapest, orbit = plan
+    low, high, rest_low, rest_high, rest_free, thresholds, cheapest = plan
     i, n = len(head), len(thresholds)
     start = max(low[i], total - rest_high[i])
     stop = min(high[i], total - rest_low[i])
-    if orbit:  # v >= head[-1], and the len(low) - i values from v on sum to total
-        if head:
-            start = max(start, head[-1])
-        stop = min(stop, total // (len(low) - i))
     if budget < n:  # below thresholds[n - 1 - budget], a value forces more than budget slots
         start = max(start, thresholds[n - 1 - budget])
     for v in range(start, stop + 1):

@@ -229,18 +229,21 @@ def test_budget_error_names_the_estimate_per_degree(p4_112):
 
 
 def test_budget_counts_the_points_that_are_summed():
-    # through x^20 the pinned model sums 36 orbit representatives, counted
-    # as 123 points; with nonconvex points kept (rho = 1 < max e_j = 2) it
-    # stays on the per-point path, and the generator yields 615
+    # through x^20 the pinned model sums 123 points on the orbit path; with
+    # nonconvex points kept (rho = 1 < max e_j = 2) it stays on the packed
+    # path, and the generator yields 615
     target, twist, divisor = example3_verbatim_model()
     period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=123)
     with pytest.raises(WorkBudgetError, match="estimated 123 lattice points"):
         period_series(target, twist, 20, divisor=divisor, skip_nonconvex=True, budget=122)
     assert estimate_points(target, twist, 20, divisor) == 615
-    # the orbit path counts each orbit's r!/|Stab| points: 45 before the
-    # staircase floor, less 4!/(2! 2!) for each (0,0,1,1) it drops, at D = 2
-    # and D = 3: 45 - 2 * 6 = 33
-    assert estimate_points(*normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2))), 11) == 33
+    # the orbit path lists and evaluates every point whose root i forces at
+    # most r - 1 - i slots: 21 of the 45 points the packed path lists
+    model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    assert estimate_points(*model, 11) == 21
+    for orbit, points in ((True, 21), (False, 45)):
+        listed = assembler._listed(SummandContext(*model, orbit=orbit), 11, None, False)
+        assert sum(map(len, listed)) == points
 
 
 @pytest.mark.parametrize(
@@ -259,9 +262,9 @@ def test_raw_series_is_the_unit_coefficients(base_dim, degrees):
 
 @pytest.mark.parametrize("r, dmax", [(6, 14), (7, 16)])
 def test_orbit_path_equals_the_oracle_at_ranks_6_and_7(r, dmax):
-    # up to 63 and 127 staircase determinants per representative, one per
-    # nonzero count vector of its distinct values; period_series
-    # raises OracleMismatchError on the first degree that differs
+    # one 6 x 6 or 7 x 7 staircase determinant per listed point;
+    # period_series raises OracleMismatchError on the first degree that
+    # differs
     degrees = (1,) * r + (2,)
     ps = period_series(*normalize_blowup(BlowUpSpec(2 * r, degrees)), dmax)
     assert ps.regularised == oracle_blowup(2 * r, degrees, dmax)

@@ -1,14 +1,13 @@
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grperiod import summands
-from grperiod.ring import GradedPoly, integer_det, poly_mul, unit_inverse
+from grperiod.ring import GradedPoly, poly_mul, unit_inverse
 from grperiod.summands import (
     SingularFactorError,
     SummandContext,
@@ -30,6 +29,7 @@ from grperiod.targets import (
     TwistSpec,
     class_enumeration,
     lattice_floor,
+    lattice_range,
     normalize_blowup,
 )
 
@@ -496,61 +496,25 @@ def test_cap0_summand_at_higher_rank_has_the_weyl_constants(reference_summand, z
     assert nonzero
 
 
-def _subset_staircase(ctx, d, D):
-    """sum over nonempty S of (-1)^(r-|S|) det(sum_{a in S} M_a), one table per root."""
-    r = len(d)
-    tables = [ctx.root_table(da, D) for da in d]
-    den = math.lcm(*(q for _, q in tables))
-    total = 0
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(tables, size):
-            rows = [
-                [sum(m[i][b] * (den // q) for m, q in subset) for b in range(r)]
-                for i in range(r)
-            ]
-            total += (-1) ** (r - size) * integer_det(rows)
-    num, base_den = ctx.base_constant(D)
-    return total * num, den**r * base_den
-
-
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-def test_staircase_over_count_vectors_is_the_subset_sum(r):
-    # P^(2r) in (1^r, 2): every multiset of r values from three, repeated
-    # values included, at D = 0 and 1; z = 1/2 puts a denominator in the
-    # Weyl shifts, and (numerator, den) must agree exactly
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_staircase_is_the_packed_summand_at_the_staircase_monomial(r):
+    # P^(2r) in (1^r, 2) at D = 0 and 1: every point lattice_range yields
+    # under the cap, each of its orderings among them; z = 1/2 puts a
+    # denominator in the Weyl shifts.  The orbit context's scalar is the
+    # packed summand's coefficient at x_1^(r-1) ... x_(r-1)
     target, twist = normalize_blowup(BlowUpSpec(2 * r, (1,) * r + (2,)))
-    ctx = SummandContext(target, twist, z=Fraction(1, 2), orbit=True)
+    orbit = SummandContext(target, twist, z=Fraction(1, 2), orbit=True)
+    packed = SummandContext(target, twist, z=Fraction(1, 2))
+    delta = (0,) + tuple(range(r - 1, -1, -1))
     nonzero = 0
     for D in (0, 1):
-        for d in itertools.combinations_with_replacement(range(-D, 3 - D), r):
-            got = ctx.staircase(d, D)
-            assert got == _subset_staircase(ctx, d, D), (d, D)
-            nonzero += got[0] != 0
+        for k in range(-1, r + 1):
+            cls = CurveClass(D=D, k=k)
+            points = set(lattice_range(target, cls, orbit.cap))
+            assert all(p in points for d in points for p in itertools.permutations(d))
+            for d in points:
+                num, den = oh_summand(d, cls, orbit)
+                graded = packed.kernel.to_graded(oh_summand(d, cls, packed))
+                assert Fraction(num, den) == graded.coefficient(delta), (d, D)
+                nonzero += num != 0
     assert nonzero
-
-
-def test_staircase_takes_one_determinant_per_nonzero_count_vector(monkeypatch):
-    # prod_j (m_j + 1) - 1 determinants for multiplicities m_j, not 2^r - 1
-    target, twist = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
-    ctx = SummandContext(target, twist, orbit=True)
-    calls = []
-
-    def counting_det(rows):
-        calls.append(len(rows))
-        return integer_det(rows)
-
-    monkeypatch.setattr(summands, "integer_det", counting_det)
-
-    def dets(d, D=0):
-        calls.clear()
-        ctx.staircase(d, D)
-        return len(calls)
-
-    assert dets((0, 0, 0, 0)) == 4
-    assert dets((0, 0, 1, 1)) == 8
-    assert dets((0, 1, 2, 3)) == 15
-    for D in (0, 1):
-        for d in itertools.combinations_with_replacement(range(-D, 4 - D), 4):
-            expected = math.prod(m + 1 for m in Counter(d).values()) - 1
-            assert dets(d, D) == expected, (d, D)
-    assert set(calls) == {4}

@@ -219,13 +219,9 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                     cls = CurveClass(D=D, k=k)
                     full = list(lattice_range(target, cls))
                     forced = [_forced_nilpotent_degree(target, d, D) for d in full]
-                    # weakly increasing, and some permutation of 0..r-1 gives
-                    # every root at least its forced slot count
+                    # root i forces at most r - 1 - i slots
                     readable = [
-                        list(d) == sorted(d)
-                        and all(
-                            f <= i for i, f in enumerate(sorted(slot_count(target, di, D) for di in d))
-                        )
+                        all(slot_count(target, di, D) <= r - 1 - i for i, di in enumerate(d))
                         for d in full
                     ]
                     for cap in range(5):
