@@ -13,7 +13,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .assembler import (
@@ -43,28 +43,6 @@ from . import validation
 
 WORK_BUDGET_ENV = "GRPERIOD_WORK_BUDGET"
 
-MODES = ("blowup", "target", "example3-verbatim")
-FORMATS = ("table", "records", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "blowup"
-    base_dim: int | None = None
-    center_degrees: tuple[int, ...] | None = None
-    twist_k: int | None = None
-    e_degrees: tuple[int, ...] | None = None
-    ranks: int | None = None  # the single rank r of Gr(r, E)
-    twist_weights: tuple[tuple[int, ...], ...] | None = None  # None = standard basis
-    rho: int | None = None
-    grading_a: int | None = None
-    grading_b: int | None = None
-    nonconvex: str | None = None  # "error" (the default) or "skip"
-    dmax: int = 8
-    z: Fraction = Fraction(1)
-    out: str | None = None
-    format: str = "table"
-
 
 class ConfigError(ValueError):
     pass
@@ -87,118 +65,12 @@ def _parse_weight_rows(value: str) -> tuple[tuple[int, ...], ...] | None:
     return tuple(_parse_int_list(row) for row in value.split(";") if row.strip())
 
 
-def parse_config_file(path: str) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-# each setting's config-file parser and the modes that read it, by RunConfig
-# field; a setting with no modes is read by every mode
-SETTINGS = {
-    "mode": (str, ()),
-    "base_dim": (int, ("blowup", "target")),
-    "center_degrees": (_parse_int_list, ("blowup",)),
-    "twist_k": (int, ("blowup",)),
-    "e_degrees": (_parse_int_list, ("target",)),
-    "ranks": (_parse_rank, ("target",)),
-    "twist_weights": (_parse_weight_rows, ("target",)),
-    "rho": (int, ("target",)),
-    "grading_a": (int, ("target",)),
-    "grading_b": (int, ("target",)),
-    "nonconvex": (str, ("target",)),
-    "dmax": (int, ()),
-    "z": (Fraction, ()),
-    "out": (str, ()),
-    "format": (str, ()),
-}
-
-
-def build_config(file_values: dict, args: argparse.Namespace) -> RunConfig:
-    values = {}
-    for key, raw in file_values.items():
-        if key not in SETTINGS:
-            raise ConfigError(f"unknown config key: {key}")
-        try:
-            values[key] = SETTINGS[key][0](raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
-    for key in SETTINGS:  # a flag's dest is its setting's name
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    cfg = RunConfig(**values)
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.format not in FORMATS:
-        raise ConfigError(f"format must be one of {FORMATS}, got {cfg.format!r}")
-    if cfg.dmax < 0:
-        raise ConfigError("dmax must be nonnegative")
-    if cfg.nonconvex not in (None, "error", "skip"):
-        raise ConfigError("nonconvex must be 'error' or 'skip'")
-    return cfg
-
-
-@dataclass(frozen=True)
-class Model:
-    target: FlagTarget
-    twist: TwistSpec
-    divisor: DivisorData | None  # None = anticanonical
-    skip_nonconvex: bool
-
-
-def build_model(cfg: RunConfig) -> Model:
-    if cfg.mode == "blowup":
-        if cfg.base_dim is None or cfg.center_degrees is None:
-            raise ConfigError("blowup mode needs base_dim and center_degrees")
-        target, twist = normalize_blowup(
-            BlowUpSpec(cfg.base_dim, cfg.center_degrees), cfg.twist_k
-        )
-        divisor = None
-    elif cfg.mode == "target":
-        if cfg.base_dim is None or cfg.e_degrees is None or cfg.ranks is None or cfg.rho is None:
-            raise ConfigError("target mode needs base_dim, e_degrees, ranks, rho")
-        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.ranks)
-        weights = standard_basis(cfg.ranks) if cfg.twist_weights is None else cfg.twist_weights
-        if any(len(row) != cfg.ranks for row in weights):
-            raise ConfigError(f"each row of twist_weights needs ranks = {cfg.ranks} entries")
-        twist = TwistSpec(weight_vectors=weights, rho=cfg.rho)
-        divisor = None
-        if (cfg.grading_a is None) != (cfg.grading_b is None):
-            raise ConfigError("grading_a and grading_b must be given together")
-        if cfg.grading_a is not None:
-            divisor = DivisorData(cfg.grading_a, cfg.grading_b)
-    else:  # example3-verbatim
-        target, twist, divisor = example3_verbatim_model()
-    unread = [
-        name
-        for name, (_, modes) in SETTINGS.items()
-        if modes and cfg.mode not in modes and getattr(cfg, name) is not None
-    ]
-    if unread:
-        raise ConfigError(f"{cfg.mode} mode does not read {', '.join(unread)}")
-    return Model(target, twist, divisor, cfg.mode == "example3-verbatim" or cfg.nonconvex == "skip")
-
-
-def work_budget() -> int | None:
-    raw = os.environ.get(WORK_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_WORK_BUDGET
+def rational(value: str) -> Fraction:
+    """A Fraction from text like 2 or 1/2; a zero denominator is a ValueError."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"{WORK_BUDGET_ENV} must be 0 (no guard) or positive, got {raw!r}")
-    return value or None
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def fraction_str(value: Fraction) -> str:
@@ -245,12 +117,140 @@ def format_csv(series: PeriodSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+RENDERERS = {"table": format_table, "records": format_records, "csv": format_csv}
+FORMATS = tuple(RENDERERS)
+MODES = ("blowup", "target", "example3-verbatim")
+
+
+def _setting(default=None, parse=int, modes=(), choices=None, flag=None):
+    """A RunConfig field and its setting: the config-file parser, the modes
+    that read it (none = every mode), its allowed values, and the argparse
+    options of its --flag (None = no flag)."""
+    meta = {"parse": parse, "modes": modes, "choices": choices, "flag": flag}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings; each field is a config key of the same name."""
+
+    mode: str = _setting("blowup", str, choices=MODES, flag={})
+    base_dim: int | None = _setting(modes=("blowup", "target"), flag={})
+    center_degrees: tuple[int, ...] | None = _setting(
+        parse=_parse_int_list, modes=("blowup",), flag={"help": "comma separated, e.g. 1,1,2"}
+    )
+    twist_k: int | None = _setting(modes=("blowup",), flag={})
+    e_degrees: tuple[int, ...] | None = _setting(parse=_parse_int_list, modes=("target",))
+    # the single rank r of Gr(r, E)
+    ranks: int | None = _setting(parse=_parse_rank, modes=("target",))
+    # None = standard basis
+    twist_weights: tuple[tuple[int, ...], ...] | None = _setting(
+        parse=_parse_weight_rows, modes=("target",)
+    )
+    rho: int | None = _setting(modes=("target",))
+    grading_a: int | None = _setting(modes=("target",))
+    grading_b: int | None = _setting(modes=("target",))
+    # None reads as "error"
+    nonconvex: str | None = _setting(parse=str, modes=("target",), choices=("error", "skip"))
+    dmax: int = _setting(8, flag={})
+    z: Fraction = _setting(Fraction(1), rational, flag={"help": "rational like 2 or 1/2"})
+    out: str | None = _setting(parse=str, flag={})
+    format: str = _setting("table", str, choices=FORMATS, flag={})
+
+
+def parse_config_file(path: str) -> dict:
+    values: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
+    return values
+
+
+def build_config(file_values: dict, args: argparse.Namespace) -> RunConfig:
+    settings = {f.name: f.metadata for f in fields(RunConfig)}
+    values = {}
+    for key, raw in file_values.items():
+        if key not in settings:
+            raise ConfigError(f"unknown config key: {key}")
+        try:
+            values[key] = settings[key]["parse"](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+    for key in settings:  # a flag's dest is its setting's name
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    cfg = RunConfig(**values)
+    for key, meta in settings.items():
+        value = getattr(cfg, key)
+        if meta["choices"] and value is not None and value not in meta["choices"]:
+            raise ConfigError(f"{key} must be one of {meta['choices']}, got {value!r}")
+    if cfg.dmax < 0:
+        raise ConfigError("dmax must be nonnegative")
+    return cfg
+
+
+@dataclass(frozen=True)
+class Model:
+    target: FlagTarget
+    twist: TwistSpec
+    divisor: DivisorData | None  # None = anticanonical
+    skip_nonconvex: bool
+
+
+def build_model(cfg: RunConfig) -> Model:
+    if cfg.mode == "blowup":
+        if cfg.base_dim is None or cfg.center_degrees is None:
+            raise ConfigError("blowup mode needs base_dim and center_degrees")
+        target, twist = normalize_blowup(BlowUpSpec(cfg.base_dim, cfg.center_degrees), cfg.twist_k)
+        divisor = None
+    elif cfg.mode == "target":
+        if cfg.base_dim is None or cfg.e_degrees is None or cfg.ranks is None or cfg.rho is None:
+            raise ConfigError("target mode needs base_dim, e_degrees, ranks, rho")
+        target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.ranks)
+        weights = standard_basis(cfg.ranks) if cfg.twist_weights is None else cfg.twist_weights
+        if any(len(row) != cfg.ranks for row in weights):
+            raise ConfigError(f"each row of twist_weights needs ranks = {cfg.ranks} entries")
+        twist = TwistSpec(weight_vectors=weights, rho=cfg.rho)
+        divisor = None
+        if (cfg.grading_a is None) != (cfg.grading_b is None):
+            raise ConfigError("grading_a and grading_b must be given together")
+        if cfg.grading_a is not None:
+            divisor = DivisorData(cfg.grading_a, cfg.grading_b)
+    else:  # example3-verbatim
+        target, twist, divisor = example3_verbatim_model()
+    unread = [
+        f.name
+        for f in fields(RunConfig)
+        if f.metadata["modes"] and cfg.mode not in f.metadata["modes"]
+        and getattr(cfg, f.name) is not None
+    ]
+    if unread:
+        raise ConfigError(f"{cfg.mode} mode does not read {', '.join(unread)}")
+    return Model(target, twist, divisor, cfg.mode == "example3-verbatim" or cfg.nonconvex == "skip")
+
+
+def work_budget() -> int | None:
+    raw = os.environ.get(WORK_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_WORK_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORK_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ConfigError(f"{WORK_BUDGET_ENV} must be 0 (no guard) or positive, got {raw!r}")
+    return value or None
+
+
 def render_series(series: PeriodSeries, fmt: str) -> str:
-    if fmt == "table":
-        return format_table(series)
-    if fmt == "records":
-        return format_records(series)
-    return format_csv(series)
+    return RENDERERS[fmt](series)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -261,24 +261,22 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _summed(engine, cfg: RunConfig, model: Model, budget: int | None):
+    """period_series or unit_series of the model, through cfg.dmax at cfg.z."""
+    return engine(
+        model.target, model.twist, cfg.dmax, z=cfg.z, divisor=model.divisor,
+        skip_nonconvex=model.skip_nonconvex, budget=budget
+    )
+
+
 def cmd_period(cfg: RunConfig) -> int:
     model = build_model(cfg)
     budget = work_budget()
-    series = period_series(
-        model.target,
-        model.twist,
-        cfg.dmax,
-        z=cfg.z,
-        divisor=model.divisor,
-        skip_nonconvex=model.skip_nonconvex,
-        budget=budget,
-    )
+    series = _summed(period_series, cfg, model, budget)
     text = render_series(series, cfg.format)
     if cfg.mode == "example3-verbatim" and cfg.format == "table":
         target, twist, divisor = example3_normalized_model()
-        companion = period_series(
-            target, twist, cfg.dmax, z=cfg.z, divisor=divisor, budget=budget
-        )
+        companion = period_series(target, twist, cfg.dmax, z=cfg.z, divisor=divisor, budget=budget)
         mismatches = [
             d
             for d in range(cfg.dmax + 1)
@@ -296,15 +294,7 @@ def cmd_period(cfg: RunConfig) -> int:
 
 def cmd_jreport(cfg: RunConfig) -> int:
     model = build_model(cfg)
-    raw, correction = unit_series(
-        model.target,
-        model.twist,
-        cfg.dmax,
-        z=cfg.z,
-        divisor=model.divisor,
-        skip_nonconvex=model.skip_nonconvex,
-        budget=work_budget(),
-    )
+    raw, correction = _summed(unit_series, cfg, model, work_budget())
     lines = ["I-function unit coefficients:"]
     for d, value in enumerate(raw):
         lines.append(f"  {d}: unit {fraction_str(value)} z-power {1 - d}")
@@ -399,24 +389,23 @@ def run_validation_suite() -> list[tuple[str, validation.CheckResult]]:
 
 def cmd_validate(cfg: RunConfig) -> int:
     results = run_validation_suite()
-    lines = []
-    failed = 0
-    for name, result in results:
-        status = "PASS" if result.ok else "FAIL"
-        if not result.ok:
-            failed += 1
-        detail = f"  ({result.detail})" if result.detail else ""
-        lines.append(f"{status} {name}{detail}")
+    failed = sum(not res.ok for _, res in results)
+    lines = [
+        f"{'PASS' if res.ok else 'FAIL'} {name}" + (f"  ({res.detail})" if res.detail else "")
+        for name, res in results
+    ]
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     _write("\n".join(lines) + "\n", cfg.out)
     return 1 if failed else 0
 
 
-def _fraction_flag(value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {value!r}: {exc}")
+def _add_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """One --flag per RunConfig field marked as a flag (of those in names)."""
+    for f in fields(RunConfig):
+        meta = f.metadata
+        if meta["flag"] is not None and (names is None or f.name in names):
+            flag = "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, type=meta["parse"], choices=meta["choices"], **meta["flag"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,21 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--dmax", type=int, default=None)
-        p.add_argument("--twist-k", dest="twist_k", type=int, default=None)
-        p.add_argument("--z", type=_fraction_flag, default=None, help="rational like 2 or 1/2")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--mode", choices=MODES, default=None)
-        p.add_argument("--base-dim", dest="base_dim", type=int, default=None)
-        p.add_argument(
-            "--center-degrees",
-            dest="center_degrees",
-            type=_parse_int_list,
-            default=None,
-            help="comma separated, e.g. 1,1,2",
-        )
-    sub.add_parser("validate", help="run the validation suite").add_argument("--out", default=None)
+        _add_flags(p)
+    _add_flags(sub.add_parser("validate", help="run the validation suite"), {"out"})
     return parser
 
 

@@ -46,6 +46,8 @@ class FlagTarget:
     rank: int
 
     def __post_init__(self):
+        if self.base_dim < 0:
+            raise ValueError("base_dim must be nonnegative")
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.rank > len(self.e_degrees):

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 from fractions import Fraction
 
@@ -5,7 +7,9 @@ import pytest
 
 from grperiod.cli import (
     ConfigError,
+    RunConfig,
     build_config,
+    build_model,
     build_parser,
     main,
     parse_config_file,
@@ -410,3 +414,165 @@ def test_build_config_rejects_negative_dmax():
     args = parser.parse_args(["period", *P4_ARGS])
     with pytest.raises(ConfigError):
         build_config({"dmax": "-3"}, args)
+
+
+# the command-line surface: flags, config keys, defaults and exit codes
+
+SURFACE_FLAGS = {
+    # option: (dest, choices, help)
+    "--config": ("config", None, "flat key = value config file"),
+    "--mode": ("mode", ["blowup", "target", "example3-verbatim"], None),
+    "--base-dim": ("base_dim", None, None),
+    "--center-degrees": ("center_degrees", None, "comma separated, e.g. 1,1,2"),
+    "--twist-k": ("twist_k", None, None),
+    "--dmax": ("dmax", None, None),
+    "--z": ("z", None, "rational like 2 or 1/2"),
+    "--out": ("out", None, None),
+    "--format": ("format", ["table", "records", "csv"], None),
+}
+
+# one value for every config key, as written in a file and as read
+FILE_VALUES = {
+    "mode": ("target", "target"),
+    "base_dim": ("4", 4),
+    "center_degrees": ("1, 1,2", (1, 1, 2)),
+    "twist_k": ("2", 2),
+    "e_degrees": ("0,0,-1", (0, 0, -1)),
+    "ranks": ("2", 2),
+    "twist_weights": ("1,0; 0,1; 1,1", ((1, 0), (0, 1), (1, 1))),
+    "rho": ("1", 1),
+    "grading_a": ("3", 3),
+    "grading_b": ("2", 2),
+    "nonconvex": ("skip", "skip"),
+    "dmax": ("5", 5),
+    "z": ("-3/2", Fraction(-3, 2)),
+    "out": ("series.txt", "series.txt"),
+    "format": ("records", "records"),
+}
+
+
+def _subcommand_flags(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[name]._actions
+    return {a.option_strings[-1]: a for a in actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", ["period", "jreport"])
+def test_cli_surface_flags(command):
+    flags = _subcommand_flags(command)
+    assert set(flags) == set(SURFACE_FLAGS)
+    for option, (dest, choices, help_text) in SURFACE_FLAGS.items():
+        action = flags[option]
+        assert action.option_strings == [option]
+        assert (action.dest, action.default, action.help) == (dest, None, help_text), option
+        assert (list(action.choices) if action.choices else None) == choices, option
+
+
+def test_cli_surface_validate_takes_only_out():
+    flags = _subcommand_flags("validate")
+    assert list(flags) == ["--out"]
+    assert (flags["--out"].dest, flags["--out"].default, flags["--out"].choices) == ("out", None, None)
+
+
+def test_cli_surface_every_config_key_round_trips(tmp_path):
+    assert set(FILE_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {raw}  # {key}\n" for key, (raw, _) in FILE_VALUES.items()))
+    args = build_parser().parse_args(["period", "--config", str(cfg)])
+    got = build_config(parse_config_file(str(cfg)), args)
+    assert got == RunConfig(**{key: value for key, (_, value) in FILE_VALUES.items()})
+
+
+@pytest.mark.parametrize(
+    "flag, raw, key, value",
+    [
+        ("--mode", "blowup", "mode", "blowup"),
+        ("--base-dim", "6", "base_dim", 6),
+        ("--center-degrees", "1,2,2", "center_degrees", (1, 2, 2)),
+        ("--twist-k", "0", "twist_k", 0),
+        ("--dmax", "0", "dmax", 0),
+        ("--z", "1/3", "z", Fraction(1, 3)),
+        ("--out", "-", "out", "-"),
+        ("--format", "csv", "format", "csv"),
+    ],
+)
+def test_cli_surface_flag_overrides_its_file_value(tmp_path, flag, raw, key, value):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {text}\n" for k, (text, _) in FILE_VALUES.items()))
+    args = build_parser().parse_args(["period", "--config", str(cfg), flag, raw])
+    got = build_config(parse_config_file(str(cfg)), args)
+    assert getattr(got, key) == value
+    assert got.rho == 1  # a setting with no flag keeps its file value
+
+
+@pytest.mark.parametrize(
+    "argv", [["--format", "json"], ["--mode", "warp"], ["--z", "1/0"], ["--z", "x"]]
+)
+@pytest.mark.parametrize("command", ["period", "jreport"])
+def test_cli_surface_bad_flag_values_exit_2(capsys, command, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *P4_ARGS, *argv])
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("format", "json"), ("mode", "warp"), ("nonconvex", "maybe"), ("z", "1/0")]
+)
+def test_cli_surface_bad_file_values_exit_1_naming_the_key(tmp_path, capsys, key, raw):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    rc, out, err = run(capsys, ["period", *P4_ARGS, "--config", str(cfg), "--dmax", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and key in err
+
+
+def test_negative_base_dim_is_refused_by_name(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    text = TARGET_CONFIG.replace("base_dim = 4", "base_dim = -2")
+    cfg.write_text(text + "rho = 1\ngrading_a = 1\ngrading_b = 1\n")
+    rc, out, err = run(capsys, ["jreport", "--config", str(cfg), "--dmax", "4"])
+    assert rc == 1 and out == ""
+    assert "base_dim" in err
+
+
+# each setting is declared once, as a RunConfig field
+
+SETTING_FIELDS = dataclasses.fields(RunConfig)
+
+
+def test_the_flags_are_the_fields_marked_as_flags():
+    flagged = {f.name for f in SETTING_FIELDS if f.metadata["flag"] is not None}
+    assert len(flagged) == 8
+    for command in ("period", "jreport"):
+        assert {a.dest for a in _subcommand_flags(command).values()} == flagged | {"config"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in SETTING_FIELDS])
+def test_every_field_is_a_config_key_with_a_parser(name):
+    raw, value = FILE_VALUES[name]
+    args = build_parser().parse_args(["period"])
+    assert getattr(build_config({name: raw}, args), name) == value
+
+
+MODE_CONFIGS = {
+    "blowup": {"base_dim": 4, "center_degrees": (1, 1, 2)},
+    "target": {"base_dim": 4, "e_degrees": (0, 0, -1), "ranks": 2, "rho": 1},
+    "example3-verbatim": {},
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        (f.name, mode)
+        for f in SETTING_FIELDS
+        for mode in MODE_CONFIGS
+        if f.metadata["modes"] and mode not in f.metadata["modes"]
+    ],
+)
+def test_a_setting_set_for_a_mode_that_does_not_read_it_is_refused(name, mode):
+    cfg = RunConfig(mode=mode, **MODE_CONFIGS[mode], **{name: FILE_VALUES[name][1]})
+    with pytest.raises(ConfigError, match=f"{mode} mode does not read {name}$"):
+        build_model(cfg)

@@ -76,6 +76,15 @@ def test_flag_target_validation():
         FlagTarget(base_dim=4, e_degrees=(0, 0), rank=0)
 
 
+def test_flag_target_refuses_a_negative_base_dim():
+    # the base constant used to be raised to a negative power (a TypeError),
+    # or the degree-one correction failed, depending on the model
+    for e_degrees, rank in (((0, 0, -1), 2), ((0, 1), 1)):
+        with pytest.raises(ValueError, match="base_dim must be nonnegative"):
+            FlagTarget(base_dim=-1, e_degrees=e_degrees, rank=rank)
+    assert FlagTarget(base_dim=0, e_degrees=(0, 1), rank=1).base_dim == 0  # Gr over a point
+
+
 def test_nvars_and_cap():
     target = FlagTarget(base_dim=6, e_degrees=(0, 0, 0, 2), rank=3)
     assert target.nvars == 4
