@@ -37,10 +37,13 @@ Four structural facts keep this cheap and are relied on throughout:
   the staircase monomial x^delta.  There each point is evaluated as that
   one scalar, and each degree's unit is their sum (`_unit`); a point whose
   staircase row is zero is not listed (P^8 blown up in (1,1,1,1,2) through
-  x^11: 21 points).  The c * Delta check cannot run on these scalars (and
+  x^11: 21 points).  At r = 1, where the class (D, k) is the point (k,),
+  the budget counts the classes of one row per D (`targets.class_rows`),
+  whose scalars come from one `SummandContext.constants` call
+  (`_row_units`).  The c * Delta check cannot run on these scalars (and
   at r = 1, where Delta = 1, it would be empty); a Fano blow-up has its
-  units checked against the Euler-sequence sum `validation.oracle_blowup_raw`
-  instead.
+  units checked against the Euler-sequence sum
+  `validation.oracle_blowup_raw` instead.
   Every other model sums its points in the packed ring of the Chern roots,
   at h = 0, with the check.
 
@@ -63,6 +66,7 @@ from .targets import (
     TwistSpec,
     anticanonical,
     class_enumeration,
+    class_rows,
     class_walk,
     lattice_range,
     slot_count,
@@ -227,9 +231,9 @@ def correction_C(
 ) -> Correction:
     """n_beta for every degree-one curve class.
 
-    Each class's unit is read by `_unit` on the path unit_series takes for
-    the model, so a standard-row model never builds Delta.  Each n_beta is
-    z-independent (its z-power is 0); this is verified at two different z.
+    Each class's unit is read point by point by `_unit`, on the kind of
+    context unit_series makes, so a standard-row model never builds Delta.
+    Each n_beta is z-independent (its z-power is 0), checked at two z.
     """
     orbit = sums_by_orbits(target, twist, skip_nonconvex)
     contexts = [SummandContext(target, twist, z, orbit=orbit) for z in (1, 2)]
@@ -338,9 +342,22 @@ def _unit(pairs: list, ctx: SummandContext) -> Fraction:
     if not ctx.orbit:
         numerator = ctx.kernel.add_all(oh_summand(d, cls, ctx) for d, cls in pairs)
         return ctx.kernel.weyl_unit(numerator)
-    parts = [oh_summand(d, cls, ctx) for d, cls in pairs]
-    den = math.lcm(*(q for _, q in parts))
-    return Fraction(sum(p * (den // q) for p, q in parts), den)
+    return _lcm_sum([oh_summand(d, cls, ctx) for d, cls in pairs])
+
+
+def _lcm_sum(parts: list[tuple[int, int]], p: int = 1, q: int = 1) -> Fraction:
+    """p/q times the sum of the (numerator, den) parts, over the lcm of their dens."""
+    den = math.lcm(*(d for _, d in parts))
+    return Fraction(p * sum(n * (den // d) for n, d in parts), q * den)
+
+
+def _row_units(rows: list, ctx: SummandContext, dmax: int) -> list[Fraction]:
+    """The unit of each degree 0..dmax: z times the sum of its points' constants."""
+    parts: list[list] = [[] for _ in range(dmax + 1)]
+    for D, ks, degrees in rows:
+        for x_deg, part in zip(degrees, ctx.constants(D, ks)):
+            parts[x_deg].append(part)
+    return [_lcm_sum(degree, ctx.p, ctx.q) for degree in parts]
 
 
 def _check_against_oracle(
@@ -405,8 +422,8 @@ def unit_series(
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
     Refuses with WorkBudgetError when more than budget points are listed.
-    A standard-row model (sums_by_orbits), r = 1 included, sums one
-    staircase scalar per point; if it is a Fano blow-up (fano_degrees),
+    A standard-row model (sums_by_orbits) sums one staircase scalar per
+    point, at r = 1 by rows of classes; if it is a Fano blow-up (fano_degrees),
     OracleMismatchError is raised unless the units equal the Euler-sequence
     sum.  Every other model sums every point in the packed ring and checks
     that each degree's aggregate is c * Delta (`_unit`).  The degree-one
@@ -417,9 +434,17 @@ def unit_series(
         raise ValueError("dmax must be nonnegative")
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
-    listed = _listed(ctx, dmax, divisor, skip_nonconvex)
-    if budget is not None:
+    rank_one = ctx.orbit and target.rank == 1  # the class (D, k) is the point (k,)
+    if rank_one:
+        rows = list(class_rows(target, twist, dmax, divisor, True, twist_floor=skip_nonconvex))
+        counts = [0] * (dmax + 1)
+        for _, _, degrees in rows:
+            for x_deg in degrees:
+                counts[x_deg] += 1
+    else:
+        listed = _listed(ctx, dmax, divisor, skip_nonconvex)
         counts = [len(pairs) for pairs in listed]
+    if budget is not None:
         estimate = sum(counts)
         if estimate > budget:
             per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
@@ -428,7 +453,7 @@ def unit_series(
                 f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
-    raw = [_unit(pairs, ctx) for pairs in listed]
+    raw = _row_units(rows, ctx, dmax) if rank_one else [_unit(pairs, ctx) for pairs in listed]
     try:
         degrees = fano_degrees(target, twist, divisor)
     except NotFanoError:  # its units stand, with no oracle to check them

@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in value.replace(" ", "").split(",") if p != "")
+    return tuple(int(p) for p in value.split(","))  # int() strips spaces, refuses "1 1" and ""
 
 
 def _parse_rank(value: str) -> int:

@@ -45,9 +45,9 @@ assembler.  A context made with orbit=True, for the S_r-orbit path of a
 standard-row model, multiplies nothing out: it reads each point's
 coefficient at the staircase monomial off one r x r integer determinant
 (`staircase`), whose row a comes from the table of d_a, built from the r
-coefficients of `root_poly`.  At r = 1, where the cap is 0, the summand
-is the product of its factors' constant terms (`constant`).  The
-GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
+coefficients of `root_poly`.  At r = 1, where the cap is 0, the summands
+of the points (k,) at one D are their factors' constant terms (`constants`).
+The GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
 `weyl_block`, `twist_factor`) compute the same factors in the full ring, h included,
 and serve as its reference.
 """
@@ -200,26 +200,24 @@ class SummandContext:
             out = self._roots[key] = poly, den
         return out
 
-    def constant(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
-        """(numerator, den) of the summand of a rank-1 standard-row model at (d, D), before z.
+    def constants(self, D: int, ks: range | tuple[int, ...]) -> list[tuple[int, int]]:
+        """(numerator, den) of a rank-1 standard-row model's summand at each (k,) and D, before z.
 
-        At r = 1 the cap is 0, so the summand is base_constant(D) times the
-        constant terms of the root's factor series: its slot series at
-        d_a + e D and its twist series at f d_a + rho D, which no f^k
-        scaling moves.  Every twist row is read, as in root_poly.
+        At r = 1 the cap is 0: base_constant(D) times the constant terms of
+        the slot series at k + e D and the twist series at f k + rho D (no
+        f^k scaling moves them), every twist row read, as in root_poly.
         """
-        num, den = self.base_constant(D)
-        da = d[0]
-        for e in self.target.e_degrees:
-            nums, q = self.slot_series(da + e * D)
-            num *= nums[0]
-            den *= q
-        rho_D = self.twist.rho * D
-        for f in self.local_rows[0]:
-            nums, q = self.twist_series(f * da + rho_D)
-            num *= nums[0]
-            den *= q
-        return num, den
+        factors = [(self.slot_series, 1, e * D) for e in self.target.e_degrees]
+        factors += [(self.twist_series, f, self.twist.rho * D) for f in self.local_rows[0]]
+        base, out = self.base_constant(D), []
+        for k in ks:
+            num, den = base
+            for series, f, shift in factors:
+                nums, q = series(f * k + shift)
+                num *= nums[0]
+                den *= q
+            out.append((num, den))
+        return out
 
     def root_factor(self, i: int, di: int, D: int):
         """Packed factor of root i (0-based) at (d_i, D): root_poly on x_(i+1).
@@ -471,13 +469,13 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     base_constant(D) * sign * z.  The result is a packed value of ctx.kernel
     (`ctx.kernel.to_graded` gives the GradedPoly, which has no h term).  An
     orbit context returns z * sign * ctx.staircase(d, D) as (numerator,
-    den), or z * ctx.constant(d, D) at r = 1.  A negative twist upper limit
+    den), or z * ctx.constants(D, d)[0] at r = 1.  A negative twist upper limit
     raises TwistRangeError from the factor of its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
     p = weyl_sign(d) * ctx.p  # sign * z = p / q
     if ctx.orbit:
-        num, den = ctx.staircase(d, D) if r >= 2 else ctx.constant(d, D)
+        num, den = ctx.staircase(d, D) if r >= 2 else ctx.constants(D, d)[0]
         return num * p, den * ctx.q
     out = ctx.root_factor(0, d[0], D)
     for j in range(1, r):

@@ -239,12 +239,6 @@ def lattice_range(
     have no completion at all.
     """
     r, D, k = target.rank, cls.D, cls.k
-    if r == 1 and twist is None:  # the class is the single point (k,)
-        lows = [-e * D for e in target.e_degrees]
-        floor = max(lows) if orbit else min(lows)  # the orbit floor below, at r = 1
-        if k >= floor and (cap is None or slot_count(target, k, D) <= cap):
-            yield (k,)
-        return
     thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
     lo = thresholds[0]  # lattice_floor(target, D)
     # on the orbit path root i forces at most r - 1 - i slots (rank E >= r)
@@ -329,17 +323,19 @@ def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
     return n_neg * floor_rate
 
 
-def class_walk(
+def class_rows(
     target: FlagTarget,
     twist: TwistSpec,
     dmax: int,
     divisor: DivisorData | None = None,
     orbit: bool = False,
     dmin: int = 0,
-) -> Iterator[tuple[int, CurveClass]]:
-    """(degree, class) for every curve class of degree dmin..dmax, by increasing D.
+    twist_floor: bool = False,
+) -> Iterator[tuple[int, range, range]]:
+    """(D, ks, degrees) by increasing D: the classes (D, k), k in ks, of degree dmin..dmax.
 
-    The divisor defaults to the anticanonical class of the zero locus.
+    degrees holds each class's degree a D + b k, in the order of ks.  The
+    divisor defaults to the anticanonical class of the zero locus.
     Requires a Fano-type grading (a > 0 or b > 0).  Raises GradingError
     when enumeration cannot terminate, and when the literal lattice floors
     do not bound the degree and every e_j > 0: there nothing forces a point
@@ -349,6 +345,8 @@ def class_walk(
     lattice_range's per-root floors; with orbit, only the classes in which
     lattice_range(orbit=True) can yield a point: k at least D times the r
     largest -e_j (P^3 blown up in (1,2) through x^60: 651 of 961 classes).
+    With twist_floor, k is at least -r rho D too: standard twist rows with
+    nonconvex points skipped bound every d_i >= -rho D (lattice_range).
     """
     if divisor is None:
         _, divisor = anticanonical(target, twist)
@@ -358,10 +356,19 @@ def class_walk(
     # -e_j D (lattice_floor), or on the orbit path the r largest -e_j D
     floors = sorted(-e for e in target.e_degrees)
     k_rate = sum(floors[-target.rank :]) if orbit else target.rank * floors[0]
+    if twist_floor:
+        k_rate = max(k_rate, -target.rank * twist.rho)
     for D in range(dmax // slope + 1):
         low = max(dmin, slope * D) - a * D  # b k must reach it
-        for k in range(max(k_rate * D, -(-low // b)), (dmax - a * D) // b + 1):
-            yield a * D + b * k, CurveClass(D, k)
+        ks = range(max(k_rate * D, -(-low // b)), (dmax - a * D) // b + 1)
+        yield D, ks, range(a * D + b * ks.start, a * D + b * ks.stop, b)
+
+
+def class_walk(*args, **kwargs) -> Iterator[tuple[int, CurveClass]]:
+    """(degree, class) for every class of class_rows(*args, **kwargs), by increasing D."""
+    for D, ks, degrees in class_rows(*args, **kwargs):
+        for x_deg, k in zip(degrees, ks):
+            yield x_deg, CurveClass(D, k)
 
 
 def class_enumeration(

@@ -29,7 +29,7 @@ from grperiod.assembler import (
     z_scaling_failures,
 )
 from grperiod.ring import GradedPoly, NotDivisibleError, PackedRing, vandermonde_divide
-from grperiod.summands import SummandContext, TwistRangeError
+from grperiod.summands import SummandContext, TwistRangeError, oh_summand
 from grperiod.targets import (
     BlowUpSpec,
     CurveClass,
@@ -39,6 +39,7 @@ from grperiod.targets import (
     TwistSpec,
     all_weyl_pairs,
     class_enumeration,
+    class_rows,
     class_walk,
     example3_normalized_model,
     example3_verbatim_model,
@@ -246,6 +247,20 @@ def test_budget_counts_the_points_that_are_summed():
         assert sum(map(len, listed)) == points
 
 
+def test_rank_one_budget_counts_the_classes_of_the_rows():
+    # deep-r1's model through x^60: the rows hold 651 classes, each one
+    # point, counted per degree as estimate_points lists them
+    model = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    listed = assembler._listed(SummandContext(*model, orbit=True), 60, None, False)
+    per_degree = ", ".join(f"{d}: {len(pairs)}" for d, pairs in enumerate(listed))
+    assert estimate_points(*model, 60) == 651
+    with pytest.raises(WorkBudgetError) as exc:
+        period_series(*model, 60, budget=650)
+    message = f"estimated 651 lattice points exceeds budget 650 (per degree {per_degree})"
+    assert message in str(exc.value)
+    period_series(*model, 60, budget=651)
+
+
 @pytest.mark.parametrize(
     "base_dim, degrees",
     [(4, (1, 1, 2)), (6, (1, 1, 1, 2)), (8, (1, 1, 1, 1, 2)), (10, (1, 1, 1, 1, 1, 2))],
@@ -326,6 +341,62 @@ def test_orbit_and_packed_paths_agree_on_the_models_summed_by_orbits():
                 seen.add(got if isinstance(got, type) else list)
                 compared += 1
     assert list in seen and GradingError in seen and compared > 1000
+
+
+R1_ROW_Z = (1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _r1_row_models():
+    """r = 1 models on the row path: (target, twist, divisor, skip, dmax, label)."""
+    specs = [
+        (base_dim, degrees)
+        for base_dim in range(2, 9)
+        for degrees in itertools.combinations_with_replacement(range(1, 5), 2)
+        if base_dim + 1 > max(degrees)  # Fano
+    ]
+    for spec in specs + [(3, (3, 4))]:  # P^3 in (3,4) is not Fano
+        yield (*normalize_blowup(BlowUpSpec(*spec)), None, False, 30, spec)
+    # rho = 0 with nonconvex points skipped; on the first, k >= -rho D cuts the rows
+    for target in (FlagTarget(3, (2, 1), 1), FlagTarget(4, (0, -1, 1), 1)):
+        yield target, TwistSpec(standard_basis(1), 0), None, True, 20, target
+    yield (*normalize_blowup(BlowUpSpec(3, (1, 2))), DivisorData(2, 1), False, 20, "2h + det")
+
+
+def test_rank_one_rows_give_the_per_point_units():
+    # each degree's unit from the rows of its base degrees equals _unit over
+    # the points _listed lists, on the same orbit context
+    models = list(_r1_row_models())
+    assert len(models) == 63
+    for target, twist, divisor, skip, dmax, label in models:
+        assert sums_by_orbits(target, twist, skip) and target.rank == 1, label
+        for z in R1_ROW_Z:
+            ctx = SummandContext(target, twist, z, orbit=True)
+            rows = class_rows(target, twist, dmax, divisor, True, twist_floor=skip)
+            expected = [assembler._unit(p, ctx) for p in assembler._listed(ctx, dmax, divisor, skip)]
+            assert assembler._row_units(rows, ctx, dmax) == expected, (label, z)
+            assert any(expected[1:]), (label, z)
+
+
+def test_rank_one_row_scalars_are_the_summands_at_their_points():
+    # P^3 in (1,2) through x^60: the rows list the points _listed lists, and
+    # each row scalar times z is oh_summand at its point on the orbit
+    # context and the constant term of the packed summand
+    model = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    ctx = SummandContext(*model, Fraction(-3, 2), orbit=True)
+    packed = SummandContext(*model, Fraction(-3, 2))
+    points = []
+    for D, ks, degrees in class_rows(*model, 60, None, True):
+        for k, x_deg, (num, den) in zip(ks, degrees, ctx.constants(D, ks)):
+            cls = CurveClass(D, k)
+            points.append((x_deg, (k,), cls))
+            assert oh_summand((k,), cls, ctx) == (num * ctx.p, den * ctx.q)
+            terms, q = oh_summand((k,), cls, packed)
+            assert Fraction(num * ctx.p, den * ctx.q) == Fraction(dict(terms).get(0, 0), q)
+    listed = assembler._listed(ctx, 60, None, False)
+    assert sorted(points) == sorted(
+        (x_deg, d, cls) for x_deg, pairs in enumerate(listed) for d, cls in pairs
+    )
+    assert len(points) == 651
 
 
 def test_negative_twist_ranges_kept_stay_on_the_packed_path():
@@ -537,8 +608,9 @@ def test_r1_units_are_checked_against_the_oracle(monkeypatch):
 def test_r1_oracle_mismatch_names_the_e_to_the_x_product(monkeypatch):
     # at r = 1 the expected units are e^x times the Euler-sequence sum, and
     # the message says so; at r >= 2 they are the sum itself
-    original = assembler._unit
-    monkeypatch.setattr(assembler, "_unit", lambda pairs, ctx: 2 * original(pairs, ctx))
+    # (_lcm_sum adds the orbit units of both ranks: _unit's and _row_units')
+    original = assembler._lcm_sum
+    monkeypatch.setattr(assembler, "_lcm_sum", lambda parts, *scale: 2 * original(parts, *scale))
     with pytest.raises(
         OracleMismatchError,
         match=re.escape(

@@ -528,6 +528,30 @@ def test_cli_surface_bad_file_values_exit_1_naming_the_key(tmp_path, capsys, key
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("raw", ["1 1,2", "1,,2", "1,2,"])
+def test_int_lists_refuse_inner_spaces_and_empty_entries(tmp_path, capsys, raw):
+    # "1 1,2" is not the centre (11, 2), nor "1,,2" the centre (1, 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["period", "--base-dim", "4", "--center-degrees", raw, "--dmax", "2"])
+    assert exc.value.code == 2
+    assert "--center-degrees" in capsys.readouterr().err
+    for key in ("center_degrees", "e_degrees", "twist_weights"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        rc, out, err = run(capsys, ["period", "--config", str(cfg), "--dmax", "2"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and key in err
+
+
+def test_int_lists_accept_spaces_around_entries(tmp_path):
+    cfg = tmp_path / "spaced.cfg"
+    cfg.write_text("center_degrees =  1 , 1,2 \ntwist_weights = 1,0;0, 1 ;  1 ,1\n")
+    for argv, degrees in (([], (1, 1, 2)), (["--center-degrees", " 2, 3"], (2, 3))):
+        args = build_parser().parse_args(["period", "--config", str(cfg), *argv])
+        got = build_config(parse_config_file(str(cfg)), args)
+        assert (got.center_degrees, got.twist_weights) == (degrees, ((1, 0), (0, 1), (1, 1)))
+
+
 def test_negative_base_dim_is_refused_by_name(tmp_path, capsys):
     cfg = tmp_path / "neg.cfg"
     text = TARGET_CONFIG.replace("base_dim = 4", "base_dim = -2")

@@ -181,7 +181,9 @@ def test_orbit_class_skip_calls_class_points_only_above_the_floor(monkeypatch):
     assert len(calls) == 651
     calls.clear()
     period_series(target, twist, 60)
-    assert len(calls) == 653  # correction_C reads its one degree-one class at z = 1 and 2
+    # the units are summed by rows of classes, whose budget count is 651
+    # (test_assembler); correction_C reads its one degree-one class at z = 1 and 2
+    assert len(calls) == 2
 
 
 def test_p4_122_at_twist_level_3_raises():

@@ -15,6 +15,7 @@ from grperiod.targets import (
     all_weyl_pairs,
     anticanonical,
     class_enumeration,
+    class_walk,
     example3_normalized_model,
     example3_verbatim_model,
     lattice_floor,
@@ -243,6 +244,24 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                         assert got == orbit, (e_degrees, r, D, k, cap)
                         cases += 1
     assert cases == 120_000
+
+
+def test_twist_floor_drops_only_classes_without_a_point():
+    # standard twist rows with nonconvex points skipped bound every
+    # d_i >= -rho D, so at rho = 0 a class with k < 0 has no point under the twist
+    drops = []
+    for target in (FlagTarget(3, (2, 1), 1), FlagTarget(4, (1, 1, 0), 2), FlagTarget(4, (1, 1, 1, 0), 3)):
+        twist = TwistSpec(standard_basis(target.rank), rho=0)
+        for orbit in (False, True):
+            walked = list(class_walk(target, twist, 20, None, orbit))
+            kept = list(class_walk(target, twist, 20, None, orbit, twist_floor=True))
+            assert set(kept) <= set(walked), (target, orbit)
+            dropped = [cls for x_deg, cls in walked if (x_deg, cls) not in kept]
+            drops.append(len(dropped))
+            for cls in dropped:
+                assert cls.k < 0
+                assert not list(lattice_range(target, cls, None, twist, orbit))
+    assert drops == [13, 6, 10, 3, 10, 4]  # classes dropped, without and with orbit
 
 
 NONCONVEX_MODELS = {
