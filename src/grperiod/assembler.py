@@ -29,7 +29,8 @@ Four structural facts keep this cheap and are relied on throughout:
   twist rows: `targets.lattice_range` prunes them while it builds each
   point.  `class_points` adds the one check the generator cannot make, on
   the general twist rows, and its list is what is summed and what the work
-  budget counts.
+  budget counts.  A run walks its classes once, by the rows of
+  `targets.class_rows`, and `_listed` reads both from them.
 
 * Standard-row models (`sums_by_orbits`), r = 1 included, are
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)), so each
@@ -67,7 +68,6 @@ from .targets import (
     anticanonical,
     class_enumeration,
     class_rows,
-    class_walk,
     lattice_range,
     slot_count,
     standard_basis,
@@ -308,26 +308,28 @@ def estimate_points(
     same series.
     """
     ctx = SummandContext(target, twist, orbit=sums_by_orbits(target, twist, False))
-    return sum(map(len, _listed(ctx, dmax, divisor, False)))
+    return sum(_listed(ctx, class_rows(target, twist, dmax, divisor, ctx.orbit), dmax, False)[0])
 
 
-def _listed(
-    ctx: SummandContext,
-    dmax: int,
-    divisor: DivisorData | None,
-    skip_nonconvex: bool,
-) -> list[list[tuple[tuple[int, ...], CurveClass]]]:
-    """The (point, class) pairs summed in each degree 0..dmax.
+def _listed(ctx: SummandContext, rows, dmax: int, skip_nonconvex: bool) -> tuple[list, list | None]:
+    """The points summed in each degree 0..dmax, counted and as (point, class) pairs.
 
-    One class_walk lists the classes of every degree, base degree D first;
-    each degree gets class_enumeration's classes, in its order.  On an orbit
-    context only the classes above the orbit floor are walked.
+    rows are class_rows' rows, and each degree's pairs follow
+    class_enumeration's order.  At r = 1 on an orbit context each class is
+    its one point (k,), summed by rows (`_row_units`): no pairs are listed.
     """
+    if ctx.orbit and ctx.target.rank == 1:
+        counts = [0] * (dmax + 1)
+        for _, _, degrees in rows:
+            for x_deg in degrees:
+                counts[x_deg] += 1
+        return counts, None
     listed: list[list] = [[] for _ in range(dmax + 1)]
-    for x_deg, cls in class_walk(ctx.target, ctx.twist, dmax, divisor, ctx.orbit):
-        for d in class_points(cls, ctx, skip_nonconvex):
-            listed[x_deg].append((d, cls))
-    return listed
+    for D, ks, degrees in rows:
+        for x_deg, k in zip(degrees, ks):
+            cls = CurveClass(D, k)
+            listed[x_deg] += [(d, cls) for d in class_points(cls, ctx, skip_nonconvex)]
+    return [len(pairs) for pairs in listed], listed
 
 
 def _unit(pairs: list, ctx: SummandContext) -> Fraction:
@@ -421,7 +423,8 @@ def unit_series(
 ) -> tuple[list[Fraction], Correction]:
     """Unit coefficients u_0..u_dmax of the I-function, and the degree-one counts.
 
-    Refuses with WorkBudgetError when more than budget points are listed.
+    One class_rows walk gives the classes of every degree, and `_listed`
+    the points they list: more than budget points raise WorkBudgetError.
     A standard-row model (sums_by_orbits) sums one staircase scalar per
     point, at r = 1 by rows of classes; if it is a Fano blow-up (fano_degrees),
     OracleMismatchError is raised unless the units equal the Euler-sequence
@@ -434,16 +437,9 @@ def unit_series(
         raise ValueError("dmax must be nonnegative")
     # one context, so its factor caches are shared by every degree
     ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
-    rank_one = ctx.orbit and target.rank == 1  # the class (D, k) is the point (k,)
-    if rank_one:
-        rows = list(class_rows(target, twist, dmax, divisor, True, twist_floor=skip_nonconvex))
-        counts = [0] * (dmax + 1)
-        for _, _, degrees in rows:
-            for x_deg in degrees:
-                counts[x_deg] += 1
-    else:
-        listed = _listed(ctx, dmax, divisor, skip_nonconvex)
-        counts = [len(pairs) for pairs in listed]
+    floor = ctx.orbit and skip_nonconvex  # standard rows bound every d_i >= -rho D
+    rows = list(class_rows(target, twist, dmax, divisor, ctx.orbit, twist_floor=floor))
+    counts, listed = _listed(ctx, rows, dmax, skip_nonconvex)
     if budget is not None:
         estimate = sum(counts)
         if estimate > budget:
@@ -453,7 +449,7 @@ def unit_series(
                 f"(per degree {per_degree})"
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
-    raw = _row_units(rows, ctx, dmax) if rank_one else [_unit(pairs, ctx) for pairs in listed]
+    raw = _row_units(rows, ctx, dmax) if listed is None else [_unit(p, ctx) for p in listed]
     try:
         degrees = fano_degrees(target, twist, divisor)
     except NotFanoError:  # its units stand, with no oracle to check them

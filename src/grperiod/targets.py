@@ -155,27 +155,33 @@ def normalize_blowup(spec: BlowUpSpec, twist_k: int | None = None) -> tuple[Flag
     raise GradingError(f"no twist level in [{min(c)}, {max(c)}] bounds the curve classes")
 
 
-def anticanonical(target: FlagTarget, twist: TwistSpec) -> tuple[DivisorData, DivisorData]:
-    """(ambient -K, zero-locus -K) for a split twist.
+def weight_rows(target: FlagTarget, twist: TwistSpec | None) -> tuple[tuple[int, ...], ...]:
+    """The twist's weight rows, none without a twist.
+
+    Raises ValueError unless every row has one weight per Chern root.
+    """
+    rows = twist.weight_vectors if twist is not None else ()
+    if any(len(row) != target.rank for row in rows):
+        raise ValueError("twist weight vector length does not match rank")
+    return rows
+
+
+def anticanonical(target: FlagTarget, twist: TwistSpec | None) -> tuple[DivisorData, DivisorData]:
+    """(ambient -K, zero-locus -K) for a split twist, or no twist (no rows).
 
     The ambient anticanonical class of Gr(r, E) over P^N is
     (N + 1 + r * sum_j e_j) h + n det(S^v) with n = rank E; the zero locus
     of a regular section of F subtracts c1(F).
     """
-    r = target.rank
     n = len(target.e_degrees)
-    ambient = DivisorData(a=target.base_dim + 1 + r * sum(target.e_degrees), b=n)
-    if not twist.weight_vectors:
+    ambient = DivisorData(a=target.base_dim + 1 + target.rank * sum(target.e_degrees), b=n)
+    rows = weight_rows(target, twist)
+    if not rows:
         return ambient, ambient
-    column_sums = [0] * r
-    for row in twist.weight_vectors:
-        if len(row) != r:
-            raise ValueError("twist weight vector length does not match rank")
-        for i, f in enumerate(row):
-            column_sums[i] += f
-    if len(set(column_sums)) != 1:
+    column_sums = {sum(column) for column in zip(*rows)}
+    if len(column_sums) != 1:
         raise ValueError("twist is not balanced: c1(F) is not a multiple of det(S^v)")
-    zero_locus = DivisorData(a=ambient.a - twist.rank * twist.rho, b=n - column_sums[0])
+    zero_locus = DivisorData(a=ambient.a - twist.rank * twist.rho, b=n - column_sums.pop())
     return ambient, zero_locus
 
 
@@ -325,7 +331,7 @@ def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
 
 def class_rows(
     target: FlagTarget,
-    twist: TwistSpec,
+    twist: TwistSpec | None,
     dmax: int,
     divisor: DivisorData | None = None,
     orbit: bool = False,
@@ -340,46 +346,41 @@ def class_rows(
     when enumeration cannot terminate, and when the literal lattice floors
     do not bound the degree and every e_j > 0: there nothing forces a point
     with negative fiber degrees to vanish, so no finite set of classes is
-    known to hold every contributing point.  A class of degree x has
-    D <= x // slope, slope = a + b * _fiber_rate, and k at least the sum of
-    lattice_range's per-root floors; with orbit, only the classes in which
-    lattice_range(orbit=True) can yield a point: k at least D times the r
-    largest -e_j (P^3 blown up in (1,2) through x^60: 651 of 961 classes).
-    With twist_floor, k is at least -r rho D too: standard twist rows with
-    nonconvex points skipped bound every d_i >= -rho D (lattice_range).
+    known to hold every contributing point.  Raises ValueError for twist
+    rows of the wrong length (weight_rows), under any grading.
+
+    Every class that can hold a point has k >= rate * D, so a class of
+    degree x has D <= x // slope, slope = a + b * rate.  The rate is the
+    largest of _fiber_rate; with orbit, the r largest -e_j summed, below
+    which lattice_range(orbit=True) yields no point (P^3 blown up in (1,2)
+    through x^60: 651 of 961 classes); and with twist_floor, -r rho, since
+    standard twist rows with nonconvex points skipped bound every
+    d_i >= -rho D (lattice_range).  With dmin = 0 every row holds a class.
     """
+    weight_rows(target, twist)
     if divisor is None:
         _, divisor = anticanonical(target, twist)
     a, b = divisor.a, divisor.b
-    slope = a + b * _fiber_rate(target, divisor)
-    # the per-root floors sum to k_rate * D for D >= 0: r times the least
-    # -e_j D (lattice_floor), or on the orbit path the r largest -e_j D
-    floors = sorted(-e for e in target.e_degrees)
-    k_rate = sum(floors[-target.rank :]) if orbit else target.rank * floors[0]
+    rate = _fiber_rate(target, divisor)
+    if orbit:
+        rate = max(rate, sum(sorted(-e for e in target.e_degrees)[-target.rank :]))
     if twist_floor:
-        k_rate = max(k_rate, -target.rank * twist.rho)
-    for D in range(dmax // slope + 1):
-        low = max(dmin, slope * D) - a * D  # b k must reach it
-        ks = range(max(k_rate * D, -(-low // b)), (dmax - a * D) // b + 1)
+        rate = max(rate, -target.rank * twist.rho)
+    for D in range(dmax // (a + b * rate) + 1):
+        ks = range(max(rate * D, -((a * D - dmin) // b)), (dmax - a * D) // b + 1)
         yield D, ks, range(a * D + b * ks.start, a * D + b * ks.stop, b)
-
-
-def class_walk(*args, **kwargs) -> Iterator[tuple[int, CurveClass]]:
-    """(degree, class) for every class of class_rows(*args, **kwargs), by increasing D."""
-    for D, ks, degrees in class_rows(*args, **kwargs):
-        for x_deg, k in zip(degrees, ks):
-            yield x_deg, CurveClass(D, k)
 
 
 def class_enumeration(
     target: FlagTarget,
-    twist: TwistSpec,
+    twist: TwistSpec | None,
     x_deg: int,
     divisor: DivisorData | None = None,
     orbit: bool = False,
 ) -> list[CurveClass]:
-    """All curve classes of the given degree: class_walk from x_deg to x_deg."""
-    return [cls for _, cls in class_walk(target, twist, x_deg, divisor, orbit, x_deg)]
+    """All curve classes of the given degree: the rows of class_rows from x_deg to x_deg."""
+    rows = class_rows(target, twist, x_deg, divisor, orbit, x_deg)
+    return [CurveClass(D, k) for D, ks, _ in rows for k in ks]
 
 
 def all_weyl_pairs(target: FlagTarget) -> list[tuple[int, int]]:

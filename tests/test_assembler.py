@@ -40,7 +40,6 @@ from grperiod.targets import (
     all_weyl_pairs,
     class_enumeration,
     class_rows,
-    class_walk,
     example3_normalized_model,
     example3_verbatim_model,
     normalize_blowup,
@@ -135,6 +134,37 @@ def test_period_dmax_zero(p4_112):
 def test_period_rejects_negative_dmax(p4_112):
     with pytest.raises(ValueError):
         period_series(*p4_112, dmax=-1)
+
+
+def test_no_twist_gives_the_product_period_of_p2_times_p1():
+    # Gr(1, O + O) over P^2 with no twist rows is P^2 x P^1, whose period
+    # is n! sum_{3a + 2b = n} 1 / (a!^3 b!^2); no twist reads as no rows
+    f = math.factorial
+    expected = tuple(
+        f(n) * sum(
+            Fraction(1, f(a) ** 3 * f(b) ** 2)
+            for a in range(n // 3 + 1)
+            for b in range(n // 2 + 1)
+            if 3 * a + 2 * b == n
+        )
+        for n in range(13)
+    )
+    assert expected[:9] == (1, 0, 2, 6, 6, 120, 110, 1260, 5110)
+    target = FlagTarget(2, (0, 0), 1)
+    ps = period_series(target, None, 12)
+    assert ps.regularised == expected
+    assert period_series(target, TwistSpec((), 0), 12) == ps
+
+
+@pytest.mark.parametrize("rows", [((1, 0, 7), (0, 1, 9)), ((1,), (0, 1))], ids=["long", "short"])
+@pytest.mark.parametrize("divisor", [None, DivisorData(3, 2)], ids=["-K", "3h + 2det"])
+def test_wrong_length_twist_rows_are_refused(rows, divisor):
+    # under an explicit grading too: class_rows checks the rows, not only anticanonical
+    target, twist = FlagTarget(4, (0, 0, -1), 2), TwistSpec(rows, 1)
+    with pytest.raises(ValueError, match="length does not match rank"):
+        period_series(target, twist, 6, divisor=divisor)
+    with pytest.raises(ValueError, match="length does not match rank"):
+        estimate_points(target, twist, 6, divisor)
 
 
 def test_factor_caches_do_not_leak_between_calls(p4_112, p6_122):
@@ -243,15 +273,28 @@ def test_budget_counts_the_points_that_are_summed():
     model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
     assert estimate_points(*model, 11) == 21
     for orbit, points in ((True, 21), (False, 45)):
-        listed = assembler._listed(SummandContext(*model, orbit=orbit), 11, None, False)
-        assert sum(map(len, listed)) == points
+        rows = class_rows(*model, 11, None, orbit)
+        counts, listed = assembler._listed(SummandContext(*model, orbit=orbit), rows, 11, False)
+        assert sum(map(len, listed)) == sum(counts) == points
+
+
+def _per_point_pairs(ctx, dmax, divisor=None, skip=False):
+    """Each degree's (point, class) pairs through x^dmax, listed class by class."""
+    return [
+        [
+            (d, cls)
+            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor, ctx.orbit)
+            for d in class_points(cls, ctx, skip)
+        ]
+        for x_deg in range(dmax + 1)
+    ]
 
 
 def test_rank_one_budget_counts_the_classes_of_the_rows():
     # deep-r1's model through x^60: the rows hold 651 classes, each one
-    # point, counted per degree as estimate_points lists them
+    # point, counted per degree as the points are listed class by class
     model = normalize_blowup(BlowUpSpec(3, (1, 2)))
-    listed = assembler._listed(SummandContext(*model, orbit=True), 60, None, False)
+    listed = _per_point_pairs(SummandContext(*model, orbit=True), 60)
     per_degree = ", ".join(f"{d}: {len(pairs)}" for d, pairs in enumerate(listed))
     assert estimate_points(*model, 60) == 651
     with pytest.raises(WorkBudgetError) as exc:
@@ -259,6 +302,15 @@ def test_rank_one_budget_counts_the_classes_of_the_rows():
     message = f"estimated 651 lattice points exceeds budget 650 (per degree {per_degree})"
     assert message in str(exc.value)
     period_series(*model, 60, budget=651)
+    # estimate_points counts what the budget counts on every r = 1 row model
+    # whose nonconvex points are kept
+    kept = [m for m in _r1_row_models() if not m[3]]
+    assert len(kept) == 61
+    for target, twist, divisor, _, dmax, label in kept:
+        with pytest.raises(WorkBudgetError) as exc:
+            unit_series(target, twist, dmax, divisor=divisor, budget=0)
+        estimate = estimate_points(target, twist, dmax, divisor)
+        assert f"estimated {estimate} lattice points" in str(exc.value), label
 
 
 @pytest.mark.parametrize(
@@ -309,10 +361,18 @@ def test_orbit_path_is_chosen_from_the_model():
 
 
 def _units_through_x6(target, twist, divisor, skip, orbit):
-    """_unit over _listed through x^6 on an orbit or a packed context, or the error raised."""
+    """The units unit_series sums through x^6 on an orbit or a packed context, or the error raised.
+
+    _unit over _listed's pairs, or at r = 1 on an orbit context, where
+    _listed lists none, _row_units over the rows.
+    """
     ctx = SummandContext(target, twist, orbit=orbit)
     try:
-        return [assembler._unit(pairs, ctx) for pairs in assembler._listed(ctx, 6, divisor, skip)]
+        rows = list(class_rows(target, twist, 6, divisor, orbit, twist_floor=orbit and skip))
+        listed = assembler._listed(ctx, rows, 6, skip)[1]
+        if listed is None:
+            return assembler._row_units(rows, ctx, 6)
+        return [assembler._unit(pairs, ctx) for pairs in listed]
     except (GradingError, TwistRangeError, NotDivisibleError) as exc:
         return type(exc)
 
@@ -364,7 +424,7 @@ def _r1_row_models():
 
 def test_rank_one_rows_give_the_per_point_units():
     # each degree's unit from the rows of its base degrees equals _unit over
-    # the points _listed lists, on the same orbit context
+    # its points, listed class by class, on the same orbit context
     models = list(_r1_row_models())
     assert len(models) == 63
     for target, twist, divisor, skip, dmax, label in models:
@@ -372,13 +432,13 @@ def test_rank_one_rows_give_the_per_point_units():
         for z in R1_ROW_Z:
             ctx = SummandContext(target, twist, z, orbit=True)
             rows = class_rows(target, twist, dmax, divisor, True, twist_floor=skip)
-            expected = [assembler._unit(p, ctx) for p in assembler._listed(ctx, dmax, divisor, skip)]
+            expected = [assembler._unit(p, ctx) for p in _per_point_pairs(ctx, dmax, divisor, skip)]
             assert assembler._row_units(rows, ctx, dmax) == expected, (label, z)
             assert any(expected[1:]), (label, z)
 
 
 def test_rank_one_row_scalars_are_the_summands_at_their_points():
-    # P^3 in (1,2) through x^60: the rows list the points _listed lists, and
+    # P^3 in (1,2) through x^60: the rows list the points of the classes, and
     # each row scalar times z is oh_summand at its point on the orbit
     # context and the constant term of the packed summand
     model = normalize_blowup(BlowUpSpec(3, (1, 2)))
@@ -392,7 +452,7 @@ def test_rank_one_row_scalars_are_the_summands_at_their_points():
             assert oh_summand((k,), cls, ctx) == (num * ctx.p, den * ctx.q)
             terms, q = oh_summand((k,), cls, packed)
             assert Fraction(num * ctx.p, den * ctx.q) == Fraction(dict(terms).get(0, 0), q)
-    listed = assembler._listed(ctx, 60, None, False)
+    listed = _per_point_pairs(ctx, 60)
     assert sorted(points) == sorted(
         (x_deg, d, cls) for x_deg, pairs in enumerate(listed) for d, cls in pairs
     )
@@ -701,27 +761,29 @@ def test_no_weyl_denominator_outlives_its_call(monkeypatch):
 
 def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     target, twist = p4_112
-    walked, degrees = [], []
+    walks, walked, degrees = [], [], []
 
-    def walk(*args):
-        for item in class_walk(*args):
-            walked.append(item)
-            yield item
+    def walk(*args, **kwargs):
+        walks.append(args)
+        for D, ks, x_degs in class_rows(*args, **kwargs):
+            walked.extend((x_deg, CurveClass(D, k)) for x_deg, k in zip(x_degs, ks))
+            yield D, ks, x_degs
 
     def counted(target, twist, x_deg, divisor=None, orbit=False):
         degrees.append(x_deg)
         return class_enumeration(target, twist, x_deg, divisor, orbit)
 
-    monkeypatch.setattr("grperiod.assembler.class_walk", walk)
+    monkeypatch.setattr("grperiod.assembler.class_rows", walk)
     monkeypatch.setattr("grperiod.assembler.class_enumeration", counted)
     period_series(target, twist, 8)
-    # one walk lists each class of degrees 0..8 once, for the budget
-    # estimate and the sum, and correction_C enumerates degree 1
+    # one class_rows walk lists each class of degrees 0..8 once, for the
+    # budget estimate and the sum, and correction_C enumerates degree 1
     expected = [
         (x_deg, cls)
         for x_deg in range(9)
         for cls in class_enumeration(target, twist, x_deg, orbit=True)
     ]
+    assert len(walks) == 1
     assert len(walked) == len(set(walked)) == len(expected)
     assert sorted(walked, key=lambda item: item[0]) == expected
     assert degrees == [1]

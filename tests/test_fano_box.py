@@ -37,7 +37,7 @@ from grperiod.targets import (
     _fiber_rate,
     anticanonical,
     class_enumeration,
-    class_walk,
+    class_rows,
     example3_verbatim_model,
     lattice_range,
     normalize_blowup,
@@ -141,8 +141,8 @@ def _orbit_class_floor(target, cls):
 
 def test_orbit_class_skip_drops_no_point():
     # class_enumeration(orbit=True) leaves out every class below the sum of
-    # lattice_range's per-root orbit floors, so _listed never asks for its
-    # points; each of them has no point
+    # lattice_range's per-root orbit floors, and so do the rows _listed
+    # reads, so it never asks for their points; each of them has no point
     skipped = 0
     for base_dim, degrees in FANO_BOX:
         target, twist = normalize_blowup(BlowUpSpec(base_dim, degrees))
@@ -160,7 +160,10 @@ def test_orbit_class_skip_drops_no_point():
                 pairs.extend((d, cls) for d in points)
             unskipped.append(pairs)
             assert class_enumeration(target, twist, x_deg, orbit=True) == above, (base_dim, degrees)
-        assert _listed(ctx, 12, None, False) == unskipped, (base_dim, degrees)
+        counts, listed = _listed(ctx, class_rows(target, twist, 12, None, True), 12, False)
+        assert counts == list(map(len, unskipped)), (base_dim, degrees)
+        # at r = 1 each class is its one point, summed by rows: no pairs are listed
+        assert listed == (None if target.rank == 1 else unskipped), (base_dim, degrees)
     assert skipped > 0
 
 
@@ -177,13 +180,23 @@ def test_orbit_class_skip_calls_class_points_only_above_the_floor(monkeypatch):
         return class_points(cls, ctx, skip_nonconvex)
 
     monkeypatch.setattr(assembler, "class_points", counted)
-    _listed(SummandContext(target, twist, orbit=True), 60, None, False)
-    assert len(calls) == 651
-    calls.clear()
+    rows = class_rows(target, twist, 60, None, True)
+    counts, _ = _listed(SummandContext(target, twist, orbit=True), rows, 60, False)
+    # at r = 1 each listed class is its one point, counted with no class_points call
+    assert sum(counts) == 651 and calls == []
     period_series(target, twist, 60)
     # the units are summed by rows of classes, whose budget count is 651
     # (test_assembler); correction_C reads its one degree-one class at z = 1 and 2
     assert len(calls) == 2
+    # at r = 2, P^4 in (1,1,2) through x^30: 91 of 256 classes, each asked once
+    target, twist = normalize_blowup(BlowUpSpec(4, (1, 1, 2)))
+    classes = [cls for x_deg in range(31) for cls in class_enumeration(target, twist, x_deg)]
+    above = [cls for cls in classes if cls.k >= _orbit_class_floor(target, cls)]
+    assert (len(classes), len(above)) == (256, 91)
+    calls.clear()
+    rows = class_rows(target, twist, 30, None, True)
+    _listed(SummandContext(target, twist, orbit=True), rows, 30, False)
+    assert sorted(calls, key=lambda c: (c.D, c.k)) == sorted(above, key=lambda c: (c.D, c.k))
 
 
 def test_p4_122_at_twist_level_3_raises():
@@ -223,8 +236,8 @@ def _walk_models():
 
 
 def test_class_walk_lists_each_degree_as_class_enumeration_does():
-    # one walk over degrees 0..12, base degree D first, must give each
-    # degree's classes in class_enumeration's order, and a grading that
+    # one class_rows walk over degrees 0..12, base degree D first, must give
+    # each degree's classes in class_enumeration's order, and a grading that
     # _fiber_rate refuses must raise its GradingError from both
     walked = refused = 0
     for target, twist, divisor in _walk_models():
@@ -234,7 +247,7 @@ def test_class_walk_lists_each_degree_as_class_enumeration_does():
             message = re.escape(str(exc))
             for orbit in (False, True):
                 with pytest.raises(GradingError, match=message):
-                    list(class_walk(target, twist, 12, divisor, orbit))
+                    list(class_rows(target, twist, 12, divisor, orbit))
                 with pytest.raises(GradingError, match=message):
                     class_enumeration(target, twist, 3, divisor, orbit)
             refused += 1
@@ -242,10 +255,12 @@ def test_class_walk_lists_each_degree_as_class_enumeration_does():
         for orbit in (False, True):
             per_degree = [[] for _ in range(13)]
             base_degrees = []
-            for x_deg, cls in class_walk(target, twist, 12, divisor, orbit):
-                assert divisor.pairing(cls) == x_deg
-                per_degree[x_deg].append(cls)
-                base_degrees.append(cls.D)
+            for D, ks, degrees in class_rows(target, twist, 12, divisor, orbit):
+                for x_deg, k in zip(degrees, ks):
+                    cls = CurveClass(D, k)
+                    assert divisor.pairing(cls) == x_deg
+                    per_degree[x_deg].append(cls)
+                    base_degrees.append(cls.D)
             assert base_degrees == sorted(base_degrees)
             for x_deg, classes in enumerate(per_degree):
                 key = (target, divisor, x_deg, orbit)
@@ -253,3 +268,38 @@ def test_class_walk_lists_each_degree_as_class_enumeration_does():
                 assert classes == _enumeration_reference(target, divisor, x_deg, orbit), key
             walked += sum(map(len, per_degree))
     assert walked > 0 and refused > 0
+
+
+def test_every_row_holds_a_class():
+    # class_rows ends D where rate * D passes dmax, so through x^12 no row it
+    # yields is empty, and each row's classes are the reference's at their
+    # degrees
+    rows = 0
+    for target, twist, divisor in _walk_models():
+        try:
+            _fiber_rate(target, divisor)
+        except GradingError:
+            continue
+        for orbit in (False, True):
+            for D, ks, degrees in class_rows(target, twist, 12, divisor, orbit):
+                key = (target, divisor, orbit, D)
+                assert ks, key
+                for x_deg, k in zip(degrees, ks):
+                    reference = _enumeration_reference(target, divisor, x_deg, orbit)
+                    assert CurveClass(D, k) in reference, key
+                rows += 1
+    assert rows > 0
+    # the rows unit_series walks on the benchmark's workloads, and on P^24
+    # blown up in (1^12, 2) through x^70, whose classes all have D <= 5
+    pinned, pinned_twist, pinned_divisor = example3_verbatim_model()
+    walks = {
+        "highrank": (*normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2))), 11, None, False),
+        "pinned-sparse": (pinned, pinned_twist, 20, pinned_divisor, True),
+        "deep-r1": (*normalize_blowup(BlowUpSpec(3, (1, 2))), 60, None, False),
+        "P^24": (*normalize_blowup(BlowUpSpec(24, (1,) * 12 + (2,))), 70, None, False),
+    }
+    counts = {
+        name: len(list(class_rows(target, twist, dmax, divisor, True, twist_floor=floor)))
+        for name, (target, twist, dmax, divisor, floor) in walks.items()
+    }
+    assert counts == {"highrank": 3, "pinned-sparse": 3, "deep-r1": 21, "P^24": 6}

@@ -15,7 +15,7 @@ from grperiod.targets import (
     all_weyl_pairs,
     anticanonical,
     class_enumeration,
-    class_walk,
+    class_rows,
     example3_normalized_model,
     example3_verbatim_model,
     lattice_floor,
@@ -108,6 +108,7 @@ def test_anticanonical_empty_twist_is_ambient(p4_112):
     target, _ = p4_112
     ambient, zero = anticanonical(target, TwistSpec(weight_vectors=(), rho=0))
     assert ambient == zero
+    assert anticanonical(target, None) == (ambient, zero)  # no twist reads as no rows
 
 
 def test_anticanonical_rejects_unbalanced_twist(p4_112):
@@ -246,6 +247,12 @@ def test_pruned_lattice_range_equals_the_filtered_range():
     assert cases == 120_000
 
 
+def _walked(*args, **kwargs):
+    """(degree, class) for every class of class_rows(*args, **kwargs), by increasing D."""
+    rows = class_rows(*args, **kwargs)
+    return [(x_deg, CurveClass(D, k)) for D, ks, degrees in rows for x_deg, k in zip(degrees, ks)]
+
+
 def test_twist_floor_drops_only_classes_without_a_point():
     # standard twist rows with nonconvex points skipped bound every
     # d_i >= -rho D, so at rho = 0 a class with k < 0 has no point under the twist
@@ -253,8 +260,8 @@ def test_twist_floor_drops_only_classes_without_a_point():
     for target in (FlagTarget(3, (2, 1), 1), FlagTarget(4, (1, 1, 0), 2), FlagTarget(4, (1, 1, 1, 0), 3)):
         twist = TwistSpec(standard_basis(target.rank), rho=0)
         for orbit in (False, True):
-            walked = list(class_walk(target, twist, 20, None, orbit))
-            kept = list(class_walk(target, twist, 20, None, orbit, twist_floor=True))
+            walked = _walked(target, twist, 20, None, orbit)
+            kept = _walked(target, twist, 20, None, orbit, twist_floor=True)
             assert set(kept) <= set(walked), (target, orbit)
             dropped = [cls for x_deg, cls in walked if (x_deg, cls) not in kept]
             drops.append(len(dropped))
