@@ -215,8 +215,6 @@ def build_model(cfg: RunConfig) -> Model:
             raise ConfigError("target mode needs base_dim, e_degrees, ranks, rho")
         target = FlagTarget(cfg.base_dim, cfg.e_degrees, cfg.ranks)
         weights = standard_basis(cfg.ranks) if cfg.twist_weights is None else cfg.twist_weights
-        if any(len(row) != cfg.ranks for row in weights):
-            raise ConfigError(f"each row of twist_weights needs ranks = {cfg.ranks} entries")
         twist = TwistSpec(weight_vectors=weights, rho=cfg.rho)
         divisor = None
         if (cfg.grading_a is None) != (cfg.grading_b is None):

@@ -17,6 +17,7 @@ staircase coefficient from.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -312,31 +313,25 @@ class PackedRing:
     denominator of the roots on its first `weyl_unit` call and keeps it.
     """
 
-    __slots__ = ("nvars", "cap", "radix", "limit", "_weyl")
+    __slots__ = ("nvars", "cap", "radix", "limit", "_weights", "_weyl")
 
     def __init__(self, nvars: int, cap: int):
         self.nvars = nvars
         self.cap = cap
         self.radix = cap + 1
         self.limit = (cap + 1) * self.radix**nvars
+        top = self.radix**nvars  # every generator also adds 1 to the top digit
+        self._weights = [self.radix**i + top for i in range(nvars)]
         self._weyl: tuple[int, list] | None = None
 
     def key(self, expo: Iterable[int]) -> int:
-        expo = tuple(expo)
-        key = sum(expo) * self.radix**self.nvars
-        for i, e in enumerate(expo):
-            key += e * self.radix**i
-        return key
+        return sum(map(operator.mul, expo, self._weights))
 
     def pack(self, terms: Mapping[tuple, Fraction | int]) -> tuple[list, int]:
         """Packed value of {exponent tuple: rational}, dropping degrees > cap."""
-        kept = {
-            self.key(expo): _as_fraction(c)
-            for expo, c in terms.items()
-            if c and sum(expo) <= self.cap
-        }
-        den = math.lcm(*(c.denominator for c in kept.values()))
-        return sorted((k, c.numerator * (den // c.denominator)) for k, c in kept.items()), den
+        kept = [(self.key(expo), c) for expo, c in terms.items() if c and sum(expo) <= self.cap]
+        den = math.lcm(*(c.denominator for _, c in kept))
+        return sorted((k, c.numerator * (den // c.denominator)) for k, c in kept), den
 
     def product(self, a: tuple[list, int], b: tuple[list, int]) -> tuple[list, int]:
         """a * b, with b's terms sorted by key; the result's terms are unsorted."""

@@ -37,24 +37,27 @@ shared by the points, classes and degrees of one computation:
 Every factor series has the context's `length`: cap + 1 coefficients on a
 packed context, which multiplies them out through degree cap, and r on an
 orbit context, whose tables read no more.  z = p/q enters the series as
-the integers p and q, so no part of a summand is a Fraction.
+the integers p and q, so every part of a summand is held in integers.
 
-The parts are multiplied in the integer kernel `ring.PackedRing`, and the
-summand stays a packed value of that kernel, ready to be added up by the
-assembler.  A context made with orbit=True, for the S_r-orbit path of a
-standard-row model, multiplies nothing out: it reads each point's
-coefficient at the staircase monomial off one r x r integer determinant
-(`staircase`), whose row a comes from the table of d_a, built from the r
-coefficients of `root_poly`.  At r = 1, where the cap is 0, the summands
-of the points (k,) at one D are their factors' constant terms (`constants`).
-The GradedPoly helpers below (`factor_ratio`, `base_j_factor`, `flag_factor`,
-`weyl_block`, `twist_factor`) compute the same factors in the full ring, h included,
-and serve as its reference.
+The parts are packed (`PackedRing.pack`) and multiplied in the integer
+kernel `ring.PackedRing`, the one place that knows how a monomial packs
+into a key, and the summand stays a packed value of that kernel, ready to
+be added up by the assembler.  A context made with orbit=True, for the
+S_r-orbit path of a standard-row model, multiplies nothing out: it reads
+each point's coefficient at the staircase monomial off one r x r integer
+determinant (`staircase`), whose row a comes from the table of d_a, built
+from the r coefficients of `root_poly`, at every rank.  At r = 1, where the
+cap is 0, the assembler sums a row of points (k,) at one D from their
+factors' constant terms (`constants`).  The GradedPoly helpers below
+(`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
+`twist_factor`) compute the same factors in the full ring, h included, and
+serve as its reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .ring import GradedPoly, PackedRing, integer_det, poly_mul, unit_inverse
@@ -220,19 +223,20 @@ class SummandContext:
         return out
 
     def root_factor(self, i: int, di: int, D: int):
-        """Packed factor of root i (0-based) at (d_i, D): root_poly on x_(i+1).
-
-        x_(i+1)^k packs as k (B^(i+1) + B^nvars), so the terms come out
-        sorted by key.  Cached by (i, d_i, D).
-        """
+        """root_poly of root i (0-based) at (d_i, D) packed on x_(i+1), cached by (i, d_i, D)."""
         key = (i, di, D)
         out = self._factors.get(key)
         if out is None:
-            kernel = self.kernel
             nums, den = self.root_poly(self.local_rows[i], di, D)
-            step = kernel.radix ** (i + 1) + kernel.radix**self.target.nvars
-            out = self._factors[key] = [(k * step, c) for k, c in enumerate(nums) if c], den
+            terms = {self._power(i, k): c for k, c in enumerate(nums)}
+            out = self._factors[key] = self.kernel.pack(terms)[0], den
         return out
+
+    def _power(self, i: int, k: int) -> tuple[int, ...]:
+        """Exponent tuple of x_(i+1)^k, root i 0-based."""
+        expo = [0] * self.target.nvars
+        expo[i + 1] = k
+        return tuple(expo)
 
     def shift(self, d: int) -> tuple[int, int]:
         """d z as reduced (num, den), the shift of a root at fibre degree d in the Weyl factors."""
@@ -241,18 +245,10 @@ class SummandContext:
         return num // g, self.q // g
 
     def _linear(self, weights, num: int, den: int) -> tuple[list, int]:
-        """Packed sum f x_(i+1) over (i, f) in weights, plus num / den (den > 0).
-
-        The roots i (0-based) are distinct.  The terms are sorted by key and
-        reduced with den by their gcd; at cap 0 only the constant is kept.
-        """
-        kernel = self.kernel
-        terms = [(0, num)] if num else []
-        if kernel.cap:
-            top = kernel.radix**self.target.nvars
-            terms += [(kernel.radix ** (i + 1) + top, f * den) for i, f in weights if f]
-        g = math.gcd(den, *(c for _, c in terms))
-        return sorted((k, c // g) for k, c in terms), den // g
+        """Packed num / den plus f x_(i+1) over (i, f) in weights, roots i distinct, 0-based."""
+        terms = {self._power(i, 1): f for i, f in weights}
+        terms[(0,) * self.target.nvars] = Fraction(num, den)
+        return self.kernel.pack(terms)
 
     def weyl_factor(self, a: int, b: int, diff: int):
         """Packed x_a - x_b + diff z (roots 0-based), cached by (a, b, diff)."""
@@ -423,10 +419,9 @@ def weyl_block(d: tuple[int, ...], ctx: SummandContext) -> tuple[GradedPoly, int
 
 
 def twist_uppers(twist: TwistSpec, cls: CurveClass, d: tuple[int, ...]) -> list[int]:
-    return [
-        sum(f * di for f, di in zip(row, d)) + twist.rho * cls.D
-        for row in twist.weight_vectors
-    ]
+    """Upper limit u_s = f_s . d + rho D of each twist row s at the point d of cls."""
+    top = twist.rho * cls.D
+    return [sum(map(operator.mul, row, d)) + top for row in twist.weight_vectors]
 
 
 def twist_factor(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext) -> GradedPoly:
@@ -469,23 +464,22 @@ def oh_summand(d: tuple[int, ...], cls: CurveClass, ctx: SummandContext):
     base_constant(D) * sign * z.  The result is a packed value of ctx.kernel
     (`ctx.kernel.to_graded` gives the GradedPoly, which has no h term).  An
     orbit context returns z * sign * ctx.staircase(d, D) as (numerator,
-    den), or z * ctx.constants(D, d)[0] at r = 1.  A negative twist upper limit
-    raises TwistRangeError from the factor of its row.
+    den), at every rank.  A negative twist upper limit raises
+    TwistRangeError from the factor of its row.
     """
     kernel, D, r = ctx.kernel, cls.D, len(d)
     p = weyl_sign(d) * ctx.p  # sign * z = p / q
     if ctx.orbit:
-        num, den = ctx.staircase(d, D) if r >= 2 else ctx.constants(D, d)[0]
+        num, den = ctx.staircase(d, D)
         return num * p, den * ctx.q
     out = ctx.root_factor(0, d[0], D)
     for j in range(1, r):
         out = kernel.product(out, ctx.root_factor(j, d[j], D))
         for a in range(j):
             out = kernel.product(out, ctx.weyl_factor(a, j, d[a] - d[j]))
-    twist = ctx.twist
+    uppers = twist_uppers(ctx.twist, cls, d) if ctx.general_rows else None
     for s in ctx.general_rows:
-        upper = sum(f * di for f, di in zip(twist.weight_vectors[s], d)) + twist.rho * D
-        out = kernel.product(out, ctx.row_factor(s, upper))
+        out = kernel.product(out, ctx.row_factor(s, uppers[s]))
     terms, den = out
     num, base_den = ctx.base_constant(D)
     num *= p

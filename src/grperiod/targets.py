@@ -162,7 +162,7 @@ def weight_rows(target: FlagTarget, twist: TwistSpec | None) -> tuple[tuple[int,
     """
     rows = twist.weight_vectors if twist is not None else ()
     if any(len(row) != target.rank for row in rows):
-        raise ValueError("twist weight vector length does not match rank")
+        raise ValueError(f"twist_weights row length does not match rank {target.rank}")
     return rows
 
 

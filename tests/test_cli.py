@@ -278,6 +278,7 @@ def test_target_mode_twist_rows_need_ranks_entries(tmp_path, capsys, rows):
     rc, out, err = run(capsys, ["jreport", "--config", str(cfg), "--dmax", "4"])
     assert rc == 1 and out == ""
     assert "twist_weights" in err
+    assert "does not match rank" in err  # the engine's check, not a CLI copy of it
 
 
 def test_blowup_mode_needs_model_args(capsys):
