@@ -40,8 +40,10 @@ Four structural facts keep this cheap and are relied on throughout:
   staircase row is zero is not listed (P^8 blown up in (1,1,1,1,2) through
   x^11: 21 points).  At r = 1, where the class (D, k) is the point (k,),
   the budget counts the classes of one row per D (`targets.class_rows`),
-  whose scalars come from one `SummandContext.constants` call
-  (`_row_units`).  The c * Delta check cannot run on these scalars (and
+  whose scalars come from one `SummandContext.constants` call, each after
+  the first by the ratio of consecutive terms, over one denominator per
+  row; `_row_units` adds them as integers over the lcm of the rows'
+  denominators.  The c * Delta check cannot run on these scalars (and
   at r = 1, where Delta = 1, it would be empty); a Fano blow-up has its
   units checked against the Euler-sequence sum
   `validation.oracle_blowup_raw` instead.
@@ -347,19 +349,27 @@ def _unit(pairs: list, ctx: SummandContext) -> Fraction:
     return _lcm_sum([oh_summand(d, cls, ctx) for d, cls in pairs])
 
 
-def _lcm_sum(parts: list[tuple[int, int]], p: int = 1, q: int = 1) -> Fraction:
-    """p/q times the sum of the (numerator, den) parts, over the lcm of their dens."""
+def _lcm_sum(parts: list[tuple[int, int]]) -> Fraction:
+    """The sum of the (numerator, den) parts, over the lcm of their dens."""
     den = math.lcm(*(d for _, d in parts))
-    return Fraction(p * sum(n * (den // d) for n, d in parts), q * den)
+    return Fraction(sum(n * (den // d) for n, d in parts), den)
 
 
 def _row_units(rows: list, ctx: SummandContext, dmax: int) -> list[Fraction]:
-    """The unit of each degree 0..dmax: z times the sum of its points' constants."""
-    parts: list[list] = [[] for _ in range(dmax + 1)]
-    for D, ks, degrees in rows:
-        for x_deg, part in zip(degrees, ctx.constants(D, ks)):
-            parts[x_deg].append(part)
-    return [_lcm_sum(degree, ctx.p, ctx.q) for degree in parts]
+    """The unit of each degree 0..dmax: z times the sum of its points' constants.
+
+    Each row's constants share one denominator, so one lcm over the rows'
+    denominators puts every numerator over one denominator, and each degree
+    makes one Fraction.
+    """
+    scalars = [(degrees, ctx.constants(D, ks)) for D, ks, degrees in rows]
+    den = math.lcm(*(row[0][1] for _, row in scalars))
+    sums = [0] * (dmax + 1)
+    for degrees, row in scalars:
+        scale = den // row[0][1]
+        for x_deg, (num, _) in zip(degrees, row):
+            sums[x_deg] += num * scale
+    return [Fraction(ctx.p * s, ctx.q * den) for s in sums]
 
 
 def _check_against_oracle(

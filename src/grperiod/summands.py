@@ -47,8 +47,10 @@ S_r-orbit path of a standard-row model, multiplies nothing out: it reads
 each point's coefficient at the staircase monomial off one r x r integer
 determinant (`staircase`), whose row a comes from the table of d_a, built
 from the r coefficients of `root_poly`, at every rank.  At r = 1, where the
-cap is 0, the assembler sums a row of points (k,) at one D from their
-factors' constant terms (`constants`).  The GradedPoly helpers below
+cap is 0, the assembler sums a row of points (k,) at one D (`constants`):
+the first from its factors' constant terms, each later one from the one
+before by a ratio of small integers, all over one denominator.  The
+GradedPoly helpers below
 (`factor_ratio`, `base_j_factor`, `flag_factor`, `weyl_block`,
 `twist_factor`) compute the same factors in the full ring, h included, and
 serve as its reference.
@@ -203,22 +205,32 @@ class SummandContext:
             out = self._roots[key] = poly, den
         return out
 
-    def constants(self, D: int, ks: range | tuple[int, ...]) -> list[tuple[int, int]]:
+    def constants(self, D: int, ks: range) -> list[tuple[int, int]]:
         """(numerator, den) of a rank-1 standard-row model's summand at each (k,) and D, before z.
 
-        At r = 1 the cap is 0: base_constant(D) times the constant terms of
-        the slot series at k + e D and the twist series at f k + rho D (no
-        f^k scaling moves them), every twist row read, as in root_poly.
+        ks is a row of class_rows with orbit: consecutive k from at least
+        max(-e_j) D, where no slot series vanishes.  The first k is
+        base_constant(D) times the constant terms of its slot series and of
+        its one twist row's series, so a negative twist range raises
+        TwistRangeError; with z = p/q and n = len(e_degrees), each later k is
+        the one before times (k + rho D) q^(n-1) / (p^(n-1) prod_e (k + e D)).
+        The row shares one denominator, and each numerator is the one before
+        divided by the ratio's denominator and times its numerator.
         """
-        factors = [(self.slot_series, 1, e * D) for e in self.target.e_degrees]
-        factors += [(self.twist_series, f, self.twist.rho * D) for f in self.local_rows[0]]
-        base, out = self.base_constant(D), []
-        for k in ks:
-            num, den = base
-            for series, f, shift in factors:
-                nums, q = series(f * k + shift)
-                num *= nums[0]
-                den *= q
+        later, power, top = ks[1:], len(self.target.e_degrees) - 1, self.twist.rho * D
+        num, den = self.base_constant(D)
+        parts = [self.slot_series(ks.start + e * D) for e in self.target.e_degrees]
+        for nums, q in parts + [self.twist_series(ks.start + top)]:
+            num, den = num * nums[0], den * q
+        ups = [(k + top) * self.q**power for k in later]
+        downs = [self.p**power] * len(later)
+        for e in self.target.e_degrees:
+            downs = [b * (k + e * D) for b, k in zip(downs, later)]
+        scale = math.prod(downs)
+        num, den = num * scale, den * scale
+        out = [(num, den)]
+        for a, b in zip(ups, downs):
+            num = num // b * a
             out.append((num, den))
         return out
 

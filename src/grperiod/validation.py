@@ -420,8 +420,11 @@ def oracle_blowup(
     """Regularised period of P^N, N = base_dim, blown up in degrees c_0..c_r.
 
     The Euler-sequence sum `oracle_blowup_raw` times e^(-C x), with C its
-    degree-one coefficient, regularised.
+    degree-one coefficient, regularised.  Needs N + 1 > r max c (a Fano
+    blow-up), where the mirror map is e^(-C x).
     """
+    if base_dim + 1 <= (len(center_degrees) - 1) * max(center_degrees):
+        raise ValueError("oracle_blowup needs N + 1 > r * max(c)")
     return _regularise(oracle_blowup_raw(base_dim, center_degrees, dmax))
 
 
@@ -440,14 +443,15 @@ def oracle_blowup_raw(
     sum twists the toric I-function by pi^*F, divides out the factor of
     O(-P) and sets H = P = 0.  That twist by O(-P) is formal: O(-P) is not
     convex, so quantum Lefschetz does not cover it, and agreement with the
-    engine is evidence, not proof.  Needs N + 1 > r max c (a Fano blow-up).
-    Each degree's terms are added as integers over their lcm, so one
-    Fraction is made per degree.
+    engine is evidence, not proof.  Needs N + 1 > r min c, where each
+    degree is a finite sum: the term at (l, e) has degree at least
+    (N + 1 - r min c) l.  The blow-up need not be Fano.  Each degree's terms
+    are added as integers over their lcm, so one Fraction is made per degree.
     """
     c, N = tuple(center_degrees), base_dim
     r = len(c) - 1
-    if N + 1 <= r * max(c):
-        raise ValueError("oracle_blowup needs N + 1 > r * max(c)")
+    if N + 1 <= r * min(c):
+        raise ValueError("oracle_blowup_raw needs N + 1 > r * min(c)")
     terms: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
     l = 0
     while (N + 1 - r * min(c)) * l <= dmax:  # the lowest degree at this l

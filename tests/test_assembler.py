@@ -437,19 +437,36 @@ def test_rank_one_rows_give_the_per_point_units():
             assert any(expected[1:]), (label, z)
 
 
+@pytest.mark.parametrize("base_dim, degrees, dmax", [(3, (1, 2), 60), (5, (2, 3), 40)])
+def test_long_rank_one_rows_give_the_per_point_units(base_dim, degrees, dmax):
+    # rows of up to 61 classes on P^3 in (1,2) and 41 on P^5 in (2,3), each
+    # scalar after a row's first reached by the term ratio, against _unit
+    # over the points on a context of its own
+    model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    for z in R1_ROW_Z:
+        ctx = SummandContext(*model, z, orbit=True)
+        rows = class_rows(*model, dmax, None, True)
+        point_ctx = SummandContext(*model, z, orbit=True)
+        expected = [assembler._unit(p, point_ctx) for p in _per_point_pairs(point_ctx, dmax)]
+        assert assembler._row_units(rows, ctx, dmax) == expected, z
+
+
 def test_rank_one_row_scalars_are_the_summands_at_their_points():
     # P^3 in (1,2) through x^60: the rows list the points of the classes, and
     # each row scalar times z is oh_summand at its point on the orbit
-    # context and the constant term of the packed summand
+    # context and the constant term of the packed summand; the scalars of a
+    # row share one denominator
     model = normalize_blowup(BlowUpSpec(3, (1, 2)))
     ctx = SummandContext(*model, Fraction(-3, 2), orbit=True)
     packed = SummandContext(*model, Fraction(-3, 2))
     points = []
     for D, ks, degrees in class_rows(*model, 60, None, True):
-        for k, x_deg, (num, den) in zip(ks, degrees, ctx.constants(D, ks)):
+        row = ctx.constants(D, ks)
+        assert len(row) == len(ks) and len({den for _, den in row}) == 1
+        for k, x_deg, (num, den) in zip(ks, degrees, row):
             cls = CurveClass(D, k)
             points.append((x_deg, (k,), cls))
-            assert oh_summand((k,), cls, ctx) == (num * ctx.p, den * ctx.q)
+            assert Fraction(*oh_summand((k,), cls, ctx)) == Fraction(num * ctx.p, den * ctx.q)
             terms, q = oh_summand((k,), cls, packed)
             assert Fraction(num * ctx.p, den * ctx.q) == Fraction(dict(terms).get(0, 0), q)
     listed = _per_point_pairs(ctx, 60)
@@ -665,12 +682,40 @@ def test_r1_units_are_checked_against_the_oracle(monkeypatch):
         period_series(*model, 12, z=2)
 
 
+NON_FANO_R1 = [
+    (base_dim, degrees)
+    for base_dim in range(2, 9)
+    for degrees in itertools.combinations_with_replacement(range(1, 6), 2)
+    if min(degrees) < base_dim + 1 <= max(degrees)
+]
+
+
+def test_non_fano_r1_units_are_e_to_the_x_times_the_euler_sequence_sum():
+    # N + 1 <= max c: no period and no run-time check, but the Euler-sequence
+    # sum is finite in each degree where N + 1 > min c, and the units are e^x
+    # times it, as on a Fano blow-up
+    assert len(NON_FANO_R1) == 16
+    for base_dim, degrees in NON_FANO_R1:
+        model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        expected = oracle_blowup_raw(base_dim, degrees, 10)
+        for z in (1, Fraction(-3, 2)):
+            raw, _ = unit_series(*model, 10, z)
+            assert any(raw[2:]), (base_dim, degrees)
+            for d, u in enumerate(raw):
+                e = sum(expected[d - t] / math.factorial(t) for t in range(d + 1))
+                assert u * z ** (d - 1) == e, (base_dim, degrees, z, d)
+
+
 def test_r1_oracle_mismatch_names_the_e_to_the_x_product(monkeypatch):
     # at r = 1 the expected units are e^x times the Euler-sequence sum, and
-    # the message says so; at r >= 2 they are the sum itself
-    # (_lcm_sum adds the orbit units of both ranks: _unit's and _row_units')
-    original = assembler._lcm_sum
-    monkeypatch.setattr(assembler, "_lcm_sum", lambda parts, *scale: 2 * original(parts, *scale))
+    # the message says so; at r >= 2 they are the sum itself.  Doubled
+    # scalars: the r = 1 rows' (constants) and the r >= 2 points' (_lcm_sum)
+    constants = SummandContext.constants
+    monkeypatch.setattr(
+        SummandContext,
+        "constants",
+        lambda self, D, ks: [(2 * n, d) for n, d in constants(self, D, ks)],
+    )
     with pytest.raises(
         OracleMismatchError,
         match=re.escape(
@@ -679,6 +724,8 @@ def test_r1_oracle_mismatch_names_the_e_to_the_x_product(monkeypatch):
         ),
     ):
         period_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 4)
+    lcm_sum = assembler._lcm_sum
+    monkeypatch.setattr(assembler, "_lcm_sum", lambda parts: 2 * lcm_sum(parts))
     with pytest.raises(
         OracleMismatchError,
         match=re.escape(

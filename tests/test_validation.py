@@ -245,6 +245,24 @@ def test_oracle_blowup_raw_equals_the_termwise_sum():
         assert oracle_blowup_raw(base_dim, degrees, dmax) == expected, (base_dim, degrees)
 
 
+def test_oracle_blowup_raw_sums_blowups_that_are_not_fano():
+    # N + 1 <= r max c but N + 1 > r min c: every degree is still a finite
+    # sum, term by term; N + 1 <= r min c is refused
+    box = [
+        (N, c)
+        for N in range(2, 9)
+        for r in range(1, 4)
+        for c in combinations_with_replacement(range(1, 6), r + 1)
+        if r + 1 <= N and r * min(c) < N + 1 <= r * max(c)
+    ]
+    assert len(box) == 346 and (3, (3, 4)) in box and (4, (2, 2, 3)) in box
+    for base_dim, degrees in box:
+        expected = _termwise_blowup_raw(base_dim, degrees, 12)
+        assert oracle_blowup_raw(base_dim, degrees, 12) == expected, (base_dim, degrees)
+    with pytest.raises(ValueError, match="min"):
+        oracle_blowup_raw(3, (4, 5), 10)
+
+
 def test_oracle_blowup_matches_the_other_oracles():
     assert oracle_blowup(4, (1, 2, 2), 9) == (1, 0, 0, 24, 0, 120, 3240, 0, 40320, 672000)
     assert oracle_blowup(4, (1, 1, 2), 12) == oracle_example1(12)
