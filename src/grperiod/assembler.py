@@ -71,7 +71,6 @@ from .targets import (
     class_enumeration,
     class_rows,
     lattice_range,
-    slot_count,
     standard_basis,
 )
 from .validation import oracle_blowup_raw
@@ -128,11 +127,10 @@ def _forced_nilpotent_degree(
     """Lower bound on the nilpotent degree forced into a point's summand.
 
     The reference that `lattice_range` under a cap is tested against: the
-    generator yields exactly the points where this is at most the cap.
+    generator yields exactly the points where this is at most the cap.  It
+    counts d_i + e_j * D < 0 itself, sharing no code with the generator.
     """
-    forced = 0
-    for di in d:
-        forced += slot_count(target, di, D)
+    forced = sum(1 for di in d for e in target.e_degrees if di + e * D < 0)
     r = len(d)
     for i in range(r):
         for j in range(i + 1, r):

@@ -185,28 +185,17 @@ def anticanonical(target: FlagTarget, twist: TwistSpec | None) -> tuple[DivisorD
     return ambient, zero_locus
 
 
-def lattice_floor(target: FlagTarget, D: int) -> int:
-    """Lower bound for each fiber degree d_i at base degree D.
+def slot_thresholds(target: FlagTarget, D: int) -> list[int]:
+    """The values -e_j * D in increasing order, one per slot O(e_j).
 
-    Points with some d_i below min_j(-e_j * D) vanish in the cohomology of
-    the bundle (every slot factor then carries the full Chern relation of
-    E), but not in the free truncated ring, so they must be excluded here
-    rather than relied on to cancel.
+    At base degree D a root of fiber degree d_i below -e_j * D forces the
+    m = 0 factor of slot O(e_j), of positive degree and no constant term,
+    into the summand.  Below the least threshold, every slot factor carries
+    the full Chern relation of E: such a point vanishes in the cohomology
+    of the bundle but not in the free truncated ring, so lattice_range
+    excludes it rather than relying on it to cancel.
     """
-    return min(-e * D for e in target.e_degrees)
-
-
-def slot_count(target: FlagTarget, di: int, D: int) -> int:
-    """Slots O(e_j) forced nilpotent on a root of fiber degree di at base degree D.
-
-    A slot with di + e_j * D < 0 puts its m = 0 factor, of positive degree
-    and no constant term, into the summand.
-    """
-    count = 0
-    for e in target.e_degrees:
-        if di + e * D < 0:
-            count += 1
-    return count
+    return sorted(-e * D for e in target.e_degrees)
 
 
 def lattice_range(
@@ -218,8 +207,9 @@ def lattice_range(
 ) -> Iterator[tuple[int, ...]]:
     """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
 
-    Points come in lexicographic order.  With a cap, only the points whose
-    forced nilpotent degree -- slot_count summed over the roots, plus one
+    The floor is the least of slot_thresholds(target, D).  Points come in
+    lexicographic order.  With a cap, only the points whose forced
+    nilpotent degree -- over the roots, the thresholds above d_i, plus one
     for each pair of equal fiber degrees -- is at most cap; truncation at
     the cap kills the rest.  With a twist, only the points at which every
     row local to a root i (split_twist_rows), of weight f, has
@@ -232,7 +222,11 @@ def lattice_range(
     determinant is zero when f_a > r - 1 - a.  The cut is a floor per root:
     root i takes the smallest value that forces at most r - 1 - i slots.
     The floors sum to D times the r largest -e_j, so a class below that
-    total yields nothing.
+    total yields nothing.  On such a point the Weyl cap deg Delta never
+    binds: root i forces f_i <= r - 1 - i slots, a later root of the same
+    value forces the same f_i, so its index is at most r - 1 - f_i, and
+    root i's slots plus its equal-value pairs number at most r - 1 - i,
+    which sums to deg Delta over the roots.
 
     The cap and orbit cuts are made while the point is built, and they are
     exact: a root value spends budget (cap at the start) on its forced slots
@@ -245,10 +239,10 @@ def lattice_range(
     have no completion at all.
     """
     r, D, k = target.rank, cls.D, cls.k
-    thresholds = sorted(-e * D for e in target.e_degrees)  # d_i below one forces its slot
-    lo = thresholds[0]  # lattice_floor(target, D)
+    thresholds = slot_thresholds(target, D)
+    lo = thresholds[0]
     # on the orbit path root i forces at most r - 1 - i slots (rank E >= r)
-    low = thresholds[len(thresholds) - r :] if orbit else [lo] * r
+    low = thresholds[-r:] if orbit else [lo] * r
     high = [k - lo * (r - 1)] * r
     if twist is not None:
         rho_D = twist.rho * D
@@ -259,7 +253,7 @@ def lattice_range(
                 else:
                     high[i] = min(high[i], rho_D // -f)
     if cap is None:
-        cap = r * len(target.e_degrees) + target.omega_degree  # what any point forces at most
+        cap = r * len(thresholds) + target.omega_degree  # what any point forces at most
     free = thresholds[-1]
     cheapest = len(thresholds) - bisect.bisect_right(thresholds, free - 1)
     rest_low, rest_high, rest_free = [0] * r, [0] * r, [0] * r
@@ -289,21 +283,6 @@ def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterat
             yield from _completions(head + (v,), total - v, left, plan)
 
 
-def _vanishing_floor_count(target: FlagTarget) -> int:
-    """How many fiber degrees may sit below zero before a point must vanish.
-
-    Each d_i < 0 forces at least one nilpotent (m = 0) slot factor per
-    summand O(e_j) with e_j <= 0; once the forced degree exceeds the Weyl
-    cap the whole summand is annihilated by truncation.  When every e_j > 0
-    nothing is forced, so no such count exists, and points with negative
-    fiber degrees may contribute: this raises GradingError.
-    """
-    forced_per_negative = sum(1 for e in target.e_degrees if e <= 0)
-    if forced_per_negative == 0:
-        raise GradingError("every e_j > 0: nothing bounds the classes with negative fiber degrees")
-    return target.omega_degree // forced_per_negative
-
-
 def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
     """The rate q such that every class that can contribute has k >= q * D.
 
@@ -315,15 +294,20 @@ def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
         raise GradingError(f"non-Fano grading: a = {a}, b = {b}")
     if b <= 0:
         raise GradingError(f"fiber grading b = {b} not positive; classes unbounded")
-    # lattice_floor(D) = floor_rate * D for D >= 0, so a class at base
-    # degree D has degree at least (a + b * r * floor_rate) * D.
-    floor_rate = lattice_floor(target, 1)
+    # The floor at D >= 0 is floor_rate * D, so a class at base degree D
+    # has degree at least (a + b * r * floor_rate) * D.
+    thresholds = slot_thresholds(target, 1)
+    floor_rate = thresholds[0]
     if a + b * r * floor_rate > 0:
         return r * floor_rate
-    # Literal floors do not bound the degree from below.  Tighten with
-    # the vanishing count: points with too many negative fiber degrees
-    # contribute exactly zero, so skipping their classes is harmless.
-    n_neg = min(_vanishing_floor_count(target), r)
+    # Literal floors do not bound the degree from below.  Each d_i < 0
+    # forces every slot with e_j <= 0 (a threshold >= 0), so a point with
+    # more than n_neg negative fiber degrees passes the Weyl cap and is
+    # zero.  With every e_j > 0 nothing is forced and nothing bounds k.
+    forced_per_negative = sum(t >= 0 for t in thresholds)
+    if forced_per_negative == 0:
+        raise GradingError("every e_j > 0: nothing bounds the classes with negative fiber degrees")
+    n_neg = min(target.omega_degree // forced_per_negative, r)
     if a + b * n_neg * floor_rate <= 0:
         raise GradingError("grading admits infinitely many classes per degree")
     return n_neg * floor_rate
@@ -351,8 +335,9 @@ def class_rows(
 
     Every class that can hold a point has k >= rate * D, so a class of
     degree x has D <= x // slope, slope = a + b * rate.  The rate is the
-    largest of _fiber_rate; with orbit, the r largest -e_j summed, below
-    which lattice_range(orbit=True) yields no point (P^3 blown up in (1,2)
+    largest of _fiber_rate; with orbit, the sum of the r largest
+    slot_thresholds at D = 1, whose multiples by D are lattice_range's
+    orbit floors, below which it yields no point (P^3 blown up in (1,2)
     through x^60: 651 of 961 classes); and with twist_floor, -r rho, since
     standard twist rows with nonconvex points skipped bound every
     d_i >= -rho D (lattice_range).  With dmin = 0 every row holds a class.
@@ -363,7 +348,7 @@ def class_rows(
     a, b = divisor.a, divisor.b
     rate = _fiber_rate(target, divisor)
     if orbit:
-        rate = max(rate, sum(sorted(-e for e in target.e_degrees)[-target.rank :]))
+        rate = max(rate, sum(slot_thresholds(target, 1)[-target.rank :]))
     if twist_floor:
         rate = max(rate, -target.rank * twist.rho)
     for D in range(dmax // (a + b * rate) + 1):

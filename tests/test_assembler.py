@@ -45,7 +45,7 @@ from grperiod.targets import (
     normalize_blowup,
     standard_basis,
 )
-from grperiod.validation import oracle_blowup, oracle_blowup_raw, oracle_pinned_verbatim
+from grperiod.validation import _regularise, oracle_blowup, oracle_blowup_raw, oracle_pinned_verbatim
 
 # Regularised series of the worked models.  The first three are frozen from
 # the independent closed-form sums in grperiod.validation; VERBATIM_REGULARISED
@@ -534,6 +534,26 @@ def test_rank4_general_row_units_are_pinned():
     raw, correction = unit_series(target, twist, 12, skip_nonconvex=True)
     assert tuple(raw) == R4_GENERAL_ROW_UNITS
     assert correction == Correction(())
+
+
+def test_dp7_packed_general_row_period_is_the_toric_sum():
+    # dP7 in P^3 x P^2 = Gr(2, O^3) over P^3, cut by F = S^v(1) + det(S^v)(1):
+    # its general row (1,1) keeps it on the packed path, and the grading
+    # h + det(S^v) is -K; its toric sum shares no code with the engine
+    target = FlagTarget(3, (0, 0, 0), 2)
+    twist = TwistSpec(((1, 0), (0, 1), (1, 1)), 1)
+    assert not sums_by_orbits(target, twist, False)
+    raw = [Fraction(0)] * 21
+    for a in range(11):
+        for b in range(21 - 2 * a):
+            den = math.factorial(a) ** 3 * math.factorial(a + b) * math.factorial(b)
+            raw[2 * a + b] += Fraction(math.factorial(2 * a + b), den)
+    one = period_series(target, twist, 20).regularised
+    assert one == _regularise(raw)
+    assert one[:7] == (1, 0, 4, 6, 36, 120, 490)
+    z = Fraction(-3, 2)
+    neg = period_series(target, twist, 20, z=z).regularised
+    assert neg == tuple(v * z ** (1 - d) for d, v in enumerate(one))
 
 
 # CI's rank-4 config: its general row keeps it on the packed path

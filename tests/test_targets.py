@@ -18,10 +18,9 @@ from grperiod.targets import (
     class_rows,
     example3_normalized_model,
     example3_verbatim_model,
-    lattice_floor,
     lattice_range,
     normalize_blowup,
-    slot_count,
+    slot_thresholds,
     standard_basis,
 )
 
@@ -154,10 +153,10 @@ def test_class_enumeration_verbatim_grading_terminates():
 
 
 def test_lattice_floor_examples(p4_112, p6_122):
-    assert lattice_floor(p4_112[0], 2) == 0
-    assert lattice_floor(p6_122[0], 1) == -1
+    assert slot_thresholds(p4_112[0], 2)[0] == 0
+    assert slot_thresholds(p6_122[0], 1)[0] == -1
     verbatim, _, _ = example3_verbatim_model()
-    assert lattice_floor(verbatim, 1) == -2
+    assert slot_thresholds(verbatim, 1)[0] == -2
 
 
 def test_lattice_range_negative_fiber_degree(p6_122):
@@ -193,7 +192,7 @@ def test_normalized_model_matches_blowup_constructor():
 )
 def test_lattice_points_sum_to_fiber_degree(k, D):
     target, _ = normalize_blowup(BlowUpSpec(6, (1, 2, 2)), twist_k=2)
-    lo = lattice_floor(target, D)
+    lo = min(-e * D for e in target.e_degrees)
     for point in lattice_range(target, CurveClass(D=D, k=k)):
         assert sum(point) == k
         assert all(di >= lo for di in point)
@@ -212,7 +211,7 @@ def test_lattice_range_without_cap_is_every_point_above_the_floor():
         for r in (1, 2, 3):
             target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
             for D in range(3):
-                lo = lattice_floor(target, D)
+                lo = min(-e * D for e in target.e_degrees)
                 for k in range(-4, 5):
                     box = itertools.product(range(lo, k - lo * (r - 1) + 1), repeat=r)
                     expected = [d for d in box if sum(d) == k]
@@ -232,9 +231,14 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                     forced = [_forced_nilpotent_degree(target, d, D) for d in full]
                     # root i forces at most r - 1 - i slots
                     readable = [
-                        all(slot_count(target, di, D) <= r - 1 - i for i, di in enumerate(d))
+                        all(
+                            sum(di + e * D < 0 for e in e_degrees) <= r - 1 - i
+                            for i, di in enumerate(d)
+                        )
                         for d in full
                     ]
+                    # so on the orbit path the Weyl cap never binds (lattice_range)
+                    assert all(f <= target.omega_degree for f, ok in zip(forced, readable) if ok)
                     for cap in range(5):
                         expected = [d for d, f in zip(full, forced) if f <= cap]
                         assert list(lattice_range(target, cls, cap)) == expected, (
