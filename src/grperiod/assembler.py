@@ -45,8 +45,8 @@ Four structural facts keep this cheap and are relied on throughout:
   row; `_row_units` adds them as integers over the lcm of the rows'
   denominators.  The c * Delta check cannot run on these scalars (and
   at r = 1, where Delta = 1, it would be empty); a Fano blow-up has its
-  units checked against the Euler-sequence sum
-  `validation.oracle_blowup_raw` instead.
+  period checked against that of the Euler-sequence sum
+  `validation.oracle_blowup_terms` instead, which checks its units too.
   Every other model sums its points in the packed ring of the Chern roots,
   at h = 0, with the check.
 
@@ -73,7 +73,7 @@ from .targets import (
     lattice_range,
     standard_basis,
 )
-from .validation import oracle_blowup_raw
+from .validation import oracle_blowup_terms
 
 DEFAULT_WORK_BUDGET = 500_000
 
@@ -371,29 +371,38 @@ def _row_units(rows: list, ctx: SummandContext, dmax: int) -> list[Fraction]:
 
 
 def _check_against_oracle(
-    raw: list[Fraction], base_dim: int, degrees: tuple[int, ...], z: Fraction
+    raw: list[Fraction], regularised: tuple, base_dim: int, degrees: tuple[int, ...], z: Fraction
 ) -> None:
-    """Raise OracleMismatchError unless raw[d] z^(d-1) is the Euler-sequence sum's u_d.
+    """Raise OracleMismatchError unless the units' period is the Euler-sequence sum's.
 
-    At r = 1 the points (k,) at D = 0 add 1/k! each, which the sum leaves
-    out: there the units are e^x times it, sum_t u_(d-t) / t!, built in
-    integers by `_pascal` at C = -1 and compared by cross-multiplying.
+    Degrees 0 and 1 compare raw[d] z^(d-1) with the sum S's units, or e^x S's at r = 1,
+    where the points (k,) at D = 0 add 1/k! each, which S leaves out.  As e^(-u_1 x) is
+    unitriangular, the units agree exactly when their period is e^(-S_1 x) S, and first
+    differ in the same degree: each d >= 2 compares regularised[d] z^(d-1) with d! S_d,
+    or `_pascal` at C = S_1 != 0, in integers.  A mismatch names the units of its degree,
+    or, where they agree (a faulty correction), the periods.
     """
-    expected = oracle_blowup_raw(base_dim, degrees, len(raw) - 1)
-    source = "the Euler-sequence sum"
-    if len(degrees) == 2:  # _pascal gives d! times the x^d coefficient of e^x times the sum
-        rows = [(n, den * math.factorial(d)) for d, (n, den) in enumerate(_pascal(expected, -1))]
-        source = "e^x times " + source
-    else:
-        rows = [(e.numerator, e.denominator) for e in expected]
+    S = oracle_blowup_terms(base_dim, degrees, len(raw) - 1)
+    S_1 = Fraction(*S[1]) if len(S) > 1 else 0
+    rows = _pascal(S, S_1) if S_1 else [(n * math.factorial(d), m) for d, (n, m) in enumerate(S)]
+    source = ("e^x times " if len(degrees) == 2 else "") + "the Euler-sequence sum"
+    source += f" for P^{base_dim} blown up in degrees {degrees}"
+
+    def expected(d: int) -> Fraction:  # S_d, or sum_t S_(d-t) / t! at r = 1
+        ts = range(d + 1) if len(degrees) == 2 else [0]
+        return sum(Fraction(*S[d - t]) / math.factorial(t) for t in ts)
+
     p, q = z.numerator, z.denominator
-    for d, (u, (en, ed)) in enumerate(zip(raw, rows)):
-        # u z^(d-1) = en / ed, cross-multiplied: z^(d-1) is p^(d-1) / q^(d-1), or q / p at d = 0
-        up, down = (p ** (d - 1), q ** (d - 1)) if d else (q, p)
-        if u.numerator * up * ed != en * u.denominator * down:
+    for d, (v, (en, ed)) in enumerate(zip(regularised, rows)):
+        if d >= 2 and v.numerator * p ** (d - 1) * ed == en * v.denominator * q ** (d - 1):
+            continue
+        unit, want = raw[d] * z ** (d - 1), expected(d)
+        if unit != want:
+            raise OracleMismatchError(f"degree {d}: the engine gives {unit}, {source} gives {want}")
+        if d >= 2:
             raise OracleMismatchError(
-                f"degree {d}: the engine gives {u * z ** (d - 1)}, {source} "
-                f"for P^{base_dim} blown up in degrees {degrees} gives {Fraction(en, ed)}"
+                f"degree {d}: the units agree, but the engine's regularised period gives "
+                f"{v * z ** (d - 1)}, that of {source} gives {Fraction(en, ed)}"
             )
 
 
@@ -415,9 +424,8 @@ def period_series(
     NotFanoError.
     """
     fano_degrees(target, twist, divisor)
-    raw, correction = unit_series(target, twist, dmax, z, divisor, skip_nonconvex, budget)
-    coeffs, regularised = corrected_series(raw, correction.total / Fraction(z))
-    return PeriodSeries(tuple(raw), coeffs, regularised, correction)
+    raw, correction, series = _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget)
+    return PeriodSeries(tuple(raw), *series, correction)
 
 
 def unit_series(
@@ -435,12 +443,17 @@ def unit_series(
     the points they list: more than budget points raise WorkBudgetError.
     A standard-row model (sums_by_orbits) sums one staircase scalar per
     point, at r = 1 by rows of classes; if it is a Fano blow-up (fano_degrees),
-    OracleMismatchError is raised unless the units equal the Euler-sequence
-    sum.  Every other model sums every point in the packed ring and checks
-    that each degree's aggregate is c * Delta (`_unit`).  The degree-one
-    counts, read on the same path, must sum to u_1, or CorrectionError is
-    raised.
+    OracleMismatchError is raised unless their period, built as in
+    period_series but not returned, is the Euler-sequence sum's.  Every
+    other model sums every point in the packed ring and checks that each
+    degree's aggregate is c * Delta (`_unit`).  The degree-one counts, read
+    on the same path, must sum to u_1, or CorrectionError is raised.
     """
+    return _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget)[:2]
+
+
+def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget):
+    """unit_series' units and counts, and their `corrected_series` at C = u_1 / z, all checked."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     # one context, so its factor caches are shared by every degree
@@ -458,19 +471,20 @@ def unit_series(
             )
     correction = correction_C(target, twist, divisor, skip_nonconvex)
     raw = _row_units(rows, ctx, dmax) if listed is None else [_unit(p, ctx) for p in listed]
+    series = corrected_series(raw, raw[1] / ctx.z if dmax else Fraction(0))
     try:
         degrees = fano_degrees(target, twist, divisor)
     except NotFanoError:  # its units stand, with no oracle to check them
         degrees = None
     if degrees is not None:
-        _check_against_oracle(raw, target.base_dim, degrees, ctx.z)
+        _check_against_oracle(raw, series[1], target.base_dim, degrees, ctx.z)
     # u_1 has z-power 0, so it is the counts' total at any z
     if dmax >= 1 and correction.total != raw[1]:
         raise CorrectionError(
             f"degree one: the degree-one counts sum to {correction.total}, "
             f"the unit u_1 is {raw[1]}"
         )
-    return raw, correction
+    return raw, correction, series
 
 
 def corrected_series(
@@ -487,12 +501,13 @@ def corrected_series(
     return tuple(coeffs), tuple(regularised)
 
 
-def _pascal(raw: list[Fraction], C: Fraction | int) -> list[tuple[int, int]]:
+def _pascal(raw: list, C: Fraction | int) -> list[tuple[int, int]]:
     """d! G_d as an unreduced (numerator, den) for each d, G = e^(-C x) * sum_d u_d x^d.
 
     d! G_d = sum_t C(d, t) (-C)^t (d - t)! u_(d-t), built in integers from
-    a Pascal triangle.  Every m! u_m is written once as A_m / L over one
-    common denominator L.  With C = p/q, row 0 is A_0, A_1, ... and
+    a Pascal triangle, for u_d given as Fractions or (numerator, den) pairs.
+    Every m! u_m = m! n / den is written once as A_m / L, over the lcm L of
+    the den / gcd(m!, den).  With C = p/q, row 0 is A_0, A_1, ... and
 
         row_(k+1)[m] = q row_k[m + 1] - p row_k[m],
 
@@ -500,9 +515,13 @@ def _pascal(raw: list[Fraction], C: Fraction | int) -> list[tuple[int, int]]:
     row_d[0] / (L q^d): one multiply-subtract per (d, t).
     """
     p, q = C.numerator, C.denominator
-    scaled = [u * math.factorial(m) for m, u in enumerate(raw)]
-    den = math.lcm(*(v.denominator for v in scaled))
-    row = [v.numerator * (den // v.denominator) for v in scaled]
+    scaled = []
+    for m, u in enumerate(raw):
+        n, den = u if isinstance(u, tuple) else u.as_integer_ratio()
+        g = math.gcd(math.factorial(m), den)
+        scaled.append((n * (math.factorial(m) // g), den // g))
+    den = math.lcm(*(d for _, d in scaled))
+    row = [n * (den // d) for n, d in scaled]
     out = [(row[0], den)]
     for _ in raw[1:]:
         den *= q

@@ -445,32 +445,33 @@ def oracle_blowup_raw(
     convex, so quantum Lefschetz does not cover it, and agreement with the
     engine is evidence, not proof.  Needs N + 1 > r min c, where each
     degree is a finite sum: the term at (l, e) has degree at least
-    (N + 1 - r min c) l.  The blow-up need not be Fano.  Each degree's terms
-    are added as integers over their lcm, so one Fraction is made per degree.
+    (N + 1 - r min c) l.  The blow-up need not be Fano.  One Fraction per
+    degree, from the integers of `oracle_blowup_terms`.
+    """
+    return tuple(Fraction(n, d) for n, d in oracle_blowup_terms(base_dim, center_degrees, dmax))
+
+
+def oracle_blowup_terms(base_dim: int, center_degrees: tuple[int, ...], dmax: int) -> list:
+    """Each degree of `oracle_blowup_raw` as integers (numerator, lcm of its terms' dens).
+
+    The terms come from one factorial table; an empty degree is (0, 1).
     """
     c, N = tuple(center_degrees), base_dim
     r = len(c) - 1
     if N + 1 <= r * min(c):
         raise ValueError("oracle_blowup_raw needs N + 1 > r * min(c)")
+    top = dmax // (N + 1 - r * min(c))  # the largest l with a degree at most dmax
+    fact = [math.factorial(i) for i in range(max(c) * top + 1)]
     terms: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
-    l = 0
-    while (N + 1 - r * min(c)) * l <= dmax:  # the lowest degree at this l
-        num = math.prod(math.factorial(cj * l) for cj in c)
-        base = math.factorial(l) ** (N + 1)
+    for l in range(top + 1):
+        num = math.prod(fact[cj * l] for cj in c)
+        base = fact[l] ** (N + 1)
         over = (N + 1) * l - dmax  # the degree at e is at most dmax when r e >= over
         for e in range(-(-over // r) if over > 0 else 0, l * min(c) + 1):
-            den = base * math.factorial(e)
-            den *= math.prod(math.factorial(cj * l - e) for cj in c)
+            den = base * fact[e] * math.prod(fact[cj * l - e] for cj in c)
             terms[(N + 1) * l - r * e].append((num, den))
-        l += 1
-    zero = Fraction(0)
-    return tuple(_integer_sum(degree) if degree else zero for degree in terms)
-
-
-def _integer_sum(terms: list[tuple[int, int]]) -> Fraction:
-    """sum num / den over the terms, as integers over their lcm: one Fraction."""
-    lcm = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (lcm // den) for num, den in terms), lcm)
+    lcms = [math.lcm(*(den for _, den in degree)) for degree in terms]
+    return [(sum(n * (m // d) for n, d in degree), m) for degree, m in zip(terms, lcms)]
 
 
 def _regularise(raw: list[Fraction]) -> tuple[Fraction, ...]:

@@ -756,6 +756,71 @@ def test_r1_oracle_mismatch_names_the_e_to_the_x_product(monkeypatch):
         period_series(*normalize_blowup(BlowUpSpec(4, (1, 1, 2))), 4)
 
 
+PERTURBED_BLOWUPS = [(3, (1, 2)), (2, (2, 2)), (8, (1, 1, 1, 1, 2)), (4, (1, 1, 2)), (3, (3, 3))]
+
+
+@pytest.mark.parametrize("base_dim, degrees", PERTURBED_BLOWUPS)
+def test_period_check_fails_where_the_units_differ(base_dim, degrees):
+    # the check compares periods from degree 2 on; a unit moved at degree d
+    # must still be named at d, with the units the engine and e^x S (r = 1)
+    # or S give there, whether S_1 is zero or not (dP5, P^3 in (3,3))
+    model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+    S = oracle_blowup_raw(base_dim, degrees, 12)
+    r1 = len(degrees) == 2
+    source = ("e^x times " if r1 else "") + "the Euler-sequence sum"
+    for z in (Fraction(1), Fraction(2), Fraction(-3, 2)):
+        raw, _ = unit_series(*model, 12, z)
+        for d, delta in itertools.product(range(13), (Fraction(1), Fraction(-1, 7))):
+            moved = list(raw)
+            moved[d] += delta
+            _, regularised = corrected_series(moved, moved[1] / z)
+            with pytest.raises(OracleMismatchError) as caught:
+                assembler._check_against_oracle(moved, regularised, base_dim, degrees, z)
+            ts = range(d + 1) if r1 else [0]
+            want = sum(S[d - t] / math.factorial(t) for t in ts)
+            assert str(caught.value) == (
+                f"degree {d}: the engine gives {moved[d] * z ** (d - 1)}, {source} "
+                f"for P^{base_dim} blown up in degrees {degrees} gives {want}"
+            ), (z, d, delta)
+
+
+def test_faulty_correction_is_caught_by_the_period_check(monkeypatch):
+    # e^(-2 C x) in place of e^(-C x) leaves every unit right, so only a check
+    # of the period itself sees it; the message names the periods
+    model = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    raw, _ = unit_series(*model, 8)
+    engine = corrected_series(raw, 2 * raw[1])[1][2]
+    original = corrected_series
+    monkeypatch.setattr(assembler, "corrected_series", lambda raw, C: original(raw, 2 * C))
+    with pytest.raises(OracleMismatchError) as caught:
+        period_series(*model, 8)
+    assert str(caught.value) == (
+        f"degree 2: the units agree, but the engine's regularised period gives {engine}, "
+        "that of e^x times the Euler-sequence sum for P^3 blown up in degrees (1, 2) gives "
+        f"{oracle_blowup(3, (1, 2), 8)[2]}"
+    )
+    with pytest.raises(OracleMismatchError, match="the units agree, but the engine's regularised period"):
+        period_series(*normalize_blowup(BlowUpSpec(4, (4, 4))), 8)
+
+
+def test_fano_blowup_builds_one_triangle_unless_s1_is_nonzero(monkeypatch):
+    # the output's triangle is also the check's; the sum's own period needs
+    # a second only when S_1 != 0 (P^4 in (4,4): S_1 = 24)
+    calls = []
+    original = assembler._pascal
+
+    def counted(raw, C):
+        calls.append(C)
+        return original(raw, C)
+
+    monkeypatch.setattr(assembler, "_pascal", counted)
+    period_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 60)
+    assert len(calls) == 1
+    calls.clear()
+    period_series(*normalize_blowup(BlowUpSpec(4, (4, 4))), 12)
+    assert calls == [25, 24]
+
+
 def test_z_dependent_degree_one_unit_raises_correction_error(monkeypatch):
     # twist rows one step too long: a degree-one class's orbit unit then
     # depends on z, which correction_C compares at z = 1 and z = 2
