@@ -36,17 +36,19 @@ Four structural facts keep this cheap and are relied on throughout:
   S_r-symmetric: summand(sigma d) = sgn(sigma) sigma(summand(d)), so each
   class aggregate is antisymmetric, c * Delta, and c is its coefficient at
   the staircase monomial x^delta.  There each point is evaluated as that
-  one scalar, and each degree's unit is their sum (`_unit`); a point whose
-  staircase row is zero is not listed (P^8 blown up in (1,1,1,1,2) through
-  x^11: 21 points).  At r = 1, where the class (D, k) is the point (k,),
-  the budget counts the classes of one row per D (`targets.class_rows`),
-  whose scalars come from one `SummandContext.constants` call, each after
-  the first by the ratio of consecutive terms, over one denominator per
-  row; `_row_units` adds them as integers over the lcm of the rows'
-  denominators.  The c * Delta check cannot run on these scalars (and
-  at r = 1, where Delta = 1, it would be empty); a Fano blow-up has its
-  period checked against that of the Euler-sequence sum
-  `validation.oracle_blowup_terms` instead, which checks its units too.
+  one scalar, and each degree's unit is their sum (`_unit`), its numerators
+  added per denominator before one lcm of the distinct denominators
+  (`_lcm_sum`); a point whose staircase row is zero is not listed (P^8
+  blown up in (1,1,1,1,2) through x^11: 21 points).  At r = 1, where the
+  class (D, k) is the point (k,), the budget counts the classes of one row
+  per D (`targets.class_rows`), whose scalars come from one
+  `SummandContext.constants` call, each after the first by the ratio of
+  consecutive terms, over one denominator per row; `_row_units` adds them
+  as integers over the lcm of the rows' denominators.  The c * Delta check
+  cannot run on these scalars (and at r = 1, where Delta = 1, it would be
+  empty); a Fano blow-up has its period checked against that of the
+  Euler-sequence sum `validation.oracle_blowup_terms` instead, which
+  checks its units too.
   Every other model sums its points in the packed ring of the Chern roots,
   at h = 0, with the check.
 
@@ -348,9 +350,13 @@ def _unit(pairs: list, ctx: SummandContext) -> Fraction:
 
 
 def _lcm_sum(parts: list[tuple[int, int]]) -> Fraction:
-    """The sum of the (numerator, den) parts, over the lcm of their dens."""
-    den = math.lcm(*(d for _, d in parts))
-    return Fraction(sum(n * (den // d) for n, d in parts), den)
+    """The sum of the (numerator, den) parts: the numerators of each distinct
+    den are added first, and those sums put over one lcm of the distinct dens."""
+    sums: dict[int, int] = {}
+    for n, d in parts:
+        sums[d] = sums.get(d, 0) + n
+    den = math.lcm(*sums)
+    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
 def _row_units(rows: list, ctx: SummandContext, dmax: int) -> list[Fraction]:

@@ -198,9 +198,9 @@ class SummandContext:
                     nums, q = twist
                     twist = _reduced([c * f**k for k, c in enumerate(nums)], q)
                 series.append(twist)
-            poly, den = [1] + [0] * (length - 1), 1
-            for nums, q in series:
-                poly = [sum(poly[j] * nums[k - j] for j in range(k + 1)) for k in range(length)]
+            poly, den = series[0]
+            for nums, q in series[1:]:
+                poly = [sum(map(operator.mul, poly[: k + 1], nums[k::-1])) for k in range(length)]
                 den *= q
             out = self._roots[key] = poly, den
         return out
@@ -320,10 +320,13 @@ class SummandContext:
         determinant whose row a is M_(d_a)[a] (root_table): one r x r
         integer determinant per point.
         """
-        tables = [self.root_table(da, D) for da in d]
-        det = integer_det([m[a] for a, (m, _) in enumerate(tables)])
-        num, base_den = self.base_constant(D)
-        return det * num, math.prod(q for _, q in tables) * base_den
+        num, den = self.base_constant(D)
+        rows = []
+        for a, da in enumerate(d):
+            table, q = self.root_table(da, D)
+            rows.append(table[a])
+            den *= q
+        return integer_det(rows) * num, den
 
 
 def _reduced(nums: list[int], den: int) -> Series:

@@ -279,8 +279,12 @@ def _completions(head: tuple[int, ...], total: int, budget: int, plan) -> Iterat
             continue
         if i + 1 == len(low):
             yield head + (v,)
-        else:
+        elif i + 2 < len(low):
             yield from _completions(head + (v,), total - v, left, plan)
+        else:  # the last root takes the rest, which the bounds on v keep in its range
+            last, point = total - v, head + (v,)
+            if left >= n - bisect.bisect_right(thresholds, last) + point.count(last):
+                yield point + (last,)
 
 
 def _fiber_rate(target: FlagTarget, divisor: DivisorData) -> int:
