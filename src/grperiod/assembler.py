@@ -53,7 +53,8 @@ Four structural facts keep this cheap and are relied on throughout:
   at h = 0, with the check.
 
 The degree-one counts of the correction are read class by class, by `_unit`
-too, and must sum to the checked unit u_1, or CorrectionError is raised.
+too, on the run's own context and on one more at twice its z, and must sum
+to the checked unit u_1, or CorrectionError is raised.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def class_points(
     (lattice_range with orbit).
     """
     twist = ctx.twist if skip_nonconvex else None
-    points = lattice_range(ctx.target, cls, ctx.cap, twist, ctx.orbit)
+    points = lattice_range(ctx.target, cls, ctx.cap, twist, ctx.orbit, ctx.local_rows)
     if twist is None or not ctx.general_rows:
         return list(points)
     return [d for d in points if all(u >= 0 for u in twist_uppers(twist, cls, d))]
@@ -230,17 +231,22 @@ def correction_C(
     twist: TwistSpec | None,
     divisor: DivisorData | None = None,
     skip_nonconvex: bool = False,
+    ctx: SummandContext | None = None,
 ) -> Correction:
     """n_beta for every degree-one curve class.
 
-    Each class's unit is read point by point by `_unit`, on the kind of
-    context unit_series makes, so a standard-row model never builds Delta.
-    Each n_beta is z-independent (its z-power is 0), checked at two z.
+    Each class's unit is read point by point by `_unit` on ctx, the context
+    of a unit_series run, or one made as unit_series makes it at z = 1, so
+    a standard-row model never builds Delta.  Each n_beta is z-independent
+    (its z-power is 0), checked against a second context at twice ctx's z,
+    made only when a degree-one class exists.
     """
-    orbit = sums_by_orbits(target, twist, skip_nonconvex)
-    contexts = [SummandContext(target, twist, z, orbit=orbit) for z in (1, 2)]
+    if ctx is None:
+        ctx = SummandContext(target, twist, orbit=sums_by_orbits(target, twist, skip_nonconvex))
+    classes = class_enumeration(target, twist, 1, divisor)
+    contexts = [ctx, SummandContext(target, twist, 2 * ctx.z, orbit=ctx.orbit)] if classes else []
     entries = []
-    for cls in class_enumeration(target, twist, 1, divisor):
+    for cls in classes:
         values = [
             _unit([(d, cls) for d in class_points(cls, ctx, skip_nonconvex)], ctx)
             for ctx in contexts
@@ -279,8 +285,7 @@ def fano_degrees(
     A model of that shape with N + 1 <= r max c raises NotFanoError.
     """
     r = target.rank
-    # skip_nonconvex makes sums_by_orbits the row test alone
-    if len(target.e_degrees) != r + 1 or not sums_by_orbits(target, twist, True):
+    if len(target.e_degrees) != r + 1 or twist is None or twist.weight_vectors != standard_basis(r):
         return None
     c = tuple(twist.rho - e for e in target.e_degrees)
     if min(c) < 1 or len(c) > target.base_dim:
@@ -429,8 +434,10 @@ def period_series(
     multiplies degree d by d!.  A blow-up that is not Fano raises
     NotFanoError.
     """
-    fano_degrees(target, twist, divisor)
-    raw, correction, series = _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget)
+    degrees = fano_degrees(target, twist, divisor)
+    raw, correction, series = _checked(
+        target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees
+    )
     return PeriodSeries(tuple(raw), *series, correction)
 
 
@@ -455,14 +462,21 @@ def unit_series(
     degree's aggregate is c * Delta (`_unit`).  The degree-one counts, read
     on the same path, must sum to u_1, or CorrectionError is raised.
     """
-    return _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget)[:2]
+    try:
+        degrees = fano_degrees(target, twist, divisor)
+    except NotFanoError:  # its units stand, with no oracle to check them
+        degrees = None
+    return _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees)[:2]
 
 
-def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget):
-    """unit_series' units and counts, and their `corrected_series` at C = u_1 / z, all checked."""
+def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees):
+    """unit_series' units and counts, and their `corrected_series` at C = u_1 / z, all checked.
+
+    degrees are the model's fano_degrees, None for no oracle check.
+    """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    # one context, so its factor caches are shared by every degree
+    # one context, so its factor caches are shared by every degree and the degree-one counts
     ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
     floor = ctx.orbit and skip_nonconvex  # standard rows bound every d_i >= -rho D
     rows = list(class_rows(target, twist, dmax, divisor, ctx.orbit, twist_floor=floor))
@@ -475,13 +489,9 @@ def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget):
                 f"estimated {estimate} lattice points exceeds budget {budget} "
                 f"(per degree {per_degree})"
             )
-    correction = correction_C(target, twist, divisor, skip_nonconvex)
+    correction = correction_C(target, twist, divisor, skip_nonconvex, ctx)
     raw = _row_units(rows, ctx, dmax) if listed is None else [_unit(p, ctx) for p in listed]
     series = corrected_series(raw, raw[1] / ctx.z if dmax else Fraction(0))
-    try:
-        degrees = fano_degrees(target, twist, divisor)
-    except NotFanoError:  # its units stand, with no oracle to check them
-        degrees = None
     if degrees is not None:
         _check_against_oracle(raw, series[1], target.base_dim, degrees, ctx.z)
     # u_1 has z-power 0, so it is the counts' total at any z

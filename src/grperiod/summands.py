@@ -23,6 +23,9 @@ shared by the points, classes and degrees of one computation:
   positive denominator, reduced by their gcd;
 * the base constant slot_series(D)[0]^(N+1), as a reduced (num, den):
   cached by D;
+* the m slot ratios of one distinct e_j, slot_series(u)^m at u = d_a + e_j D:
+  cached by (m, u), so the powers of the e_j = 0 slots serve every D
+  (`slot_power`);
 * the factor of one root, its slot ratios times its own twist rows, as
   integer coefficients of x^0..x^(length-1) over one denominator: cached
   by (the root's twist rows, d_a, D) and shared by every root with those
@@ -111,10 +114,12 @@ class SummandContext:
         self.kernel = PackedRing(target.nvars, self.cap)
         # twist rows by the one root they involve (weights), and the rest (indices)
         self.local_rows, self.general_rows = split_twist_rows(twist, target.rank)
+        # each distinct e_j with the number of slots O(e_j) a root carries
+        self._multiplicities = {e: target.e_degrees.count(e) for e in target.e_degrees}
         unit = (1,) + (0,) * (self.length - 1), 1
         self._slots, self._twists = {0: unit}, {0: unit}
         self._base_constants, self._roots, self._factors = {}, {}, {}
-        self._weyls, self._rows, self._tables = {}, {}, {}
+        self._weyls, self._rows, self._tables, self._powers = {}, {}, {}, {}
 
     @property
     def length(self) -> int:
@@ -176,33 +181,37 @@ class SummandContext:
             out = self._base_constants[D] = (nums[0] // g) ** power, (den // g) ** power
         return out
 
+    def slot_power(self, m: int, upper: int) -> tuple[list, int]:
+        """(nums, den) of slot_series(upper)^m, unreduced, cached by (m, upper)."""
+        out = self._powers.get((m, upper))
+        if out is None:
+            out = self._powers[m, upper] = _product([self.slot_series(upper)] * m, self.length)
+        return out
+
     def root_poly(self, rows: tuple, da: int, D: int) -> tuple[list, int]:
         """(nums, den): nums[k] / den = [x^k] R(x) for k < length.
 
         R is the factor at h = 0, univariate in its x, of a root at (d_a, D)
         with local twist rows `rows`: the product of the slot ratios at
         d_a + e D, one per e in e_degrees, and of one twist series per
-        weight f in rows, read at f d_a + rho D with x^k scaled by f^k.  It
-        is cached by (rows, d_a, D), so every root with the same rows
-        shares one build.  Every twist row is read even where a slot series
-        vanishes, so a negative range raises TwistRangeError.
+        weight f in rows, read at f d_a + rho D with x^k scaled by f^k.  The
+        m slots of one distinct e enter as one slot_power, so the powers of
+        the e = 0 slots are shared by every D.  It is cached by (rows, d_a,
+        D), so every root with the same rows shares one build.  Every twist
+        row is read even where a slot series vanishes, so a negative range
+        raises TwistRangeError.
         """
         key = (rows, da, D)
         out = self._roots.get(key)
         if out is None:
-            length = self.length
-            series = [self.slot_series(da + e * D) for e in self.target.e_degrees]
+            series = [self.slot_power(m, da + e * D) for e, m in self._multiplicities.items()]
             for f in rows:
                 twist = self.twist_series(f * da + self.twist.rho * D)
                 if f != 1:
                     nums, q = twist
                     twist = _reduced([c * f**k for k, c in enumerate(nums)], q)
                 series.append(twist)
-            poly, den = series[0]
-            for nums, q in series[1:]:
-                poly = [sum(map(operator.mul, poly[: k + 1], nums[k::-1])) for k in range(length)]
-                den *= q
-            out = self._roots[key] = poly, den
+            out = self._roots[key] = _product(series, self.length)
         return out
 
     def constants(self, D: int, ks: range) -> list[tuple[int, int]]:
@@ -297,18 +306,22 @@ class SummandContext:
 
         R is the factor at h = 0 of a root at (d_a, D) of a standard-row
         model, whose roots all carry the one standard twist row (`root_poly`).
+        Each call builds the table and caches it by (d_a, D); `staircase`
+        reads that cache and calls this only on a miss.
         """
-        out = self._tables.get((da, D))
-        if out is None:
-            r = self.target.rank
-            poly, den = self.root_poly(self.local_rows[0], da, D)
-            p, q = self.shift(da)
-            cols = []  # cols[m] = R(x) (q x + p)^m q^(r-1-m), over den q^(r-1)
-            for m in range(r):
-                cols.append([c * q ** (r - 1 - m) for c in poly])
-                poly = [p * c + q * (poly[k - 1] if k else 0) for k, c in enumerate(poly)]
-            table = [[cols[r - 1 - b][r - 1 - i] for b in range(r)] for i in range(r)]
-            out = self._tables[da, D] = table, den * q ** (r - 1)
+        r = self.target.rank
+        poly, den = self.root_poly(self.local_rows[0], da, D)
+        p, q = self.shift(da)
+        # column b is R(x) (q x + p)^(r-1-b) q^b, over den q^(r-1), filled last to first
+        table = [[0] * r for _ in range(r)]
+        rows, scale = table[::-1], q ** (r - 1)  # rows[k] holds the coefficients of x^k
+        for b in range(r - 1, -1, -1):
+            for row, c in zip(rows, poly):
+                row[b] = c * scale
+            if b:
+                scale //= q
+                poly = [p * c + q * c_1 for c, c_1 in zip(poly, (0, *poly))]
+        out = self._tables[da, D] = table, den * q ** (r - 1)
         return out
 
     def staircase(self, d: tuple[int, ...], D: int) -> tuple[int, int]:
@@ -321,12 +334,21 @@ class SummandContext:
         integer determinant per point.
         """
         num, den = self.base_constant(D)
-        rows = []
+        tables, rows = self._tables, []
         for a, da in enumerate(d):
-            table, q = self.root_table(da, D)
+            table, q = tables.get((da, D)) or self.root_table(da, D)
             rows.append(table[a])
             den *= q
         return integer_det(rows) * num, den
+
+
+def _product(series: list, length: int) -> tuple[list, int]:
+    """(nums, den) of the product of the series, truncated to length, unreduced."""
+    poly, den = series[0]
+    for nums, q in series[1:]:
+        poly = [sum(map(operator.mul, poly[: k + 1], nums[k::-1])) for k in range(length)]
+        den *= q
+    return poly, den
 
 
 def _reduced(nums: list[int], den: int) -> Series:

@@ -204,6 +204,7 @@ def lattice_range(
     cap: int | None = None,
     twist: TwistSpec | None = None,
     orbit: bool = False,
+    local_rows: tuple | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
 
@@ -212,8 +213,9 @@ def lattice_range(
     nilpotent degree -- over the roots, the thresholds above d_i, plus one
     for each pair of equal fiber degrees -- is at most cap; truncation at
     the cap kills the rest.  With a twist, only the points at which every
-    row local to a root i (split_twist_rows), of weight f, has
-    f * d_i + rho * D >= 0.  With orbit, only the points whose staircase
+    row local to a root i, of weight f, has f * d_i + rho * D >= 0: the
+    twist's local_rows, split_twist_rows' first part, which a caller that
+    holds them passes in.  With orbit, only the points whose staircase
     can be nonzero: root i (0-based) forces at most r - 1 - i slots.
 
     That last cut is exact for the staircase of a standard-row model
@@ -246,7 +248,7 @@ def lattice_range(
     high = [k - lo * (r - 1)] * r
     if twist is not None:
         rho_D = twist.rho * D
-        for i, weights in enumerate(split_twist_rows(twist, r)[0]):
+        for i, weights in enumerate(local_rows or split_twist_rows(twist, r)[0]):
             for f in weights:
                 if f > 0:
                     low[i] = max(low[i], -(rho_D // f))

@@ -452,26 +452,28 @@ def oracle_blowup_raw(
 
 
 def oracle_blowup_terms(base_dim: int, center_degrees: tuple[int, ...], dmax: int) -> list:
-    """Each degree of `oracle_blowup_raw` as integers (numerator, lcm of its terms' dens).
+    """Each degree of `oracle_blowup_raw` as integers (numerator, l!^(N+1)), l its largest.
 
-    The terms come from one factorial table; an empty degree is (0, 1).
+    The term at (l, e) is e!^r prod_j C(c_j l, e) / l!^(N+1), so every term
+    of a degree is put over the l!^(N+1) of the largest l it holds, with no
+    lcm taken; an empty degree is (0, 1).
     """
     c, N = tuple(center_degrees), base_dim
     r = len(c) - 1
     if N + 1 <= r * min(c):
         raise ValueError("oracle_blowup_raw needs N + 1 > r * min(c)")
     top = dmax // (N + 1 - r * min(c))  # the largest l with a degree at most dmax
-    fact = [math.factorial(i) for i in range(max(c) * top + 1)]
-    terms: list[list[tuple[int, int]]] = [[] for _ in range(dmax + 1)]
+    fact = [math.factorial(i) for i in range(min(c) * top + 1)]
+    sums, tops = [0] * (dmax + 1), [0] * (dmax + 1)  # tops[d]: the largest l of degree d so far
     for l in range(top + 1):
-        num = math.prod(fact[cj * l] for cj in c)
-        base = fact[l] ** (N + 1)
         over = (N + 1) * l - dmax  # the degree at e is at most dmax when r e >= over
         for e in range(-(-over // r) if over > 0 else 0, l * min(c) + 1):
-            den = base * fact[e] * math.prod(fact[cj * l - e] for cj in c)
-            terms[(N + 1) * l - r * e].append((num, den))
-    lcms = [math.lcm(*(den for _, den in degree)) for degree in terms]
-    return [(sum(n * (m // d) for n, d in degree), m) for degree, m in zip(terms, lcms)]
+            d = (N + 1) * l - r * e
+            if tops[d] < l:
+                sums[d] *= (fact[l] // fact[tops[d]]) ** (N + 1)
+                tops[d] = l
+            sums[d] += fact[e] ** r * math.prod(math.comb(cj * l, e) for cj in c)
+    return [(n, fact[l] ** (N + 1)) for n, l in zip(sums, tops)]
 
 
 def _regularise(raw: list[Fraction]) -> tuple[Fraction, ...]:

@@ -17,8 +17,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from grperiod import assembler
+from grperiod import assembler, summands, targets
 from grperiod.assembler import (
+    CorrectionError,
     _listed,
     class_numerator,
     class_points,
@@ -114,6 +115,115 @@ def test_default_twist_level_orbit_counts_equal_the_packed_counts():
             for cls in class_enumeration(target, twist, 1)
         )
         assert correction_C(target, twist).entries == expected, (base_dim, degrees)
+
+
+def _run_contexts(monkeypatch, *args, **kwargs):
+    """The SummandContexts one period_series(*args, **kwargs) call makes, in order."""
+    made = []
+
+    class Recorded(SummandContext):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assembler, "SummandContext", Recorded)
+        period_series(*args, **kwargs)
+    return made
+
+
+def _series_product(parts, length):
+    """The product of (nums, den) series as Fractions, truncated to length."""
+    out = [Fraction(1)] + [Fraction(0)] * (length - 1)
+    for nums, den in parts:
+        out = [sum(out[i] * Fraction(nums[k - i], den) for i in range(k + 1)) for k in range(length)]
+    return out
+
+
+def test_root_poly_equals_the_product_of_its_slot_and_twist_series(monkeypatch):
+    # each distinct e_j's slots enter root_poly as one cached power, so the
+    # e_j = 0 powers are shared by every D; every factor a run reads must
+    # still be one slot_series per e_j times its twist series, here on the
+    # Fano box, the pinned configuration, P^9 in (1,1,3,3), e = (1,1,-1,-1),
+    # and P^10 in (1,1,2,2,2), e = (1,1,0,0,0), whose powers of two slots
+    # and of three meet at D = 0
+    pinned, pinned_twist, pinned_divisor = example3_verbatim_model()
+    runs = [((*normalize_blowup(BlowUpSpec(N, c)), 8), {}) for N, c in FANO_BOX]
+    runs.append(((pinned, pinned_twist, 20), {"divisor": pinned_divisor, "skip_nonconvex": True}))
+    p9 = normalize_blowup(BlowUpSpec(9, (1, 1, 3, 3)))
+    assert p9[0].e_degrees == (1, 1, -1, -1)
+    p10 = normalize_blowup(BlowUpSpec(10, (1, 1, 2, 2, 2)))
+    assert p10[0].e_degrees == (1, 1, 0, 0, 0)
+    runs += [((*p9, 24), {}), ((*p10, 24), {})]
+    checked = 0
+    for z in (Fraction(1), Fraction(1, 2), Fraction(-3, 2)):
+        for args, kwargs in runs:
+            target, twist = args[:2]
+            for ctx in _run_contexts(monkeypatch, *args, z=z, **kwargs):
+                fresh = SummandContext(target, twist, ctx.z, orbit=ctx.orbit)
+                for (rows, da, D), (nums, den) in ctx._roots.items():
+                    parts = [fresh.slot_series(da + e * D) for e in target.e_degrees]
+                    for f in rows:
+                        tw, q = fresh.twist_series(f * da + twist.rho * D)
+                        parts.append(([c * f**k for k, c in enumerate(tw)], q))
+                    got = [Fraction(n, den) for n in nums]
+                    assert got == _series_product(parts, ctx.length), (target, z, da, D)
+                    checked += 1
+                # a power is cached by (multiplicity, upper): the e_j = 0 slots
+                # of every D share the one power at d_a
+                counts = {e: target.e_degrees.count(e) for e in target.e_degrees}
+                uppers = {(counts[e], da + e * D) for _, da, D in ctx._roots for e in counts}
+                assert set(ctx._powers) == uppers, (target, z)
+    assert checked > 0
+
+
+def test_period_series_reads_the_correction_on_its_own_context(monkeypatch):
+    # period_series reads the degree-one counts on its own context at z and
+    # one more at 2 z; they must be correction_C's, made apart at z = 1 and 2
+    for base_dim, degrees in FANO_BOX:
+        model = normalize_blowup(BlowUpSpec(base_dim, degrees))
+        expected = correction_C(*model)
+        for z in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)):
+            assert period_series(*model, 2, z=z).correction == expected, (base_dim, degrees, z)
+    # a degree-one unit made to depend on z still raises CorrectionError
+    model = normalize_blowup(BlowUpSpec(3, (1, 2)))
+    ((cls, n),) = correction_C(*model).entries
+    assert n == 1
+    original = assembler.oh_summand
+
+    def skewed(d, point_cls, ctx):
+        num, den = original(d, point_cls, ctx)
+        return (num * ctx.p, den * ctx.q) if point_cls == cls else (num, den)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assembler, "oh_summand", skewed)
+        with pytest.raises(CorrectionError, match="degree-one coefficient .* depends on z"):
+            period_series(*model, 4)
+    # one pinned-sparse call splits the twist rows, picks its path and reads
+    # its Fano degrees once each, and, with no degree-one class, builds no
+    # context beside its own
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (
+        (summands, "split_twist_rows"),
+        (targets, "split_twist_rows"),
+        (assembler, "sums_by_orbits"),
+        (assembler, "fano_degrees"),
+    ):
+        counted(module, name)
+    pinned, pinned_twist, pinned_divisor = example3_verbatim_model()
+    made = _run_contexts(monkeypatch, pinned, pinned_twist, 20, divisor=pinned_divisor, skip_nonconvex=True)
+    assert sorted(calls) == ["fano_degrees", "split_twist_rows", "sums_by_orbits"]
+    assert len(made) == 1
 
 
 def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
