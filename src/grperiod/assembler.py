@@ -116,12 +116,16 @@ class PeriodSeries:
     """
 
     raw: tuple[Fraction, ...]
-    coefficients: tuple[Fraction, ...]
     regularised: tuple[Fraction, ...]
     correction: Correction
 
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """G_d = regularised[d] / d!."""
+        return tuple(v / math.factorial(d) for d, v in enumerate(self.regularised))
+
     def degree_max(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.regularised) - 1
 
 
 def _forced_nilpotent_degree(
@@ -318,25 +322,37 @@ def estimate_points(
     return sum(_listed(ctx, class_rows(target, twist, dmax, divisor, ctx.orbit), dmax, False)[0])
 
 
-def _listed(ctx: SummandContext, rows, dmax: int, skip_nonconvex: bool) -> tuple[list, list | None]:
+def _listed(
+    ctx: SummandContext, rows, dmax: int, skip_nonconvex: bool, budget: int | None = None
+) -> tuple[list, list | None]:
     """The points summed in each degree 0..dmax, counted and as (point, class) pairs.
 
     rows are class_rows' rows, and each degree's pairs follow
     class_enumeration's order.  At r = 1 on an orbit context each class is
     its one point (k,), summed by rows (`_row_units`): no pairs are listed.
+    More than budget points raise WorkBudgetError once all are counted;
+    no pair is stored past the budget.
     """
-    if ctx.orbit and ctx.target.rank == 1:
-        counts = [0] * (dmax + 1)
-        for _, _, degrees in rows:
-            for x_deg in degrees:
-                counts[x_deg] += 1
-        return counts, None
-    listed: list[list] = [[] for _ in range(dmax + 1)]
+    counts, total = [0] * (dmax + 1), 0
+    listed = None if ctx.orbit and ctx.target.rank == 1 else [[] for _ in counts]
     for D, ks, degrees in rows:
         for x_deg, k in zip(degrees, ks):
+            if listed is None:  # the class's one point (k,)
+                counts[x_deg] += 1
+                continue
             cls = CurveClass(D, k)
-            listed[x_deg] += [(d, cls) for d in class_points(cls, ctx, skip_nonconvex)]
-    return [len(pairs) for pairs in listed], listed
+            points = class_points(cls, ctx, skip_nonconvex)
+            counts[x_deg] += len(points)
+            total += len(points)
+            if budget is None or total <= budget:
+                listed[x_deg] += [(d, cls) for d in points]
+    if budget is not None and sum(counts) > budget:
+        per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
+        raise WorkBudgetError(
+            f"estimated {sum(counts)} lattice points exceeds budget {budget} "
+            f"(per degree {per_degree})"
+        )
+    return counts, listed
 
 
 def _unit(pairs: list, ctx: SummandContext) -> Fraction:
@@ -435,10 +451,10 @@ def period_series(
     NotFanoError.
     """
     degrees = fano_degrees(target, twist, divisor)
-    raw, correction, series = _checked(
+    raw, correction, regularised = _checked(
         target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees
     )
-    return PeriodSeries(tuple(raw), *series, correction)
+    return PeriodSeries(tuple(raw), regularised, correction)
 
 
 def unit_series(
@@ -470,7 +486,7 @@ def unit_series(
 
 
 def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees):
-    """unit_series' units and counts, and their `corrected_series` at C = u_1 / z, all checked.
+    """unit_series' units and counts, and their regularised period at C = u_1 / z, all checked.
 
     degrees are the model's fano_degrees, None for no oracle check.
     """
@@ -480,41 +496,27 @@ def _checked(target, twist, dmax, z, divisor, skip_nonconvex, budget, degrees):
     ctx = SummandContext(target, twist, z, orbit=sums_by_orbits(target, twist, skip_nonconvex))
     floor = ctx.orbit and skip_nonconvex  # standard rows bound every d_i >= -rho D
     rows = list(class_rows(target, twist, dmax, divisor, ctx.orbit, twist_floor=floor))
-    counts, listed = _listed(ctx, rows, dmax, skip_nonconvex)
-    if budget is not None:
-        estimate = sum(counts)
-        if estimate > budget:
-            per_degree = ", ".join(f"{d}: {n}" for d, n in enumerate(counts))
-            raise WorkBudgetError(
-                f"estimated {estimate} lattice points exceeds budget {budget} "
-                f"(per degree {per_degree})"
-            )
+    _, listed = _listed(ctx, rows, dmax, skip_nonconvex, budget)
     correction = correction_C(target, twist, divisor, skip_nonconvex, ctx)
     raw = _row_units(rows, ctx, dmax) if listed is None else [_unit(p, ctx) for p in listed]
-    series = corrected_series(raw, raw[1] / ctx.z if dmax else Fraction(0))
+    regularised = corrected_series(raw, raw[1] / ctx.z if dmax else Fraction(0))
     if degrees is not None:
-        _check_against_oracle(raw, series[1], target.base_dim, degrees, ctx.z)
+        _check_against_oracle(raw, regularised, target.base_dim, degrees, ctx.z)
     # u_1 has z-power 0, so it is the counts' total at any z
     if dmax >= 1 and correction.total != raw[1]:
         raise CorrectionError(
             f"degree one: the degree-one counts sum to {correction.total}, "
             f"the unit u_1 is {raw[1]}"
         )
-    return raw, correction, series
+    return raw, correction, regularised
 
 
-def corrected_series(
-    raw: list[Fraction], C: Fraction
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """G = e^(-C x) * sum_d u_d x^d and its regularised d! G_d, for raw u_d.
+def corrected_series(raw: list[Fraction], C: Fraction) -> tuple[Fraction, ...]:
+    """The regularised d! G_d of G = e^(-C x) * sum_d u_d x^d, for raw u_d.
 
-    One Fraction per degree and per series, from the integers of `_pascal`.
+    One Fraction per degree, from the integers of `_pascal`.
     """
-    coeffs, regularised = [], []
-    for d, (num, den) in enumerate(_pascal(raw, C)):
-        regularised.append(Fraction(num, den))
-        coeffs.append(Fraction(num, den * math.factorial(d)))
-    return tuple(coeffs), tuple(regularised)
+    return tuple(Fraction(num, den) for num, den in _pascal(raw, C))
 
 
 def _pascal(raw: list, C: Fraction | int) -> list[tuple[int, int]]:

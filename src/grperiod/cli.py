@@ -96,16 +96,6 @@ def format_records(series: PeriodSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str) -> list[tuple[int, Fraction]]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d, num, den = line.split("\t")
-        out.append((int(d), Fraction(int(num), int(den))))
-    return out
-
-
 def format_csv(series: PeriodSeries) -> str:
     lines = ["degree,log10_regularised"]
     for d in range(series.degree_max() + 1):

@@ -94,9 +94,6 @@ class DivisorData:
     a: int
     b: int
 
-    def pairing(self, cls: CurveClass) -> int:
-        return self.a * cls.D + self.b * cls.k
-
 
 def standard_basis(r: int) -> tuple[tuple[int, ...], ...]:
     """Twist rows of F = S^v(rho): one row per Chern root."""
@@ -201,22 +198,23 @@ def slot_thresholds(target: FlagTarget, D: int) -> list[int]:
 def lattice_range(
     target: FlagTarget,
     cls: CurveClass,
-    cap: int | None = None,
-    twist: TwistSpec | None = None,
-    orbit: bool = False,
-    local_rows: tuple | None = None,
+    cap: int,
+    twist: TwistSpec | None,
+    orbit: bool,
+    local_rows: tuple,
 ) -> Iterator[tuple[int, ...]]:
     """Fiber degree vectors d with sum(d) = k and every d_i >= the floor.
 
     The floor is the least of slot_thresholds(target, D).  Points come in
-    lexicographic order.  With a cap, only the points whose forced
-    nilpotent degree -- over the roots, the thresholds above d_i, plus one
-    for each pair of equal fiber degrees -- is at most cap; truncation at
-    the cap kills the rest.  With a twist, only the points at which every
-    row local to a root i, of weight f, has f * d_i + rho * D >= 0: the
-    twist's local_rows, split_twist_rows' first part, which a caller that
-    holds them passes in.  With orbit, only the points whose staircase
-    can be nonzero: root i (0-based) forces at most r - 1 - i slots.
+    lexicographic order.  Only the points whose forced nilpotent degree --
+    over the roots, the thresholds above d_i, plus one for each pair of
+    equal fiber degrees -- is at most cap, a SummandContext's cap, which
+    every call passes; truncation at the cap kills the rest.  With a twist,
+    only the points at which every row local to a root i, of weight f, has
+    f * d_i + rho * D >= 0: local_rows holds those rows' weights,
+    split_twist_rows' first part.  With orbit, only the points whose
+    staircase can be nonzero: root i (0-based) forces at most r - 1 - i
+    slots.
 
     That last cut is exact for the staircase of a standard-row model
     (`summands.SummandContext.staircase`): a root's factor R_a is divisible
@@ -248,14 +246,12 @@ def lattice_range(
     high = [k - lo * (r - 1)] * r
     if twist is not None:
         rho_D = twist.rho * D
-        for i, weights in enumerate(local_rows or split_twist_rows(twist, r)[0]):
+        for i, weights in enumerate(local_rows):
             for f in weights:
                 if f > 0:
                     low[i] = max(low[i], -(rho_D // f))
                 else:
                     high[i] = min(high[i], rho_D // -f)
-    if cap is None:
-        cap = r * len(thresholds) + target.omega_degree  # what any point forces at most
     free = thresholds[-1]
     cheapest = len(thresholds) - bisect.bisect_right(thresholds, free - 1)
     rest_low, rest_high, rest_free = [0] * r, [0] * r, [0] * r
@@ -367,10 +363,9 @@ def class_enumeration(
     twist: TwistSpec | None,
     x_deg: int,
     divisor: DivisorData | None = None,
-    orbit: bool = False,
 ) -> list[CurveClass]:
     """All curve classes of the given degree: the rows of class_rows from x_deg to x_deg."""
-    rows = class_rows(target, twist, x_deg, divisor, orbit, x_deg)
+    rows = class_rows(target, twist, x_deg, divisor, dmin=x_deg)
     return [CurveClass(D, k) for D, ks, _ in rows for k in ks]
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from grperiod.targets import BlowUpSpec, normalize_blowup
@@ -19,6 +21,23 @@ def p6_122():
 def blpt_p2():
     """Blow-up of P^2 in a point (two hyperplanes)."""
     return normalize_blowup(BlowUpSpec(2, (1, 1)))
+
+
+def _floor_lattice(target, cls):
+    """Every d with sum(d) = k and each d_i >= the least -e_j D, filtered from a box.
+
+    The reference that `lattice_range` is tested against: it shares no code
+    with it, and it makes none of its cuts.
+    """
+    r, lo = target.rank, min(-e * cls.D for e in target.e_degrees)
+    box = itertools.product(range(lo, cls.k - lo * (r - 1) + 1), repeat=r)
+    return [d for d in box if sum(d) == cls.k]
+
+
+@pytest.fixture(scope="session")
+def floor_lattice():
+    """The floor-bounded lattice of a curve class, in lexicographic order."""
+    return _floor_lattice
 
 
 def _full_reference_summand(d, cls, ctx):

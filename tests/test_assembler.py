@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from grperiod.assembler import (
     CorrectionError,
     NotFanoError,
     OracleMismatchError,
+    PeriodSeries,
     WorkBudgetError,
     _pascal,
     class_numerator,
@@ -259,6 +261,25 @@ def test_budget_error_names_the_estimate_per_degree(p4_112):
     assert f"(per degree {listed})" in str(exc.value)
 
 
+def test_budget_refusal_stops_listing_points_past_the_budget():
+    # highrank through x^11 lists 21 points; over a budget of 5 the refusal
+    # still counts every one of them, but the listing it raises from holds
+    # no more than the budget and one class's points
+    model = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    with pytest.raises(WorkBudgetError) as caught:
+        period_series(*model, 11, budget=5)
+    assert str(caught.value) == (
+        "estimated 21 lattice points exceeds budget 5 (per degree 0: 1, 1: 0, 2: 0, "
+        "3: 0, 4: 4, 5: 1, 6: 0, 7: 0, 8: 10, 9: 4, 10: 1, 11: 0)"
+    )
+    frames = (frame for frame, _ in traceback.walk_tb(caught.tb))
+    listed = next(f.f_locals["listed"] for f in frames if f.f_code.co_name == "_listed")
+    ctx = SummandContext(*model, orbit=True)
+    largest = max(len(class_points(cls, ctx)) for x in range(12) for cls in _classes(*model, x))
+    assert largest == 10
+    assert sum(map(len, listed)) <= 5 + largest
+
+
 def test_budget_counts_the_points_that_are_summed():
     # through x^20 the pinned model sums 123 points on the orbit path; with
     # nonconvex points kept (rho = 1 < max e_j = 2) it stays on the packed
@@ -278,12 +299,18 @@ def test_budget_counts_the_points_that_are_summed():
         assert sum(map(len, listed)) == sum(counts) == points
 
 
+def _classes(target, twist, x_deg, divisor=None, orbit=False):
+    """The classes of degree x_deg: those of class_rows from x_deg to x_deg."""
+    rows = class_rows(target, twist, x_deg, divisor, orbit, x_deg)
+    return [CurveClass(D, k) for D, ks, _ in rows for k in ks]
+
+
 def _per_point_pairs(ctx, dmax, divisor=None, skip=False):
     """Each degree's (point, class) pairs through x^dmax, listed class by class."""
     return [
         [
             (d, cls)
-            for cls in class_enumeration(ctx.target, ctx.twist, x_deg, divisor, ctx.orbit)
+            for cls in _classes(ctx.target, ctx.twist, x_deg, divisor, ctx.orbit)
             for d in class_points(cls, ctx, skip)
         ]
         for x_deg in range(dmax + 1)
@@ -773,7 +800,7 @@ def test_period_check_fails_where_the_units_differ(base_dim, degrees):
         for d, delta in itertools.product(range(13), (Fraction(1), Fraction(-1, 7))):
             moved = list(raw)
             moved[d] += delta
-            _, regularised = corrected_series(moved, moved[1] / z)
+            regularised = corrected_series(moved, moved[1] / z)
             with pytest.raises(OracleMismatchError) as caught:
                 assembler._check_against_oracle(moved, regularised, base_dim, degrees, z)
             ts = range(d + 1) if r1 else [0]
@@ -789,7 +816,7 @@ def test_faulty_correction_is_caught_by_the_period_check(monkeypatch):
     # of the period itself sees it; the message names the periods
     model = normalize_blowup(BlowUpSpec(3, (1, 2)))
     raw, _ = unit_series(*model, 8)
-    engine = corrected_series(raw, 2 * raw[1])[1][2]
+    engine = corrected_series(raw, 2 * raw[1])[2]
     original = corrected_series
     monkeypatch.setattr(assembler, "corrected_series", lambda raw, C: original(raw, 2 * C))
     with pytest.raises(OracleMismatchError) as caught:
@@ -901,9 +928,9 @@ def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
             walked.extend((x_deg, CurveClass(D, k)) for x_deg, k in zip(x_degs, ks))
             yield D, ks, x_degs
 
-    def counted(target, twist, x_deg, divisor=None, orbit=False):
+    def counted(target, twist, x_deg, divisor=None):
         degrees.append(x_deg)
-        return class_enumeration(target, twist, x_deg, divisor, orbit)
+        return class_enumeration(target, twist, x_deg, divisor)
 
     monkeypatch.setattr("grperiod.assembler.class_rows", walk)
     monkeypatch.setattr("grperiod.assembler.class_enumeration", counted)
@@ -913,7 +940,7 @@ def test_period_series_enumerates_each_degree_once(p4_112, monkeypatch):
     expected = [
         (x_deg, cls)
         for x_deg in range(9)
-        for cls in class_enumeration(target, twist, x_deg, orbit=True)
+        for cls in _classes(target, twist, x_deg, orbit=True)
     ]
     assert len(walks) == 1
     assert len(walked) == len(set(walked)) == len(expected)
@@ -969,6 +996,12 @@ def _fraction_correction(raw, C):
     return tuple(coeffs), tuple(math.factorial(d) * c for d, c in enumerate(coeffs))
 
 
+def _corrected(raw, C):
+    """corrected_series' regularised period and the coefficients PeriodSeries derives from it."""
+    ps = PeriodSeries(tuple(raw), corrected_series(raw, C), Correction(()))
+    return ps.coefficients, ps.regularised
+
+
 rationals = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9)
 
 
@@ -978,14 +1011,14 @@ rationals = st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9)
     st.one_of(st.just(Fraction(0)), st.integers(-5, -1).map(Fraction), rationals),
 )
 def test_corrected_series_matches_fraction_convolution(raw, C):
-    assert corrected_series(raw, C) == _fraction_correction(raw, C)
+    assert _corrected(raw, C) == _fraction_correction(raw, C)
 
 
 @pytest.mark.parametrize("C", [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(0)])
 def test_corrected_series_matches_fraction_convolution_at_depth(C):
     # deep-r1's own units through x^60, far past the property test's 14 terms
     raw, _ = unit_series(*normalize_blowup(BlowUpSpec(3, (1, 2))), 60)
-    assert corrected_series(raw, C) == _fraction_correction(raw, C)
+    assert _corrected(raw, C) == _fraction_correction(raw, C)
 
 
 @pytest.mark.parametrize("C", [Fraction(-1), Fraction(3)])

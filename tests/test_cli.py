@@ -13,13 +13,23 @@ from grperiod.cli import (
     build_parser,
     main,
     parse_config_file,
-    parse_records,
     run_validation_suite,
 )
 from grperiod import validation
 from grperiod.validation import oracle_blowup
 
 P4_ARGS = ["--base-dim", "4", "--center-degrees", "1,1,2"]
+
+
+def parse_records(text):
+    """(degree, value) for each line of `--format records` output."""
+    out = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d, num, den = line.split("\t")
+        out.append((int(d), Fraction(int(num), int(den))))
+    return out
 
 
 def run(capsys, argv):

@@ -237,7 +237,7 @@ def test_orbit_floor_drops_only_points_whose_staircase_is_zero():
         r = target.rank
         for x_deg in range(13):
             for cls in class_enumeration(target, twist, x_deg):
-                for d in lattice_range(target, cls, ctx.cap):
+                for d in lattice_range(target, cls, ctx.cap, None, False, ()):
                     forced = [sum(di + e * cls.D < 0 for e in target.e_degrees) for di in d]
                     if all(f <= r - 1 - i for i, f in enumerate(forced)):
                         continue
@@ -271,7 +271,7 @@ def test_orbit_class_skip_drops_no_point():
                     above.append(cls)
                 pairs.extend((d, cls) for d in points)
             unskipped.append(pairs)
-            assert class_enumeration(target, twist, x_deg, orbit=True) == above, (base_dim, degrees)
+            assert _enumerated(target, twist, x_deg, None, True) == above, (base_dim, degrees)
         counts, listed = _listed(ctx, class_rows(target, twist, 12, None, True), 12, False)
         assert counts == list(map(len, unskipped)), (base_dim, degrees)
         # at r = 1 each class is its one point, summed by rows: no pairs are listed
@@ -335,6 +335,15 @@ def _enumeration_reference(target, divisor, x_deg, orbit):
     return out
 
 
+def _enumerated(target, twist, x_deg, divisor, orbit):
+    """class_enumeration's classes of degree x_deg; with orbit, those of the
+    orbit rows of class_rows from x_deg to x_deg."""
+    if not orbit:
+        return class_enumeration(target, twist, x_deg, divisor)
+    rows = class_rows(target, twist, x_deg, divisor, orbit=True, dmin=x_deg)
+    return [CurveClass(D, k) for D, ks, _ in rows for k in ks]
+
+
 def _walk_models():
     """The Fano box at its default twist level and the pinned model, each under
     its own grading, 4h + det and 2h + r det."""
@@ -361,7 +370,7 @@ def test_class_walk_lists_each_degree_as_class_enumeration_does():
                 with pytest.raises(GradingError, match=message):
                     list(class_rows(target, twist, 12, divisor, orbit))
                 with pytest.raises(GradingError, match=message):
-                    class_enumeration(target, twist, 3, divisor, orbit)
+                    _enumerated(target, twist, 3, divisor, orbit)
             refused += 1
             continue
         for orbit in (False, True):
@@ -370,13 +379,13 @@ def test_class_walk_lists_each_degree_as_class_enumeration_does():
             for D, ks, degrees in class_rows(target, twist, 12, divisor, orbit):
                 for x_deg, k in zip(degrees, ks):
                     cls = CurveClass(D, k)
-                    assert divisor.pairing(cls) == x_deg
+                    assert divisor.a * cls.D + divisor.b * cls.k == x_deg
                     per_degree[x_deg].append(cls)
                     base_degrees.append(cls.D)
             assert base_degrees == sorted(base_degrees)
             for x_deg, classes in enumerate(per_degree):
                 key = (target, divisor, x_deg, orbit)
-                assert classes == class_enumeration(target, twist, x_deg, divisor, orbit), key
+                assert classes == _enumerated(target, twist, x_deg, divisor, orbit), key
                 assert classes == _enumeration_reference(target, divisor, x_deg, orbit), key
             walked += sum(map(len, per_degree))
     assert walked > 0 and refused > 0

@@ -509,7 +509,7 @@ def test_staircase_is_the_packed_summand_at_the_staircase_monomial(r):
     for D in (0, 1):
         for k in range(-1, r + 1):
             cls = CurveClass(D=D, k=k)
-            points = set(lattice_range(target, cls, orbit.cap))
+            points = set(lattice_range(target, cls, orbit.cap, None, False, ()))
             assert all(p in points for d in points for p in itertools.permutations(d))
             for d in points:
                 num, den = oh_summand(d, cls, orbit)

@@ -21,8 +21,14 @@ from grperiod.targets import (
     lattice_range,
     normalize_blowup,
     slot_thresholds,
+    split_twist_rows,
     standard_basis,
 )
+
+
+def _uncut(target):
+    """A cap no point exceeds: every slot forced at every root, plus deg Delta pairs."""
+    return target.rank * len(target.e_degrees) + target.omega_degree
 
 
 def test_normalize_p4_112(p4_112):
@@ -117,11 +123,6 @@ def test_anticanonical_rejects_unbalanced_twist(p4_112):
         anticanonical(target, lopsided)
 
 
-def test_divisor_pairing():
-    div = DivisorData(a=1, b=2)
-    assert div.pairing(CurveClass(D=1, k=1)) == 3
-
-
 def test_class_enumeration_p4_112_degree3(p4_112):
     classes = class_enumeration(*p4_112, x_deg=3)
     assert classes == [CurveClass(D=1, k=1), CurveClass(D=3, k=0)]
@@ -149,7 +150,7 @@ def test_class_enumeration_verbatim_grading_terminates():
     target, twist, divisor = example3_verbatim_model()
     classes = class_enumeration(target, twist, 8, divisor)
     assert CurveClass(D=1, k=0) in classes
-    assert all(divisor.pairing(cls) == 8 for cls in classes)
+    assert all(divisor.a * cls.D + divisor.b * cls.k == 8 for cls in classes)
 
 
 def test_lattice_floor_examples(p4_112, p6_122):
@@ -159,10 +160,11 @@ def test_lattice_floor_examples(p4_112, p6_122):
     assert slot_thresholds(verbatim, 1)[0] == -2
 
 
-def test_lattice_range_negative_fiber_degree(p6_122):
+def test_lattice_range_negative_fiber_degree(p6_122, floor_lattice):
     target, _ = p6_122
-    points = list(lattice_range(target, CurveClass(D=1, k=-2)))
-    assert points == [(-1, -1)]
+    cls = CurveClass(D=1, k=-2)
+    points = list(lattice_range(target, cls, _uncut(target), None, False, ()))
+    assert points == floor_lattice(target, cls) == [(-1, -1)]
 
 
 def test_fano_index_classes(p4_112, p6_122, blpt_p2):
@@ -193,7 +195,7 @@ def test_normalized_model_matches_blowup_constructor():
 def test_lattice_points_sum_to_fiber_degree(k, D):
     target, _ = normalize_blowup(BlowUpSpec(6, (1, 2, 2)), twist_k=2)
     lo = min(-e * D for e in target.e_degrees)
-    for point in lattice_range(target, CurveClass(D=D, k=k)):
+    for point in lattice_range(target, CurveClass(D=D, k=k), _uncut(target), None, False, ()):
         assert sum(point) == k
         assert all(di >= lo for di in point)
 
@@ -203,22 +205,10 @@ def test_enumerated_classes_have_the_right_degree(x_deg):
     target, twist = normalize_blowup(BlowUpSpec(4, (1, 1, 2)))
     _, divisor = anticanonical(target, twist)
     for cls in class_enumeration(target, twist, x_deg):
-        assert divisor.pairing(cls) == x_deg
+        assert divisor.a * cls.D + divisor.b * cls.k == x_deg
 
 
-def test_lattice_range_without_cap_is_every_point_above_the_floor():
-    for e_degrees in itertools.product(range(-2, 3), repeat=3):
-        for r in (1, 2, 3):
-            target = FlagTarget(base_dim=4, e_degrees=e_degrees, rank=r)
-            for D in range(3):
-                lo = min(-e * D for e in target.e_degrees)
-                for k in range(-4, 5):
-                    box = itertools.product(range(lo, k - lo * (r - 1) + 1), repeat=r)
-                    expected = [d for d in box if sum(d) == k]
-                    assert list(lattice_range(target, CurveClass(D=D, k=k))) == expected
-
-
-def test_pruned_lattice_range_equals_the_filtered_range():
+def test_pruned_lattice_range_equals_the_filtered_range(floor_lattice):
     # 125 e-vectors x 3 ranks x 4 base degrees x 16 fiber degrees x 5 caps
     cases = 0
     for e_degrees in itertools.product(range(-2, 3), repeat=3):
@@ -227,7 +217,7 @@ def test_pruned_lattice_range_equals_the_filtered_range():
             for D in range(4):
                 for k in range(-8, 8):
                     cls = CurveClass(D=D, k=k)
-                    full = list(lattice_range(target, cls))
+                    full = floor_lattice(target, cls)
                     forced = [_forced_nilpotent_degree(target, d, D) for d in full]
                     # root i forces at most r - 1 - i slots
                     readable = [
@@ -241,11 +231,11 @@ def test_pruned_lattice_range_equals_the_filtered_range():
                     assert all(f <= target.omega_degree for f, ok in zip(forced, readable) if ok)
                     for cap in range(5):
                         expected = [d for d, f in zip(full, forced) if f <= cap]
-                        assert list(lattice_range(target, cls, cap)) == expected, (
+                        assert list(lattice_range(target, cls, cap, None, False, ())) == expected, (
                             e_degrees, r, D, k, cap,
                         )
                         orbit = [d for d, f, ok in zip(full, forced, readable) if f <= cap and ok]
-                        got = list(lattice_range(target, cls, cap, orbit=True))
+                        got = list(lattice_range(target, cls, cap, None, True, ()))
                         assert got == orbit, (e_degrees, r, D, k, cap)
                         cases += 1
     assert cases == 120_000
@@ -263,6 +253,7 @@ def test_twist_floor_drops_only_classes_without_a_point():
     drops = []
     for target in (FlagTarget(3, (2, 1), 1), FlagTarget(4, (1, 1, 0), 2), FlagTarget(4, (1, 1, 1, 0), 3)):
         twist = TwistSpec(standard_basis(target.rank), rho=0)
+        local_rows = split_twist_rows(twist, target.rank)[0]
         for orbit in (False, True):
             walked = _walked(target, twist, 20, None, orbit)
             kept = _walked(target, twist, 20, None, orbit, twist_floor=True)
@@ -271,7 +262,7 @@ def test_twist_floor_drops_only_classes_without_a_point():
             drops.append(len(dropped))
             for cls in dropped:
                 assert cls.k < 0
-                assert not list(lattice_range(target, cls, None, twist, orbit))
+                assert not list(lattice_range(target, cls, _uncut(target), twist, orbit, local_rows))
     assert drops == [13, 6, 10, 3, 10, 4]  # classes dropped, without and with orbit
 
 
@@ -284,7 +275,7 @@ NONCONVEX_MODELS = {
 
 
 @pytest.mark.parametrize("name", NONCONVEX_MODELS)
-def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
+def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name, floor_lattice):
     target, twist = NONCONVEX_MODELS[name]
     ctx = SummandContext(target, twist)
     skipped = 0
@@ -292,7 +283,7 @@ def test_class_numerator_skipping_nonconvex_equals_the_filtered_sum(name):
         for k in range(-6, 7):
             cls = CurveClass(D=D, k=k)
             kept = []
-            for d in lattice_range(target, cls):
+            for d in floor_lattice(target, cls):
                 if _forced_nilpotent_degree(target, d, D) > ctx.cap:
                     continue
                 if any(u < 0 for u in twist_uppers(twist, cls, d)):
