@@ -242,24 +242,27 @@ def correction_C(
     Each class's unit is read point by point by `_unit` on ctx, the context
     of a unit_series run, or one made as unit_series makes it at z = 1, so
     a standard-row model never builds Delta.  Each n_beta is z-independent
-    (its z-power is 0), checked against a second context at twice ctx's z,
-    made only when a degree-one class exists.
+    (its z-power is 0), checked against a second context at twice ctx's z.
+    A class without a point has n_beta = 0 at every z, so only a class with
+    a point is read there, and that context is made for the first such class.
     """
     if ctx is None:
         ctx = SummandContext(target, twist, orbit=sums_by_orbits(target, twist, skip_nonconvex))
-    classes = class_enumeration(target, twist, 1, divisor)
-    contexts = [ctx, SummandContext(target, twist, 2 * ctx.z, orbit=ctx.orbit)] if classes else []
-    entries = []
-    for cls in classes:
-        values = [
-            _unit([(d, cls) for d in class_points(cls, ctx, skip_nonconvex)], ctx)
-            for ctx in contexts
-        ]
-        if values[0] != values[1]:
-            raise CorrectionError(
-                f"degree-one coefficient for {cls} depends on z: {values}"
-            )
-        entries.append((cls, values[0]))
+    twice, entries = None, []
+    for cls in class_enumeration(target, twist, 1, divisor):
+        points = class_points(cls, ctx, skip_nonconvex)
+        value = _unit([(d, cls) for d in points], ctx)
+        if points:
+            if twice is None:
+                twice = SummandContext(target, twist, 2 * ctx.z, ctx.cap, orbit=ctx.orbit)
+            # listed again: perfbench's tracer pairs each evaluated point with one listing
+            pairs = [(d, cls) for d in class_points(cls, twice, skip_nonconvex)]
+            values = [value, _unit(pairs, twice)]
+            if values[0] != values[1]:
+                raise CorrectionError(
+                    f"degree-one coefficient for {cls} depends on z: {values}"
+                )
+        entries.append((cls, value))
     return Correction(entries=tuple(entries))
 
 

@@ -11,7 +11,8 @@ works in the same ring with integer numerators over one common denominator:
 it builds the lattice-point summands, adds them up, and reads the unit
 coefficient off their sum with an exact Weyl-divisibility check.
 `integer_det` is the determinant the S_r-orbit path reads each point's
-staircase coefficient from.
+staircase coefficient from: straight-line cofactor expansions for sizes 2
+to 4, which cover every rank up to 4, and Bareiss elimination above.
 """
 
 from __future__ import annotations
@@ -414,12 +415,33 @@ class PackedRing:
 
 
 def integer_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+    """Determinant of a square integer matrix; rows is not modified.
 
-    Every division by the previous pivot is exact; rows is not modified.
+    Sizes 2, 3 and 4 are the cofactor expansion written out: the 3 x 3
+    along row 0, the 4 x 4 as the six products of complementary 2 x 2
+    minors of rows 0-1 and rows 2-3.  Every other size, where that
+    expansion would grow as n!, runs fraction-free (Bareiss) elimination,
+    in which every division by the previous pivot is exact.
     """
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
     m = [list(row) for row in rows]
-    n, sign, prev = len(m), 1, 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)

@@ -224,6 +224,11 @@ def test_period_series_reads_the_correction_on_its_own_context(monkeypatch):
     made = _run_contexts(monkeypatch, pinned, pinned_twist, 20, divisor=pinned_divisor, skip_nonconvex=True)
     assert sorted(calls) == ["fano_degrees", "split_twist_rows", "sums_by_orbits"]
     assert len(made) == 1
+    # highrank's one degree-one class, (D, k) = (1, 0), has no point on the
+    # orbit path, so its call builds no context at 2 z either
+    highrank = normalize_blowup(BlowUpSpec(8, (1, 1, 1, 1, 2)))
+    assert [cls for cls, n in correction_C(*highrank).entries] == [CurveClass(1, 0)]
+    assert len(_run_contexts(monkeypatch, *highrank, 11)) == 1
 
 
 def test_orbit_floor_drops_only_points_whose_staircase_is_zero():

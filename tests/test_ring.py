@@ -246,8 +246,12 @@ def test_packed_keys_sort_by_degree_and_do_not_carry():
 
 @st.composite
 def integer_matrices(draw):
-    """Square integer matrices of size 0..5, some with zero leading pivots."""
-    n = draw(st.integers(min_value=0, max_value=5))
+    """Square integer matrices of size 0..6, some with zero leading pivots.
+
+    Sizes 2..4 are the written-out expansions; 5 and 6 keep Bareiss
+    elimination drawn at more than one size.
+    """
+    n = draw(st.integers(min_value=0, max_value=6))
     entries = st.integers(min_value=-6, max_value=6) | st.just(0)
     return [[draw(entries) for _ in range(n)] for _ in range(n)]
 
@@ -269,3 +273,11 @@ def test_integer_det_swaps_rows_past_a_zero_pivot():
     assert integer_det([[0, 1], [1, 0]]) == -1
     assert integer_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
     assert integer_det([[0, 1], [0, 2]]) == 0
+    # the written-out sizes: a zero leading entry, a zero row, two equal rows
+    assert integer_det([[0, 2, 1], [1, 3, 0], [4, 0, 5]]) == -22
+    assert integer_det([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+    assert integer_det([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
+    assert integer_det([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) == 1
+    assert integer_det([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]) == -12
+    assert integer_det([[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 0, 0], [2, 1, 2, 1]]) == 0
+    assert integer_det([[1, 2, 3, 4], [5, 6, 7, 8], [2, 1, 2, 1], [5, 6, 7, 8]]) == 0
